@@ -12,9 +12,12 @@ figure      Deterministic CSV tables for the bundled sweep presets
 Outputs are CSV tables plus a JSON run report with a fixed schema
 {schema_version, command, params, grid, results, diagnostics, wall_time_ms}.
 Numbers are printed with 9 significant digits so identical inputs produce
-byte-identical tables.  Exit codes: 0 success, 2 argument errors, 3
-numerical failures.  TPAOPT_THREADS > 1 evaluates sweep points in a thread
-pool (results are gathered in parameter order, so output is unchanged).
+byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
+system parameters, a bad TPAOPT_THREADS and grids whose dense kernel exceeds
+physical memory among them), 3 solver failures (numpy.linalg.LinAlgError).
+TPAOPT_THREADS = N >= 1 (clamped to the CPU count) evaluates sweep points in
+a thread pool; results are gathered in parameter order, so output is
+unchanged.
 """
 
 from __future__ import annotations
@@ -25,33 +28,20 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
-from .grids import auto_grid, make_grid, write_kernel_csv
+from .grids import auto_grid, default_grid, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (
-    asymptotic_bounds,
-    decompose,
-    entropy,
-    optimal_state_kernel,
-    pairing_check,
-    quantum_enhancement,
-)
-from .shaping import CwSpdc, PumpShaped, optimal_pump_shaper, optimal_slm
+from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy,
+                      optimal_state_kernel, pairing_check, quantum_enhancement)
+from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
+                      optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
 
 SCHEMA_VERSION = 1
 EXIT_BAD_ARGS = 2
 EXIT_NUMERICAL = 3
-
-FIGURE_NAMES = ("fig2a", "fig2b", "fig2c", "fig5a", "fig6b",
-                "fig7a", "fig7b", "fig8a", "fig8b", "fig8c")
-
-SWEEPABLE = {
-    "schmidt": ("delta", "dev"),
-    "shape-slm": ("delta", "dev", "sigma"),
-    "shape-pump": ("delta", "dev", "sigma", "phi", "zeta"),
-}
 
 
 def _fmt(x) -> str:
@@ -66,49 +56,49 @@ def _write_csv(path, header, rows):
 
 
 def _grid_dict(grid):
-    if grid is None:
-        return None
     return {"min": grid.min, "max": grid.max, "step": grid.step, "points": grid.count}
 
 
-def _write_report(out_dir, command, params, grid, results, diagnostics, t0, fmt):
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": params,
-        "grid": _grid_dict(grid),
-        "results": results,
-        "diagnostics": diagnostics,
-        "wall_time_ms": int(round((time.perf_counter() - t0) * 1000)),
-    }
-    if fmt in ("json", "both"):
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
+def _write_report(args, command, params, grid, results, diagnostics, t0):
+    report = {"schema_version": SCHEMA_VERSION, "command": command, "params": params,
+              "grid": grid, "results": results, "diagnostics": diagnostics,
+              "wall_time_ms": int(round((time.perf_counter() - t0) * 1000))}
+    if args.format in ("json", "both"):
+        with open(os.path.join(args.out, "report.json"), "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return report
 
 
 def _map_points(fn, values):
     """Evaluate sweep points, optionally in a thread pool, keeping input order."""
-    workers = int(os.environ.get("TPAOPT_THREADS", "1") or "1")
+    raw = os.environ.get("TPAOPT_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"TPAOPT_THREADS must be an integer >= 1, got {raw!r}")
+    workers = min(int(raw), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, values))
     return [fn(v) for v in values]
 
 
-def _sweep_values(sweep, log):
-    name, lo, hi, points = sweep
+def _space(lo, hi, n, log=False):
+    if log:
+        return np.logspace(np.log10(lo), np.log10(hi), n)
+    return np.linspace(lo, hi, n)
+
+
+def _sweep_values(args, sweepable):
+    name, lo, hi, points = args.sweep
     lo, hi, points = float(lo), float(hi), int(points)
     if not lo < hi:
         raise ValueError(f"sweep start must be below end, got [{lo}, {hi}]")
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
-    if log:
-        if lo <= 0:
-            raise ValueError("log-spaced sweep requires a positive start")
-        return name, np.logspace(np.log10(lo), np.log10(hi), points)
-    return name, np.linspace(lo, hi, points)
+    if args.log and lo <= 0:
+        raise ValueError("log-spaced sweep requires a positive start")
+    if name not in sweepable:
+        raise ValueError(f"cannot sweep {name!r} for {args.command}; choose from {sweepable}")
+    return name, _space(lo, hi, points, args.log)
 
 
 def _auto_rank(n_nodes, requested):
@@ -120,252 +110,156 @@ def _auto_rank(n_nodes, requested):
     return min(300, n_nodes - 2)
 
 
-def _schmidt_grid(sys, args):
-    if args.grid_half_width is None and args.step is None and args.grid_center is None:
-        return auto_grid(sys)
-    half = args.grid_half_width if args.grid_half_width is not None else 200.0 * sys.gamma_f
-    step = args.step if args.step is not None else sys.gamma_e / 5.0
-    center = args.grid_center if args.grid_center is not None else sys.omega_f / 2.0
-    return make_grid(center, half, step)
+def _resolve(value, auto, sys_):
+    """A coupling flag: 'auto' takes the library's standard value, None stays None."""
+    if value == "auto":
+        return auto(sys_)
+    return None if value is None else float(value)
 
 
-def _q_offsets_grid(sys):
-    # the ridge term wants ~200 gamma_f of range, the single-photon line
-    # ~40 gamma_e; cap the union at 150 gamma_e to keep wide-line systems
-    # tractable (costs <~ 2% of captured norm at gamma_f = 4)
-    ge = sys.gamma_e
-    half = max(40.0 * ge, min(200.0 * sys.gamma_f, 150.0 * ge))
-    step = min(ge / 5.0, sys.gamma_f / 2.0)
-    return make_grid(0.0, half, step)
-
-
-def _schmidt_point(delta, dev, args, dump_dir=None):
+def _decompose_at(delta, dev, rank, half=None, step=None, center=None, dump_path=None):
+    """(system, rank used, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    grid = _schmidt_grid(sys_, args)
-    rank = _auto_rank(grid.count, args.rank)
+    if half is None and step is None and center is None:
+        grid = auto_grid(sys_)
+    else:
+        grid = default_grid(sys_, half, step, center)
+    rank = _auto_rank(grid.count, rank)
     kernel = optimal_state_kernel(sys_, grid)
-    if dump_dir is not None:
-        write_kernel_csv(kernel, os.path.join(dump_dir, "kernel.csv"))
-    d = decompose(kernel, rank=rank)
-    q_grid = _q_offsets_grid(sys_)
-    e_inf, s_inf = asymptotic_bounds(sys_, q_grid, rank=_auto_rank(q_grid.count, args.rank))
-    return sys_, grid, rank, d, e_inf, s_inf
+    if dump_path is not None:
+        write_kernel_csv(kernel, dump_path)
+    return sys_, rank, decompose(kernel, rank=rank)
 
 
-def cmd_schmidt(args) -> int:
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    params = {"delta": args.delta, "dev": args.dev, "rank": args.rank,
-              "grid_half_width": args.grid_half_width, "step": args.step,
-              "grid_center": args.grid_center, "modes": args.modes}
-    if args.sweep:
-        name, values = _sweep_values(args.sweep, args.log)
-        if name not in SWEEPABLE["schmidt"]:
-            raise ValueError(f"cannot sweep {name!r} for schmidt; choose from {SWEEPABLE['schmidt']}")
-        params["sweep"] = {"param": name, "values": [float(v) for v in values]}
+def _bounds(sys_, rank):
+    """(E_inf, S_inf) on the library's bounds grid."""
+    grid = bounds_grid(sys_)
+    return asymptotic_bounds(sys_, grid, rank=_auto_rank(grid.count, rank))
 
-        def point(v):
-            delta = v if name == "delta" else args.delta
-            dev = v if name == "dev" else args.dev
-            _, grid, rank, d, e_inf, s_inf = _schmidt_point(delta, dev, args)
-            r1 = float(d.coefficients[0])
-            return {"value": float(v), "r1": r1, "r1_squared": r1**2,
-                    "entropy_bits": entropy(d), "quantum_enhancement": quantum_enhancement(d),
-                    "e_inf": e_inf, "s_inf": s_inf, "grid": _grid_dict(grid), "rank": rank}
 
-        rows = _map_points(point, values)
-        if args.format in ("csv", "both"):
-            _write_csv(os.path.join(args.out, "schmidt_sweep.csv"),
-                       [name, "r1", "r1_squared", "entropy_bits", "quantum_enhancement"],
-                       [(r["value"], r["r1"], r["r1_squared"], r["entropy_bits"],
-                         r["quantum_enhancement"]) for r in rows])
-        _write_report(args.out, "schmidt", params, None, {"rows": rows},
-                      {"points": len(rows)}, t0, args.format)
-        return 0
+# ---------------------------------------------------------------------------
+# commands
 
-    dump_dir = args.out if args.dump_kernel else None
-    sys_, grid, rank, d, e_inf, s_inf = _schmidt_point(args.delta, args.dev, args,
-                                                       dump_dir=dump_dir)
+
+def _schmidt_point(args, delta, dev):
+    dump = args.dump_kernel and not args.sweep
+    sys_, rank, d = _decompose_at(delta, dev, args.rank, args.grid_half_width, args.step,
+                                  args.grid_center,
+                                  os.path.join(args.out, "kernel.csv") if dump else None)
+    e_inf, s_inf = _bounds(sys_, args.rank)
+    r1 = float(d.coefficients[0])
+    row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
+           "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
+           "grid": _grid_dict(d.grid1), "rank": rank}
+    return row, d
+
+
+def _schmidt_single(args, params, row, d):
     r = d.coefficients
-    results = {
-        "r": [float(x) for x in r],
-        "r_squared": [float(x) ** 2 for x in r],
-        "entropy_bits": entropy(d),
-        "quantum_enhancement": quantum_enhancement(d),
-        "e_inf": e_inf,
-        "s_inf": s_inf,
-        "pairing_gap": pairing_check(d),
-    }
-    diagnostics = {
-        "rank": rank,
-        "dense": rank is None,
-        "truncation_residual": d.residual,
-        "coefficient_norm_sq": float(np.sum(r**2)),
-    }
+    results = {"r": [float(x) for x in r], "r_squared": [float(x) ** 2 for x in r],
+               "pairing_gap": pairing_check(d),
+               **{k: row[k] for k in ("entropy_bits", "quantum_enhancement", "e_inf", "s_inf")}}
+    diagnostics = {"rank": row["rank"], "dense": row["rank"] is None,
+                   "truncation_residual": d.residual, "coefficient_norm_sq": float(np.sum(r**2))}
     if args.format in ("csv", "both"):
-        _write_csv(os.path.join(args.out, "schmidt_coefficients.csv"),
-                   ["k", "r", "r_squared"],
+        _write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), ["k", "r", "r_squared"],
                    [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
-        n_modes = min(args.modes, len(r))
-        nodes = d.grid1.nodes
-        rows = []
-        for k in range(n_modes):
-            m1, m2 = d.modes_1[k], d.modes_2[k]
-            rows.extend((k + 1, nodes[i], m1[i].real, m1[i].imag, m2[i].real, m2[i].imag)
-                        for i in range(nodes.size))
         _write_csv(os.path.join(args.out, "schmidt_modes.csv"),
-                   ["k", "omega", "mode1_re", "mode1_im", "mode2_re", "mode2_im"], rows)
-    _write_report(args.out, "schmidt", params, grid, results, diagnostics, t0, args.format)
-    print(f"r1={_fmt(r[0])} r1^2={_fmt(r[0]**2)} S={_fmt(results['entropy_bits'])} "
-          f"E_q={_fmt(results['quantum_enhancement'])}")
-    return 0
+                   ["k", "omega", "mode1_re", "mode1_im", "mode2_re", "mode2_im"],
+                   [(k + 1, *x) for k in range(min(args.modes, len(r)))
+                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
+                                 d.modes_2[k].real, d.modes_2[k].imag)])
+    summary = (f"r1={_fmt(r[0])} r1^2={_fmt(r[0]**2)} S={_fmt(row['entropy_bits'])} "
+               f"E_q={_fmt(row['quantum_enhancement'])}")
+    return results, diagnostics, summary
 
 
-def _resolve_sigma_slm(sigma, sys_):
-    if isinstance(sigma, str):
-        if sigma == "auto":
-            if sys_.delta_detuning <= 0:
-                raise ValueError("--sigma auto needs a positive detuning (sigma = Delta gamma_e)")
-            return sys_.delta_detuning * sys_.gamma_e
-        return float(sigma)
-    return float(sigma)
+SHAPING_COLUMNS = ("e_opt", "p_shaped", "p_unshaped", "residual")
 
 
-def _slm_point(delta, dev, sigma, args):
+def _shaping_row(sol, **resolved):
+    row = dict(resolved, grid=_grid_dict(sol.grid))
+    row.update((k, getattr(sol, k)) for k in SHAPING_COLUMNS)
+    return row, sol
+
+
+def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    sigma = _resolve_sigma_slm(sigma, sys_)
-    state = CwSpdc(sigma=sigma)
-    grid = None
-    if args.grid_half_width is not None or args.step is not None:
-        half = args.grid_half_width if args.grid_half_width is not None else max(
-            10.0 * sigma, abs(sys_.omega_f / 2.0) + 30.0 * sys_.gamma_e)
-        step = args.step if args.step is not None else min(sys_.gamma_e, sigma) / 25.0
-        grid = make_grid(0.0, half, step)
-    return sys_, sigma, optimal_slm(sys_, state, grid)
+    state = CwSpdc(sigma=_resolve(sigma, auto_slm_sigma, sys_))
+    grid = slm_grid(sys_, state, args.grid_half_width, args.step)
+    return _shaping_row(optimal_slm(sys_, state, grid), sigma=state.sigma)
 
 
-def cmd_shape_slm(args) -> int:
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    params = {"delta": args.delta, "dev": args.dev, "sigma": args.sigma,
-              "grid_half_width": args.grid_half_width, "step": args.step}
-    if args.sweep:
-        name, values = _sweep_values(args.sweep, args.log)
-        if name not in SWEEPABLE["shape-slm"]:
-            raise ValueError(f"cannot sweep {name!r} for shape-slm; choose from {SWEEPABLE['shape-slm']}")
-        params["sweep"] = {"param": name, "values": [float(v) for v in values]}
-
-        def point(v):
-            delta = v if name == "delta" else args.delta
-            dev = v if name == "dev" else args.dev
-            sigma = v if name == "sigma" else args.sigma
-            _, sig, sol = _slm_point(delta, dev, sigma, args)
-            return {"value": float(v), "sigma": sig, "e_opt": sol.e_opt,
-                    "p_shaped": sol.p_shaped, "p_unshaped": sol.p_unshaped,
-                    "residual": sol.residual, "grid": _grid_dict(sol.grid)}
-
-        rows = _map_points(point, values)
-        if args.format in ("csv", "both"):
-            _write_csv(os.path.join(args.out, "slm_sweep.csv"),
-                       [name, "e_opt", "p_shaped", "p_unshaped", "residual"],
-                       [(r["value"], r["e_opt"], r["p_shaped"], r["p_unshaped"],
-                         r["residual"]) for r in rows])
-        _write_report(args.out, "shape-slm", params, None, {"rows": rows},
-                      {"points": len(rows)}, t0, args.format)
-        return 0
-
-    sys_, sigma, sol = _slm_point(args.delta, args.dev, args.sigma, args)
-    params["sigma_resolved"] = sigma
-    results = {"e_opt": sol.e_opt, "p_shaped": sol.p_shaped,
-               "p_unshaped": sol.p_unshaped, "residual": sol.residual}
-    if args.format in ("csv", "both"):
-        nodes = sol.grid.nodes
-        _write_csv(os.path.join(args.out, "slm_phase.csv"),
-                   ["omega_offset", "phase", "abs_response"],
-                   [(nodes[i], sol.phase_nodes[i], abs(sol.response_nodes[i]))
-                    for i in range(nodes.size)])
-    _write_report(args.out, "shape-slm", params, sol.grid, results,
-                  {"nodes": sol.grid.count}, t0, args.format)
-    print(f"E_opt={_fmt(sol.e_opt)} p_shaped={_fmt(sol.p_shaped)} "
-          f"p_unshaped={_fmt(sol.p_unshaped)} residual={_fmt(sol.residual)}")
-    return 0
-
-
-def _resolve_pump_params(sigma, zeta, infinite_pm, sys_):
-    if isinstance(sigma, str):
-        sigma = 3.0 * sys_.gamma_f if sigma == "auto" else float(sigma)
-    if isinstance(zeta, str):
-        zeta = sys_.gamma_e * (2.0 + sys_.delta_detuning) if zeta == "auto" else float(zeta)
-    if infinite_pm:
-        zeta = None
-    return float(sigma), zeta
-
-
-def _pump_point(delta, dev, sigma, phi, zeta, args):
-    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    sigma, zeta = _resolve_pump_params(sigma, zeta, args.infinite_pm, sys_)
-    state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
-    grid = None
-    if args.grid_half_width is not None or args.step is not None:
-        half = args.grid_half_width if args.grid_half_width is not None else max(
-            10.0 * sigma, 10.0 * sys_.gamma_f)
-        step = args.step if args.step is not None else min(sigma, sys_.gamma_f) / 25.0
-        grid = make_grid(sys_.omega_f, half, step)
-    return sys_, sigma, zeta, optimal_pump_shaper(sys_, state, grid)
-
-
-def cmd_shape_pump(args) -> int:
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    sweeping_zeta = bool(args.sweep) and args.sweep[0] == "zeta"
-    if not args.infinite_pm and args.zeta is None and not sweeping_zeta:
+def _pump_point(args, delta, dev, sigma, phi, zeta):
+    if zeta is None and not args.infinite_pm:
         raise ValueError("shape-pump needs --zeta (or --infinite-pm)")
-    params = {"delta": args.delta, "dev": args.dev, "sigma": args.sigma,
-              "phi": args.phi, "zeta": args.zeta, "infinite_pm": args.infinite_pm,
-              "grid_half_width": args.grid_half_width, "step": args.step}
-    if args.sweep:
-        name, values = _sweep_values(args.sweep, args.log)
-        if name not in SWEEPABLE["shape-pump"]:
-            raise ValueError(f"cannot sweep {name!r} for shape-pump; choose from {SWEEPABLE['shape-pump']}")
-        params["sweep"] = {"param": name, "values": [float(v) for v in values]}
+    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
+    sigma = _resolve(sigma, auto_pump_sigma, sys_)
+    zeta = _resolve(zeta, auto_pump_zeta, sys_)
+    if args.infinite_pm:
+        zeta = None
+    state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
+    grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
+    return _shaping_row(optimal_pump_shaper(sys_, state, grid), sigma=sigma, zeta=zeta)
 
-        def point(v):
-            delta = v if name == "delta" else args.delta
-            dev = v if name == "dev" else args.dev
-            sigma = v if name == "sigma" else args.sigma
-            phi = v if name == "phi" else args.phi
-            zeta = v if name == "zeta" else args.zeta
-            _, sig, zet, sol = _pump_point(delta, dev, sigma, phi, zeta, args)
-            return {"value": float(v), "sigma": sig, "zeta": zet, "e_opt": sol.e_opt,
-                    "p_shaped": sol.p_shaped, "p_unshaped": sol.p_unshaped,
-                    "residual": sol.residual, "grid": _grid_dict(sol.grid)}
 
-        rows = _map_points(point, values)
-        if args.format in ("csv", "both"):
-            _write_csv(os.path.join(args.out, "pump_sweep.csv"),
-                       [name, "e_opt", "p_shaped", "p_unshaped", "residual"],
-                       [(r["value"], r["e_opt"], r["p_shaped"], r["p_unshaped"],
-                         r["residual"]) for r in rows])
-        _write_report(args.out, "shape-pump", params, None, {"rows": rows},
-                      {"points": len(rows)}, t0, args.format)
+def _shaping_single(csv_name, columns, args, params, row, sol):
+    params.update((f"{k}_resolved", row[k]) for k in ("sigma", "zeta") if k in row)
+    if args.format in ("csv", "both"):
+        _write_csv(os.path.join(args.out, csv_name), columns,
+                   zip(sol.grid.nodes, sol.phase_nodes, np.abs(sol.response_nodes)))
+    summary = (f"E_opt={_fmt(sol.e_opt)} p_shaped={_fmt(sol.p_shaped)} "
+               f"p_unshaped={_fmt(sol.p_unshaped)} residual={_fmt(sol.residual)}")
+    return {k: row[k] for k in SHAPING_COLUMNS}, {"nodes": sol.grid.count}, summary
+
+
+# name -> (args echoed into the report's params,
+#          args passed to point(args, **values) -> (sweep row, state), each sweepable,
+#          point, (sweep CSV name, row keys written after the swept value),
+#          single(args, params, row, state) -> (results, diagnostics, summary))
+COMMANDS = {
+    "schmidt": (
+        ("delta", "dev", "rank", "grid_half_width", "step", "grid_center", "modes"),
+        ("delta", "dev"), _schmidt_point,
+        ("schmidt_sweep.csv", ("r1", "r1_squared", "entropy_bits", "quantum_enhancement")),
+        _schmidt_single),
+    "shape-slm": (
+        ("delta", "dev", "sigma", "grid_half_width", "step"),
+        ("delta", "dev", "sigma"), _slm_point,
+        ("slm_sweep.csv", SHAPING_COLUMNS),
+        partial(_shaping_single, "slm_phase.csv", ("omega_offset", "phase", "abs_response"))),
+    "shape-pump": (
+        ("delta", "dev", "sigma", "phi", "zeta", "infinite_pm", "grid_half_width", "step"),
+        ("delta", "dev", "sigma", "phi", "zeta"), _pump_point,
+        ("pump_sweep.csv", SHAPING_COLUMNS),
+        partial(_shaping_single, "pump_phase.csv", ("omega_plus", "phase", "abs_xi"))),
+}
+
+
+def cmd_run(args) -> int:
+    t0 = time.perf_counter()
+    echoed, sweepable, point, (csv_name, columns), single = COMMANDS[args.command]
+    os.makedirs(args.out, exist_ok=True)
+    params = {k: getattr(args, k) for k in echoed}
+    values = {k: getattr(args, k) for k in sweepable}
+    if not args.sweep:
+        row, state = point(args, **values)
+        results, diagnostics, summary = single(args, params, row, state)
+        _write_report(args, args.command, params, row["grid"], results, diagnostics, t0)
+        print(summary)
         return 0
 
-    sys_, sigma, zeta, sol = _pump_point(args.delta, args.dev, args.sigma,
-                                         args.phi, args.zeta, args)
-    params["sigma_resolved"] = sigma
-    params["zeta_resolved"] = zeta
-    results = {"e_opt": sol.e_opt, "p_shaped": sol.p_shaped,
-               "p_unshaped": sol.p_unshaped, "residual": sol.residual}
+    name, swept = _sweep_values(args, sweepable)
+    params["sweep"] = {"param": name, "values": [float(v) for v in swept]}
+
+    def sweep_row(v):
+        return {"value": float(v), **point(args, **{**values, name: v})[0]}
+
+    rows = _map_points(sweep_row, swept)
     if args.format in ("csv", "both"):
-        nodes = sol.grid.nodes
-        _write_csv(os.path.join(args.out, "pump_phase.csv"),
-                   ["omega_plus", "phase", "abs_xi"],
-                   [(nodes[i], sol.phase_nodes[i], abs(sol.response_nodes[i]))
-                    for i in range(nodes.size)])
-    _write_report(args.out, "shape-pump", params, sol.grid, results,
-                  {"nodes": sol.grid.count}, t0, args.format)
-    print(f"E_opt={_fmt(sol.e_opt)} p_shaped={_fmt(sol.p_shaped)} "
-          f"p_unshaped={_fmt(sol.p_unshaped)} residual={_fmt(sol.residual)}")
+        _write_csv(os.path.join(args.out, csv_name), (name,) + columns,
+                   ([r["value"]] + [r[c] for c in columns] for r in rows))
+    _write_report(args, args.command, params, None, {"rows": rows}, {"points": len(rows)}, t0)
     return 0
 
 
@@ -373,122 +267,91 @@ def cmd_shape_pump(args) -> int:
 # figure presets
 
 
-def _fig_schmidt_values(delta, dev, rank):
-    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    grid = auto_grid(sys_)
-    d = decompose(optimal_state_kernel(sys_, grid), rank=_auto_rank(grid.count, rank))
-    return d
+SIGMAS = (0.5, 1.0, 5.0)
+SIGMA_COLUMNS = tuple(f"e_opt_sigma_{s:g}" for s in SIGMAS)
 
 
-def _fig8_point(delta, dev, rank):
-    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    grid = auto_grid(sys_)
-    d = decompose(optimal_state_kernel(sys_, grid),
-                  rank=_auto_rank(grid.count, rank if rank is not None else 16))
+def _line(lo, hi, default, log=False):
+    return lambda n: [(float(v),) for v in _space(lo, hi, n or default, log)]
+
+
+def _fig8_points(n):
+    nd = n or 8
+    return [(float(D), float(d)) for D in np.linspace(0.1, 5.0, nd)
+            for d in np.linspace(-1.9, 0.0, max(2, nd - 1))]
+
+
+def _schmidt_values(delta, dev, rank):
+    d = _decompose_at(delta, dev, rank)[2]
+    return entropy(d), quantum_enhancement(d)
+
+
+def _slm_gains(delta):
+    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
+    return tuple(optimal_slm(sys_, CwSpdc(sigma=s)).e_opt for s in SIGMAS)
+
+
+def _matched_slm_populations(delta):
+    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
+    sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
+    return sol.p_shaped, sol.p_unshaped
+
+
+def _pump_gains(dev, phi):
+    sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=dev)
+    return tuple(optimal_pump_shaper(sys_, PumpShaped(sigma=s, phi=phi, infinite_pm=True)).e_opt
+                 for s in SIGMAS)
+
+
+def _fig8_ratio(column, point, rank):
+    """1, p_shaped or p_unshaped (by column) of the auto-coupled pump over r1^2."""
+    sys_, _, d = _decompose_at(*point, 16 if rank is None else rank)
     lam1 = float(d.coefficients[0] ** 2)
-    state = PumpShaped(sigma=3.0 * sys_.gamma_f, phi=1.0,
-                       zeta=sys_.gamma_e * (2.0 + delta))
+    state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
     sol = optimal_pump_shaper(sys_, state)
-    return lam1, sol.p_shaped, sol.p_unshaped
+    return ((1.0, sol.p_shaped, sol.p_unshaped)[column] / lam1,)
+
+
+# name -> (header, points(--points or None) -> leading columns of each row,
+#          values(point, rank) -> the remaining columns)
+FIGURES = {
+    "fig2a": (("delta_deviation", "entropy_bits", "quantum_enhancement"), _line(-1.9, 2.0, 24),
+              lambda p, rank: _schmidt_values(5.0, p[0], rank)),
+    "fig2b": (("detuning", "entropy_bits", "quantum_enhancement"), _line(0.1, 100.0, 25, log=True),
+              lambda p, rank: _schmidt_values(p[0], -1.9, rank)),
+    "fig2c": (("delta_deviation", "entropy_limit_bits", "enhancement_limit"), _line(-1.9, 2.0, 24),
+              lambda p, rank: _bounds(LevelSystem(delta_deviation=p[0]), rank)[::-1]),
+    "fig5a": (("detuning",) + SIGMA_COLUMNS, _line(0.1, 50.0, 21, log=True),
+              lambda p, rank: _slm_gains(p[0])),
+    "fig6b": (("detuning", "p_shaped_over_n", "p_unshaped_over_n"),
+              _line(0.1, 100.0, 25, log=True),
+              lambda p, rank: _matched_slm_populations(p[0])),
+    "fig7a": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
+              lambda p, rank: _pump_gains(p[0], 0.0)),
+    "fig7b": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
+              lambda p, rank: _pump_gains(p[0], 1.0)),
+    "fig8a": (("detuning", "delta_deviation", "quantum_enhancement"), _fig8_points,
+              partial(_fig8_ratio, 0)),
+    "fig8b": (("detuning", "delta_deviation", "e_q_shaped"), _fig8_points,
+              partial(_fig8_ratio, 1)),
+    "fig8c": (("detuning", "delta_deviation", "e_q_unshaped"), _fig8_points,
+              partial(_fig8_ratio, 2)),
+}
 
 
 def cmd_figure(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    name = args.name
-    n = args.points
-    rows = []
-
-    if name in ("fig2a", "fig2b"):
-        if name == "fig2a":
-            values = np.linspace(-1.9, 2.0, n or 24)
-            header = ["delta_deviation", "entropy_bits", "quantum_enhancement"]
-            pts = [(5.0, float(v)) for v in values]
-        else:
-            values = np.logspace(np.log10(0.1), np.log10(100.0), n or 25)
-            header = ["detuning", "entropy_bits", "quantum_enhancement"]
-            pts = [(float(v), -1.9) for v in values]
-
-        def point(pt):
-            delta, dev = pt
-            d = _fig_schmidt_values(delta, dev, args.rank)
-            return entropy(d), quantum_enhancement(d)
-
-        out = _map_points(point, pts)
-        rows = [(v, s, e) for v, (s, e) in zip(values, out)]
-    elif name == "fig2c":
-        values = np.linspace(-1.9, 2.0, n or 24)
-        header = ["delta_deviation", "entropy_limit_bits", "enhancement_limit"]
-
-        def point(v):
-            sys_ = LevelSystem(delta_deviation=float(v))
-            grid = _q_offsets_grid(sys_)
-            e_inf, s_inf = asymptotic_bounds(sys_, grid, rank=_auto_rank(grid.count, args.rank))
-            return s_inf, e_inf
-
-        out = _map_points(point, values)
-        rows = [(v, s, e) for v, (s, e) in zip(values, out)]
-    elif name in ("fig5a", "fig7a", "fig7b"):
-        sigmas = (0.5, 1.0, 5.0)
-        if name == "fig5a":
-            values = np.logspace(np.log10(0.1), np.log10(50.0), n or 21)
-            header = ["detuning"] + [f"e_opt_sigma_{s:g}" for s in sigmas]
-
-            def point(v):
-                sys_ = LevelSystem(delta_detuning=float(v), delta_deviation=-1.0)
-                return tuple(optimal_slm(sys_, CwSpdc(sigma=s)).e_opt for s in sigmas)
-        else:
-            phi = 0.0 if name == "fig7a" else 1.0
-            values = np.linspace(-1.9, 2.0, n or 40)
-            header = ["delta_deviation"] + [f"e_opt_sigma_{s:g}" for s in sigmas]
-
-            def point(v):
-                sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=float(v))
-                return tuple(
-                    optimal_pump_shaper(sys_, PumpShaped(sigma=s, phi=phi, infinite_pm=True)).e_opt
-                    for s in sigmas)
-
-        out = _map_points(point, values)
-        rows = [(v, *e) for v, e in zip(values, out)]
-    elif name == "fig6b":
-        values = np.logspace(np.log10(0.1), np.log10(100.0), n or 25)
-        header = ["detuning", "p_shaped_over_n", "p_unshaped_over_n"]
-
-        def point(v):
-            sys_ = LevelSystem(delta_detuning=float(v), delta_deviation=-1.0)
-            sol = optimal_slm(sys_, CwSpdc(sigma=float(v) * sys_.gamma_e))
-            return sol.p_shaped, sol.p_unshaped
-
-        out = _map_points(point, values)
-        rows = [(v, ps, pu) for v, (ps, pu) in zip(values, out)]
-    elif name in ("fig8a", "fig8b", "fig8c"):
-        nd = n or 8
-        deltas = np.linspace(0.1, 5.0, nd)
-        devs = np.linspace(-1.9, 0.0, max(2, nd - 1))
-        pts = [(float(D), float(d)) for D in deltas for d in devs]
-
-        def point(pt):
-            return _fig8_point(pt[0], pt[1], args.rank)
-
-        out = _map_points(point, pts)
-        if name == "fig8a":
-            header = ["detuning", "delta_deviation", "quantum_enhancement"]
-            rows = [(D, d, 1.0 / lam1) for (D, d), (lam1, _, _) in zip(pts, out)]
-        elif name == "fig8b":
-            header = ["detuning", "delta_deviation", "e_q_shaped"]
-            rows = [(D, d, ps / lam1) for (D, d), (lam1, ps, _) in zip(pts, out)]
-        else:
-            header = ["detuning", "delta_deviation", "e_q_unshaped"]
-            rows = [(D, d, pu / lam1) for (D, d), (lam1, _, pu) in zip(pts, out)]
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown figure {name!r}")
-
-    csv_path = os.path.join(args.out, f"{name}.csv")
+    header, make_points, values = FIGURES[args.name]
+    points = make_points(args.points)
+    computed = _map_points(lambda p: values(p, args.rank), points)
+    rows = [p + tuple(v) for p, v in zip(points, computed)]
+    csv_path = os.path.join(args.out, f"{args.name}.csv")
     _write_csv(csv_path, header, rows)
-    _write_report(args.out, f"figure {name}",
-                  {"name": name, "points": args.points, "rank": args.rank},
+    _write_report(args, f"figure {args.name}",
+                  {"name": args.name, "points": args.points, "rank": args.rank},
                   None, {"csv": os.path.basename(csv_path), "rows": len(rows)},
-                  {"columns": header}, t0, args.format)
+                  {"columns": header}, t0)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
@@ -503,25 +366,25 @@ def _add_common(p):
     p.add_argument("--config", default=None, help="flat key=value file; flags override it")
 
 
-def _add_sweep(p):
-    p.add_argument("--sweep", nargs=4, metavar=("PARAM", "FROM", "TO", "POINTS"),
-                   default=None, help="sweep PARAM over [FROM, TO] with POINTS values")
-    p.add_argument("--log", action="store_true", help="log-spaced sweep values")
-
-
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tpaopt",
-        description="Optimal two-photon states and pulse shaping for a three-level ladder",
-    )
+    parser = argparse.ArgumentParser(prog="tpaopt", description="Optimal two-photon states "
+                                     "and pulse shaping for a three-level ladder")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
+    for name, help_ in (("schmidt", "Schmidt analysis of the optimal pair amplitude"),
+                        ("shape-slm", "optimal identical modulators for a cw-SPDC pair"),
+                        ("shape-pump", "optimal pump shaper for down-conversion")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--delta", type=float, default=0.0, help="detuning Delta")
+        p.add_argument("--dev", type=float, default=0.0, help="deviation delta (> -2)")
+        p.add_argument("--grid-half-width", type=float, default=None)
+        p.add_argument("--step", type=float, default=None)
+        _add_common(p)
+        p.add_argument("--sweep", nargs=4, metavar=("PARAM", "FROM", "TO", "POINTS"),
+                       default=None, help="sweep PARAM over [FROM, TO] with POINTS values")
+        p.add_argument("--log", action="store_true", help="log-spaced sweep values")
+        p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("schmidt", help="Schmidt analysis of the optimal pair amplitude")
-    p.add_argument("--delta", type=float, default=0.0, help="detuning Delta")
-    p.add_argument("--dev", type=float, default=0.0, help="deviation delta (> -2)")
-    p.add_argument("--grid-half-width", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p = sub.choices["schmidt"]
     p.add_argument("--grid-center", type=float, default=None,
                    help="grid centre (default: omega_f / 2)")
     p.add_argument("--rank", type=int, default=None,
@@ -529,55 +392,30 @@ def build_parser():
     p.add_argument("--modes", type=int, default=2, help="mode pairs written to CSV")
     p.add_argument("--dump-kernel", action="store_true",
                    help="also write the sampled kernel matrix (large!) to kernel.csv")
-    _add_common(p)
-    _add_sweep(p)
-    p.set_defaults(func=cmd_schmidt)
-    parsers["schmidt"] = p
 
-    p = sub.add_parser("shape-slm", help="optimal identical modulators for a cw-SPDC pair")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--dev", type=float, default=0.0)
-    p.add_argument("--sigma", default="1", help="photon bandwidth, or 'auto' for sigma = Delta")
-    p.add_argument("--grid-half-width", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    _add_common(p)
-    _add_sweep(p)
-    p.set_defaults(func=cmd_shape_slm)
-    parsers["shape-slm"] = p
+    sub.choices["shape-slm"].add_argument(
+        "--sigma", default="1", help="photon bandwidth, or 'auto' for sigma = Delta")
 
-    p = sub.add_parser("shape-pump", help="optimal pump shaper for down-conversion")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--dev", type=float, default=0.0)
+    p = sub.choices["shape-pump"]
     p.add_argument("--sigma", default="1", help="pump bandwidth, or 'auto' for 3 gamma_f")
     p.add_argument("--phi", type=float, default=0.0, help="quadratic spectral phase (chirp)")
     p.add_argument("--zeta", default=None,
                    help="phase-matching width, or 'auto' for gamma_e (2 + Delta)")
     p.add_argument("--infinite-pm", action="store_true", help="flat phase matching")
-    p.add_argument("--grid-half-width", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    _add_common(p)
-    _add_sweep(p)
-    p.set_defaults(func=cmd_shape_pump)
-    parsers["shape-pump"] = p
 
     p = sub.add_parser("figure", help="emit a bundled figure preset as CSV")
-    p.add_argument("name", choices=FIGURE_NAMES)
+    p.add_argument("name", choices=FIGURES)
     p.add_argument("--points", type=int, default=None, help="sweep density override")
     p.add_argument("--rank", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_figure)
-    parsers["figure"] = p
 
-    return parser, parsers
+    return parser, sub.choices
 
 
 def _load_config_tokens(path, subparser):
     """Read key=value lines and convert to CLI tokens for the given subcommand."""
-    known = set(subparser._option_string_actions)
-    store_true = {
-        opt for opt, act in subparser._option_string_actions.items()
-        if isinstance(act, argparse._StoreTrueAction)
-    }
+    actions = subparser._option_string_actions
     tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -588,9 +426,9 @@ def _load_config_tokens(path, subparser):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             opt = "--" + key.replace("_", "-")
-            if opt not in known:
+            if opt not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if opt in store_true:
+            if isinstance(actions[opt], argparse._StoreTrueAction):
                 if value.lower() in ("1", "true", "yes", "on"):
                     tokens.append(opt)
                 elif value.lower() not in ("0", "false", "no", "off"):
@@ -606,20 +444,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            sub = parsers[argv[0]]
-            tokens = _load_config_tokens(args.config, sub)
+            tokens = _load_config_tokens(args.config, parsers[argv[0]])
             # config values come first so explicit flags take precedence
             args = parser.parse_args([argv[0]] + tokens + argv[1:])
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ nodes are always recomputed as min + k * step, never by running summation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import ceil
 
@@ -109,6 +110,15 @@ class KernelMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
+def check_dense_fits(n1: int, n2: int) -> None:
+    """Raise ValueError, before any allocation, if a dense n1 x n2 complex matrix exceeds RAM."""
+    need = 16 * n1 * n2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"a dense {n1} x {n2} kernel needs {need / 2**30:.3g} GiB, more than "
+                         f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
+
+
 def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
                   embed_weights: bool = True, row_chunk: int = 512) -> KernelMatrix:
     """Sample a two-argument complex function on a tensor grid.
@@ -126,6 +136,7 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
     """
     if grid2 is None:
         grid2 = grid1
+    check_dense_fits(grid1.count, grid2.count)
     x1 = grid1.nodes
     x2 = grid2.nodes
     out = np.empty((x1.size, x2.size), dtype=complex)
@@ -142,9 +153,15 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
     return KernelMatrix(grid1, grid2, out, embed_weights)
 
 
-def default_grid(sys: LevelSystem) -> FrequencyGrid:
-    """Reference photon-frequency grid: +-200 gamma_f about omega_f / 2, step gamma_e / 5."""
-    return make_grid(sys.omega_f / 2.0, 200.0 * sys.gamma_f, sys.gamma_e / 5.0)
+def default_grid(sys: LevelSystem, half: float | None = None, step: float | None = None,
+                 center: float | None = None) -> FrequencyGrid:
+    """Reference photon-frequency grid: +-200 gamma_f about omega_f / 2, step gamma_e / 5.
+
+    half, step and center, when given, replace the reference values.
+    """
+    return make_grid(sys.omega_f / 2.0 if center is None else center,
+                     200.0 * sys.gamma_f if half is None else half,
+                     sys.gamma_e / 5.0 if step is None else step)
 
 
 def auto_grid(sys: LevelSystem) -> FrequencyGrid:

@@ -14,6 +14,7 @@ enhancement and optimization ratios) is invariant under these choices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class LevelSystem:
             )
         if not self.prefactor > 0:
             raise ValueError(f"prefactor must be > 0, got {self.prefactor}")
+        for name in ("gamma_e", "delta_detuning", "delta_deviation", "omega_e", "prefactor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.intermediate_levels is not None:
             levels = tuple(tuple(float(x) for x in lv) for lv in self.intermediate_levels)
             if not levels:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, svds
 
-from .grids import FrequencyGrid, KernelMatrix, quadrature_weights, sample_kernel
+from .grids import (FrequencyGrid, KernelMatrix, check_dense_fits, make_grid,
+                    quadrature_weights, sample_kernel)
 from .response import LevelSystem, normalization, response_infinite
 
 __all__ = [
@@ -199,6 +200,7 @@ def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
     of Delta merely translates the second axis.  The stored grids are the
     absolute ones.
     """
+    check_dense_fits(grid.count, grid.count)
     offs = grid.nodes - grid.center
     ge, gf = sys.gamma_e, sys.gamma_f
     ce, cf = sys.coupling_e, sys.coupling_f
@@ -214,6 +216,19 @@ def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
     grid2 = grid.shifted(sys.omega_f - sys.omega_e - grid.center)
     kernel = KernelMatrix(grid1, grid2, entries, True)
     return decompose(kernel, rank=rank, renormalize=renormalize)
+
+
+def bounds_grid(sys: LevelSystem) -> FrequencyGrid:
+    """Default offset grid for `asymptotic_bounds`.
+
+    The ridge term wants ~200 gamma_f of range, the single-photon line
+    ~40 gamma_e; the union is capped at 150 gamma_e to keep wide-line
+    systems tractable (costs <~ 2% of captured norm at gamma_f = 4).
+    """
+    ge = sys.gamma_e
+    half = max(40.0 * ge, min(200.0 * sys.gamma_f, 150.0 * ge))
+    step = min(ge / 5.0, sys.gamma_f / 2.0)
+    return make_grid(0.0, half, step)
 
 
 def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid,

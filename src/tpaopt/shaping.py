@@ -186,23 +186,46 @@ def effective_response(sys: LevelSystem, state, at):
     raise ValueError(f"unsupported input state {type(state).__name__}")
 
 
-def slm_grid(sys: LevelSystem, state: CwSpdc) -> FrequencyGrid:
+def auto_slm_sigma(sys: LevelSystem) -> float:
+    """Standard cw-SPDC bandwidth, matched to the detuning: sigma = Delta gamma_e."""
+    if sys.delta_detuning <= 0:
+        raise ValueError("--sigma auto needs a positive detuning (sigma = Delta gamma_e)")
+    return sys.delta_detuning * sys.gamma_e
+
+
+def auto_pump_sigma(sys: LevelSystem) -> float:
+    """Standard pump bandwidth: sigma = 3 gamma_f."""
+    return 3.0 * sys.gamma_f
+
+
+def auto_pump_zeta(sys: LevelSystem) -> float:
+    """Standard phase-matching width: zeta = gamma_e (2 + Delta)."""
+    return sys.gamma_e * (2.0 + sys.delta_detuning)
+
+
+def slm_grid(sys: LevelSystem, state: CwSpdc, half: float | None = None,
+             step: float | None = None) -> FrequencyGrid:
     """Default offset grid for the reduced cw-SPDC problem.
 
     Covers the Gaussian profile and the two single-photon poles at
-    +-(pump/2 - omega_e) with a margin of 30 gamma_e.
+    +-(pump/2 - omega_e) with a margin of 30 gamma_e, at step
+    min(gamma_e, sigma) / 25; half and step, when given, replace these.
     """
     wp = sys.omega_f if state.pump_frequency is None else state.pump_frequency
     pole = abs(wp / 2.0 - sys.omega_e)
-    half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e)
-    step = min(sys.gamma_e / 25.0, state.sigma / 25.0)
+    half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e) if half is None else half
+    step = min(sys.gamma_e / 25.0, state.sigma / 25.0) if step is None else step
     return make_grid(0.0, half, step)
 
 
-def pump_plus_grid(sys: LevelSystem, state: PumpShaped) -> FrequencyGrid:
-    """Default sum-frequency grid: centred at omega_f, half-width max(10 sigma, 10 gamma_f)."""
-    half = max(10.0 * state.sigma, 10.0 * sys.gamma_f)
-    step = min(state.sigma, sys.gamma_f) / 25.0
+def pump_plus_grid(sys: LevelSystem, state: PumpShaped, half: float | None = None,
+                   step: float | None = None) -> FrequencyGrid:
+    """Default sum-frequency grid: centred at omega_f, half-width max(10 sigma, 10 gamma_f).
+
+    The step is min(sigma, gamma_f) / 25; half and step, when given, replace these.
+    """
+    half = max(10.0 * state.sigma, 10.0 * sys.gamma_f) if half is None else half
+    step = min(state.sigma, sys.gamma_f) / 25.0 if step is None else step
     return make_grid(sys.omega_f, half, step)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -82,20 +83,28 @@ def test_figure_fig2c_enhancement_limit_decreases_with_final_width(tmp_path):
     assert vals[0] > vals[-1]  # steep toward vanishing final width
 
 
-def test_figure_fig7b_runs(tmp_path):
-    out = str(tmp_path)
-    assert main(["figure", "fig7b", "--points", "4", "--out", out]) == 0
-    lines = open(os.path.join(out, "fig7b.csv")).read().splitlines()
-    assert lines[0] == "delta_deviation,e_opt_sigma_0.5,e_opt_sigma_1,e_opt_sigma_5"
-    assert len(lines) == 5
+SIGMA_HEADER = "e_opt_sigma_0.5,e_opt_sigma_1,e_opt_sigma_5"
+FIGURE_CASES = [
+    ("fig5a", ["--points", "3"], "detuning," + SIGMA_HEADER, 3),
+    ("fig6b", ["--points", "3"], "detuning,p_shaped_over_n,p_unshaped_over_n", 3),
+    ("fig7a", ["--points", "3"], "delta_deviation," + SIGMA_HEADER, 3),
+    ("fig7b", ["--points", "4"], "delta_deviation," + SIGMA_HEADER, 4),
+    ("fig8a", ["--points", "2", "--rank", "8"],
+     "detuning,delta_deviation,quantum_enhancement", 2 * 2),
+    ("fig8b", ["--points", "2", "--rank", "8"], "detuning,delta_deviation,e_q_shaped", 2 * 2),
+    ("fig8c", ["--points", "2", "--rank", "8"], "detuning,delta_deviation,e_q_unshaped", 2 * 2),
+]
 
 
-def test_figure_fig8a_grid(tmp_path):
+@pytest.mark.parametrize("name, extra, header, n_rows", FIGURE_CASES,
+                         ids=[case[0] for case in FIGURE_CASES])
+def test_figure_preset(tmp_path, name, extra, header, n_rows):
     out = str(tmp_path)
-    assert main(["figure", "fig8a", "--points", "3", "--out", out]) == 0
-    rows = open(os.path.join(out, "fig8a.csv")).read().splitlines()
-    assert rows[0] == "detuning,delta_deviation,quantum_enhancement"
-    assert len(rows) == 1 + 3 * 2
+    assert main(["figure", name, "--out", out] + extra) == 0
+    lines = open(os.path.join(out, f"{name}.csv")).read().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    assert read_report(out)["diagnostics"]["columns"] == header.split(",")
 
 
 def test_shape_slm_zero_detuning(tmp_path):
@@ -175,3 +184,55 @@ def test_csv_format_only(tmp_path):
                  "--out", out]) == 0
     assert (tmp_path / "slm_phase.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["shape-slm", "--delta", "5", "--sigma", "2", "--grid-half-width", "40"],
+     {"min": -40, "max": 40, "step": 0.04, "points": 2001}),
+    (["shape-pump", "--delta", "3", "--sigma", "0.5", "--zeta", "2", "--step", "0.01",
+      "--grid-half-width", "8"],
+     {"min": -5, "max": 11, "step": 0.01, "points": 1601}),
+])
+def test_shaping_grid_overrides_echoed(tmp_path, argv, grid):
+    out = str(tmp_path)
+    assert main(argv + ["--out", out]) == 0
+    assert read_report(out)["grid"] == pytest.approx(grid)
+
+
+def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["schmidt", "--grid-half-width", "20", "--step", "0.5",
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--delta", "nan", "delta_detuning"),
+    ("--dev", "inf", "delta_deviation"),
+])
+@pytest.mark.parametrize("command", [["schmidt", "--rank", "4"], ["shape-slm", "--sigma", "1"]])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, field):
+    assert main(command + [flag, value, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TPAOPT_THREADS", value)
+    assert main(["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3",
+                 "--out", str(tmp_path)]) == 2
+    assert "TPAOPT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--step", "1e-4"],        # 8,000,001-node point grid
+    ["--dev", "-1.9999999"],   # 1,600,000,001-node bounds grid
+])
+def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert main(["schmidt", "--rank", "4", "--out", str(tmp_path)] + argv) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "physical memory" in capsys.readouterr().err

@@ -50,6 +50,10 @@ def test_level_system_validation():
         LevelSystem(delta_deviation=-2.0)
     with pytest.raises(ValueError):
         LevelSystem(prefactor=-1.0)
+    for field in ("gamma_e", "delta_detuning", "delta_deviation", "omega_e", "prefactor"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                LevelSystem(**{field: bad})
     with pytest.raises(ValueError):
         ResponseOptions(t_minus_t0=-1.0)
 
