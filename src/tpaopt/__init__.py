@@ -33,7 +33,10 @@ from .grids import (
 from .schmidt import (
     SchmidtDecomposition,
     AsymmetricSchmidt,
+    HankelKernel,
     optimal_state_kernel,
+    optimal_state_operator,
+    choose_solver,
     decompose,
     entropy,
     quantum_enhancement,

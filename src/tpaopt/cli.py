@@ -17,7 +17,13 @@ system parameters, a bad TPAOPT_THREADS and grids whose dense kernel exceeds
 physical memory among them), 3 solver failures (numpy.linalg.LinAlgError).
 TPAOPT_THREADS = N >= 1 (clamped to the CPU count) evaluates sweep points in
 a thread pool; results are gathered in parameter order, so output is
-unchanged.
+unchanged.  Pair it with OPENBLAS_NUM_THREADS=1, or the BLAS threads
+oversubscribe the cores.
+
+The Schmidt solver (dense SVD, values-only dense SVD, or ARPACK on the
+matrix-free Hankel kernel) is the library's choice (`schmidt.choose_solver`)
+from the node count, --rank (passed through unchanged) and whether modes are
+written; the report's diagnostics and sweep rows name the one that ran.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -34,8 +41,8 @@ import numpy as np
 
 from .grids import auto_grid, default_grid, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy,
-                      optimal_state_kernel, pairing_check, quantum_enhancement)
+from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy, optimal_state_kernel,
+                      optimal_state_operator, pairing_check, quantum_enhancement)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
 
@@ -101,15 +108,6 @@ def _sweep_values(args, sweepable):
     return name, _space(lo, hi, points, args.log)
 
 
-def _auto_rank(n_nodes, requested):
-    """Dense reference SVD on small grids, truncated solver beyond."""
-    if requested is not None:
-        return None if requested <= 0 else requested
-    if n_nodes <= 600:
-        return None
-    return min(300, n_nodes - 2)
-
-
 def _resolve(value, auto, sys_):
     """A coupling flag: 'auto' takes the library's standard value, None stays None."""
     if value == "auto":
@@ -117,24 +115,30 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(delta, dev, rank, half=None, step=None, center=None, dump_path=None):
-    """(system, rank used, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
+def _decompose_at(delta, dev, rank, vectors=False, half=None, step=None, center=None,
+                  dump_path=None):
+    """(system, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     if half is None and step is None and center is None:
         grid = auto_grid(sys_)
     else:
         grid = default_grid(sys_, half, step, center)
-    rank = _auto_rank(grid.count, rank)
-    kernel = optimal_state_kernel(sys_, grid)
+    kernel = optimal_state_operator(sys_, grid)
     if dump_path is not None:
-        write_kernel_csv(kernel, dump_path)
-    return sys_, rank, decompose(kernel, rank=rank)
+        write_kernel_csv(optimal_state_kernel(sys_, grid), dump_path)
+    return sys_, decompose(kernel, rank=rank, vectors=vectors)
 
 
 def _bounds(sys_, rank):
     """(E_inf, S_inf) on the library's bounds grid."""
-    grid = bounds_grid(sys_)
-    return asymptotic_bounds(sys_, grid, rank=_auto_rank(grid.count, rank))
+    return asymptotic_bounds(sys_, bounds_grid(sys_), rank=rank)
+
+
+def _solver_stats(d):
+    """Which solver ran, on how many nodes, for how many coefficients, capturing what norm."""
+    kept = float(np.sum(d.coefficients**2))
+    return {"method": d.method, "n": d.grid1.count, "k": len(d.coefficients),
+            "captured_norm": kept / (kept + d.residual**2)}
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +146,23 @@ def _bounds(sys_, rank):
 
 
 def _schmidt_point(args, delta, dev):
-    dump = args.dump_kernel and not args.sweep
-    sys_, rank, d = _decompose_at(delta, dev, args.rank, args.grid_half_width, args.step,
-                                  args.grid_center,
-                                  os.path.join(args.out, "kernel.csv") if dump else None)
-    e_inf, s_inf = _bounds(sys_, args.rank)
+    single = not args.sweep  # only a single point writes modes (and the kernel)
+    sys_, d = _decompose_at(delta, dev, args.rank, single, args.grid_half_width, args.step,
+                            args.grid_center,
+                            os.path.join(args.out, "kernel.csv") if single and args.dump_kernel
+                            else None)
+    # The bounds depend on the deviation alone: one solve per deviation, also in a thread pool.
+    entry = args.bounds.setdefault(dev, [threading.Lock(), None])
+    with entry[0]:
+        if entry[1] is None:
+            entry[1] = _bounds(sys_, args.rank)
+    e_inf, s_inf = entry[1]
     r1 = float(d.coefficients[0])
+    stats = _solver_stats(d)
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
-           "grid": _grid_dict(d.grid1), "rank": rank}
+           "grid": _grid_dict(d.grid1), "rank": None if stats["k"] == stats["n"] else stats["k"],
+           **stats}
     return row, d
 
 
@@ -159,8 +171,9 @@ def _schmidt_single(args, params, row, d):
     results = {"r": [float(x) for x in r], "r_squared": [float(x) ** 2 for x in r],
                "pairing_gap": pairing_check(d),
                **{k: row[k] for k in ("entropy_bits", "quantum_enhancement", "e_inf", "s_inf")}}
-    diagnostics = {"rank": row["rank"], "dense": row["rank"] is None,
-                   "truncation_residual": d.residual, "coefficient_norm_sq": float(np.sum(r**2))}
+    diagnostics = {"rank": row["rank"], "dense": d.method.startswith("dense"),
+                   "truncation_residual": d.residual, "coefficient_norm_sq": float(np.sum(r**2)),
+                   **_solver_stats(d)}
     if args.format in ("csv", "both"):
         _write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), ["k", "r", "r_squared"],
                    [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
@@ -241,6 +254,7 @@ def cmd_run(args) -> int:
     echoed, sweepable, point, (csv_name, columns), single = COMMANDS[args.command]
     os.makedirs(args.out, exist_ok=True)
     params = {k: getattr(args, k) for k in echoed}
+    args.bounds = {}  # deviation -> [lock, schmidt's (E_inf, S_inf)], for this invocation only
     values = {k: getattr(args, k) for k in sweepable}
     if not args.sweep:
         row, state = point(args, **values)
@@ -282,7 +296,7 @@ def _fig8_points(n):
 
 
 def _schmidt_values(delta, dev, rank):
-    d = _decompose_at(delta, dev, rank)[2]
+    d = _decompose_at(delta, dev, rank)[1]
     return entropy(d), quantum_enhancement(d)
 
 
@@ -304,12 +318,14 @@ def _pump_gains(dev, phi):
 
 
 def _fig8_ratio(column, point, rank):
-    """1, p_shaped or p_unshaped (by column) of the auto-coupled pump over r1^2."""
-    sys_, _, d = _decompose_at(*point, 16 if rank is None else rank)
+    """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
+    sys_, d = _decompose_at(*point, 16 if rank is None else rank)
     lam1 = float(d.coefficients[0] ** 2)
+    if column == 0:
+        return (1.0 / lam1,)
     state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
     sol = optimal_pump_shaper(sys_, state)
-    return ((1.0, sol.p_shaped, sol.p_unshaped)[column] / lam1,)
+    return ((sol.p_shaped, sol.p_unshaped)[column - 1] / lam1,)
 
 
 # name -> (header, points(--points or None) -> leading columns of each row,
@@ -388,7 +404,8 @@ def build_parser():
     p.add_argument("--grid-center", type=float, default=None,
                    help="grid centre (default: omega_f / 2)")
     p.add_argument("--rank", type=int, default=None,
-                   help="truncation rank (default: dense below 600 nodes, else 300)")
+                   help="coefficients to compute (default: the full spectrum on small "
+                   "grids, 300 on large ones; 0: the full spectrum at any size)")
     p.add_argument("--modes", type=int, default=2, help="mode pairs written to CSV")
     p.add_argument("--dump-kernel", action="store_true",
                    help="also write the sampled kernel matrix (large!) to kernel.csv")

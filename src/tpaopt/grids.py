@@ -106,8 +106,14 @@ class KernelMatrix:
                 f"({self.grid1.count}, {self.grid2.count})"
             )
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
+
     def frobenius_norm2(self) -> float:
-        return float(np.sum(np.abs(self.entries) ** 2))
+        p = np.abs(self.entries)
+        p *= p  # in place: one real temporary, half the size of the entries
+        return float(np.sum(p))
 
 
 def check_dense_fits(n1: int, n2: int) -> None:
@@ -222,9 +228,9 @@ def kernel_marginal_sum(kernel: KernelMatrix):
         w2 = quadrature_weights(g2)
         p = p * (w1[:, None] * w2[None, :])
     n1, n2 = p.shape
-    acc = np.zeros(n1 + n2 - 1)
-    for i in range(n1):
-        acc[i : i + n2] += p[i]
+    # bin i + j collects row i's term in increasing i, as a row-by-row sum would
+    acc = np.bincount(np.add.outer(np.arange(n1), np.arange(n2)).ravel(), weights=p.ravel(),
+                      minlength=n1 + n2 - 1)
     omega_plus = (g1.min + g2.min) + g1.step * np.arange(n1 + n2 - 1)
     return omega_plus, acc / g1.step
 

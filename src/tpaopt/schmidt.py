@@ -11,18 +11,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, svds
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
 from .grids import (FrequencyGrid, KernelMatrix, check_dense_fits, make_grid,
                     quadrature_weights, sample_kernel)
-from .response import LevelSystem, normalization, response_infinite
+from .response import LevelSystem, lineshape, normalization, response_infinite
 
 __all__ = [
     "SchmidtDecomposition",
     "AsymmetricSchmidt",
+    "HankelKernel",
     "optimal_state_kernel",
+    "optimal_state_operator",
+    "choose_solver",
     "decompose",
     "entropy",
     "quantum_enhancement",
@@ -35,6 +40,12 @@ __all__ = [
 
 COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
 
+# Solver policy of `choose_solver`, from timings with one BLAS thread on a 2-core x86-64 VM:
+# ARPACK on a HankelKernel beats a dense SVD when n > PER_RANK * k.
+DEFAULT_RANK = 300                  # coefficients kept by default beyond the dense crossover
+ARPACK_NODES_PER_RANK = 7           # coefficients only (values-only dense SVD)
+ARPACK_NODES_PER_RANK_VECTORS = 6   # with modes (dense SVD with vectors)
+
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
@@ -44,7 +55,9 @@ class SchmidtDecomposition:
     modes_2[k] hold the mode pair on the grid nodes, orthonormal under the
     trapezoidal inner product.  The amplitude is sum_k r_k conj(modes_1[k])
     x conj(modes_2[k]).  residual is the Frobenius norm of the part of the
-    kernel discarded by truncation (0 at full rank, up to roundoff).
+    kernel discarded by truncation (0 at full rank, up to roundoff).  Without
+    vectors the mode arrays have no rows.  method names the solver that ran
+    (see `choose_solver`; "hankel_arpack" is ARPACK on a `HankelKernel`).
     """
 
     coefficients: np.ndarray
@@ -55,6 +68,7 @@ class SchmidtDecomposition:
     truncation_rank: int
     residual: float
     renormalized: bool
+    method: str = "dense"
 
 
 # Same structure for the one-sided kernel: coefficients s_k, modes alpha_k, beta_k.
@@ -73,6 +87,127 @@ def optimal_state_kernel(sys: LevelSystem, grid1: FrequencyGrid,
     return sample_kernel(phi, grid1, grid2, embed_weights=embed_weights)
 
 
+def _operator(shape, apply, apply_transpose) -> LinearOperator:
+    """The matrix with products apply(v) = A v and apply_transpose(v) = A^T v.
+
+    The adjoint is A^H v = conj(A^T conj(v)), so no conjugated copy of A is made.
+    """
+    def adjoint(v):
+        return np.conj(apply_transpose(np.conj(v)))
+
+    return LinearOperator(shape, matvec=apply, rmatvec=adjoint, matmat=apply, rmatmat=adjoint,
+                          dtype=complex)
+
+
+class HankelKernel:
+    """Weight-embedded kernel D (E H + H E) D, or D E H D if one-sided, kept matrix-free.
+
+    On a uniform n-node grid D = diag(sqrt(w)) holds the trapezoidal
+    weights, E = diag(diag) and H[i, j] = hankel[i + j] (2n - 1 values).
+    Products with the matrix and its adjoint cost O(n log n) by zero-padded
+    FFT and O(n) memory; `to_dense` gathers the matrix for the dense SVD.
+    grid2 is grid1 up to a shift, so both axes have the same weights.
+    """
+
+    weight_embedded = True
+
+    def __init__(self, grid1: FrequencyGrid, grid2: FrequencyGrid, diag: np.ndarray,
+                 hankel: np.ndarray, symmetric: bool):
+        n = grid1.count
+        self.grid1, self.grid2, self.shape = grid1, grid2, (n, n)
+        self.diag, self.hankel, self.symmetric = diag, hankel, symmetric
+        self._sw = np.sqrt(quadrature_weights(grid1))
+        self._fft_size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
+        self._hankel_fft = np.fft.fft(hankel, self._fft_size)
+
+    def _hankel_apply(self, u: np.ndarray) -> np.ndarray:
+        """H @ u along axis 0: the tail of the convolution of hankel with reversed u."""
+        n = self.shape[0]
+        h = self._hankel_fft if u.ndim == 1 else self._hankel_fft[:, None]
+        conv = np.fft.ifft(h * np.fft.fft(u[::-1], self._fft_size, axis=0), axis=0)
+        return conv[n - 1 : 2 * n - 1]
+
+    def _apply(self, v: np.ndarray, transpose: bool) -> np.ndarray:
+        """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m)."""
+        col = (slice(None),) + (None,) * (v.ndim - 1)
+        sw, e = self._sw[col], self.diag[col]
+        u = sw * v
+        if self.symmetric:
+            y = e * self._hankel_apply(u) + self._hankel_apply(e * u)
+        elif transpose:
+            y = self._hankel_apply(e * u)
+        else:
+            y = e * self._hankel_apply(u)
+        return sw * y
+
+    def as_operator(self) -> LinearOperator:
+        return _operator(self.shape, partial(self._apply, transpose=False),
+                         partial(self._apply, transpose=True))
+
+    def frobenius_norm2(self) -> float:
+        """Squared Frobenius norm from anti-diagonal sums, in O(n log n).
+
+        The anti-diagonal i + j = m holds |hankel[m]|^2 times the sum of
+        w_i w_j |e_i + e_j|^2 (one-sided: w_i w_j |e_i|^2), a convolution.
+        """
+        w = self._sw**2
+        we2 = w * np.abs(self.diag) ** 2
+
+        def conv(a, b):
+            return np.fft.ifft(np.fft.fft(a, self._fft_size) * np.fft.fft(b, self._fft_size))
+
+        if self.symmetric:
+            anti = 2.0 * (conv(we2, w) + conv(w * self.diag, w * np.conj(self.diag))).real
+        else:
+            anti = conv(we2, w).real
+        return float(np.sum(np.abs(self.hankel) ** 2 * anti[: self.hankel.size]))
+
+    def to_dense(self) -> KernelMatrix:
+        """The n x n weight-embedded matrix, built in blocks of 512 rows to bound temporaries."""
+        n = self.shape[0]
+        h = sliding_window_view(self.hankel, n)  # h[i, j] = hankel[i + j], a view
+        e, sw = self.diag, self._sw
+        out = np.empty(self.shape, dtype=complex)
+        for i0 in range(0, n, 512):
+            sl = slice(i0, min(i0 + 512, n))
+            lines = e[sl, None] + e[None, :] if self.symmetric else e[sl, None]
+            out[sl] = lines * h[sl] * (sw[sl, None] * sw[None, :])
+        return KernelMatrix(self.grid1, self.grid2, out, True)
+
+
+def optimal_state_operator(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
+    """Phi = conj(T)/sqrt(N) on grid x grid as a `HankelKernel`, without sampling it.
+
+    conj T(w1, w2) = [conj L_e(w1) + conj L_e(w2)] conj L_f(w1 + w2), so E
+    holds conj L_e at the nodes and H conj L_f/sqrt(N) at the node sums.
+    """
+    check_dense_fits(grid.count, grid.count)
+    sums = 2.0 * grid.min + grid.step * np.arange(2 * grid.count - 1)
+    scale = 1.0 / np.sqrt(normalization(sys))
+    return HankelKernel(grid, grid, np.conj(lineshape(sys, "e", grid.nodes)),
+                        np.conj(lineshape(sys, "f", sums)) * scale, symmetric=True)
+
+
+def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> tuple[str, int]:
+    """(method, k): how `decompose` computes k coefficients of an n x n kernel.
+
+    ARPACK ("arpack") runs when n > ARPACK_NODES_PER_RANK * k (with modes:
+    ARPACK_NODES_PER_RANK_VECTORS * k) and k < n - 1, a dense SVD cut to k
+    coefficients otherwise: "dense" with modes, "dense_values" without.
+    rank None asks for the full spectrum where a dense SVD is the faster
+    solver, and for DEFAULT_RANK coefficients beyond; rank < 1 asks for the
+    full spectrum at any size.
+    """
+    per_rank = ARPACK_NODES_PER_RANK_VECTORS if vectors else ARPACK_NODES_PER_RANK
+    if rank is None:
+        k = n if n <= per_rank * DEFAULT_RANK else DEFAULT_RANK
+    else:
+        k = n if rank < 1 else min(rank, n)
+    if k < n - 1 and n > per_rank * k:
+        return "arpack", k
+    return ("dense" if vectors else "dense_values"), k
+
+
 def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
     """Rotate each singular pair so the largest-magnitude entry of u is real positive."""
     for k in range(u.shape[1]):
@@ -84,23 +219,43 @@ def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
             vh[k, :] *= ph
 
 
-def decompose(kernel: KernelMatrix, rank: int | None = None,
-              renormalize: bool = False) -> SchmidtDecomposition:
-    """Schmidt-decompose a weight-embedded kernel matrix.
+def _arpack(a: LinearOperator, k: int, vectors: bool):
+    """k leading singular triplets (u, s, vh; u and vh None without vectors), descending."""
+    v0 = np.ones(min(a.shape))  # fixed start vector: deterministic output
+    try:
+        out = svds(a, k=k, v0=v0, return_singular_vectors=vectors)
+    except ArpackNoConvergence as exc:
+        raise np.linalg.LinAlgError(f"truncated SVD did not converge: {exc}") from exc
+    except ArpackError as exc:
+        raise np.linalg.LinAlgError(f"truncated SVD failed: {exc}") from exc
+    u, s, vh = out if vectors else (None, out, None)
+    order = np.argsort(s)[::-1]
+    if vectors:
+        u, vh = u[:, order], vh[order, :]
+    return u, s[order], vh
+
+
+def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
+              renormalize: bool = False, vectors: bool = True) -> SchmidtDecomposition:
+    """Schmidt-decompose a weight-embedded kernel.
 
     Parameters
     ----------
-    kernel : KernelMatrix
+    kernel : KernelMatrix or HankelKernel
         Must have weight_embedded set; the singular values of the embedded
         matrix are the Schmidt coefficients.
     rank : int or None
-        Number of leading coefficients to compute.  None runs the dense
-        reference SVD; a finite rank uses the iterative solver (ARPACK on
-        the Gram operator) with a fixed start vector, suitable for grids of
-        several thousand nodes.  Ranks beyond the matrix dimension are
-        clipped with a warning.
+        Number of leading coefficients to compute; `choose_solver` picks
+        the method from (n, rank, vectors).  None asks for the full spectrum
+        (truncated to DEFAULT_RANK on large grids), < 1 for the full
+        spectrum at any size.  The iterative solver (ARPACK on the Gram
+        operator, fixed start vector) runs on a `HankelKernel` without
+        forming its matrix.  Ranks beyond the matrix dimension are clipped
+        with a warning.
     renormalize : bool
         Rescale the retained coefficients so their squares sum to 1.
+    vectors : bool
+        Compute the modes; without them modes_1 and modes_2 have no rows.
 
     Raises
     ------
@@ -109,8 +264,7 @@ def decompose(kernel: KernelMatrix, rank: int | None = None,
     """
     if not kernel.weight_embedded:
         raise ValueError("decompose requires a weight-embedded kernel")
-    a = kernel.entries
-    max_rank = min(a.shape)
+    max_rank = min(kernel.shape)
     if rank is not None and rank > max_rank:
         warnings.warn(
             f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
@@ -118,25 +272,32 @@ def decompose(kernel: KernelMatrix, rank: int | None = None,
         )
         rank = max_rank
 
-    fro2 = float(np.sum(np.abs(a) ** 2))
-    if rank is None or rank >= max_rank - 1:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        if rank is not None:
-            u, s, vh = u[:, :rank], s[:rank], vh[:rank, :]
+    method, k = choose_solver(max_rank, rank, vectors)
+    if method == "arpack":
+        structured = isinstance(kernel, HankelKernel)
+        a = (kernel.as_operator() if structured
+             else _operator(kernel.shape, kernel.entries.dot, kernel.entries.T.dot))
+        u, s, vh = _arpack(a, k, vectors)
+        method = "hankel_arpack" if structured else method
     else:
-        v0 = np.ones(min(a.shape))  # fixed start vector: deterministic output
-        try:
-            u, s, vh = svds(a, k=rank, v0=v0)
-        except ArpackNoConvergence as exc:
-            raise np.linalg.LinAlgError(f"truncated SVD did not converge: {exc}") from exc
-        except ArpackError as exc:
-            raise np.linalg.LinAlgError(f"truncated SVD failed: {exc}") from exc
-        order = np.argsort(s)[::-1]
-        u, s, vh = u[:, order], s[order], vh[order, :]
+        if isinstance(kernel, HankelKernel):
+            kernel = kernel.to_dense()
+        if vectors:
+            u, s, vh = np.linalg.svd(kernel.entries, full_matrices=False)
+            u, s, vh = u[:, :k], s[:k], vh[:k, :]
+        else:
+            u, s, vh = None, np.linalg.svd(kernel.entries, compute_uv=False)[:k], None
+    fro2 = kernel.frobenius_norm2()
 
-    u = np.ascontiguousarray(u)
-    vh = np.ascontiguousarray(vh)
-    _fix_mode_phases(u, vh)
+    n1, n2 = kernel.shape
+    if vectors:
+        u = np.ascontiguousarray(u)
+        vh = np.ascontiguousarray(vh)
+        _fix_mode_phases(u, vh)
+        modes_1 = np.conj(u.T) / np.sqrt(quadrature_weights(kernel.grid1))[None, :]
+        modes_2 = np.conj(vh) / np.sqrt(quadrature_weights(kernel.grid2))[None, :]
+    else:
+        modes_1, modes_2 = np.empty((0, n1), complex), np.empty((0, n2), complex)
 
     residual = float(np.sqrt(max(fro2 - np.sum(s**2), 0.0)))
     if renormalize:
@@ -145,10 +306,6 @@ def decompose(kernel: KernelMatrix, rank: int | None = None,
             raise ValueError("cannot renormalize an identically zero kernel")
         s = s / total
 
-    sw1 = np.sqrt(quadrature_weights(kernel.grid1))
-    sw2 = np.sqrt(quadrature_weights(kernel.grid2))
-    modes_1 = np.conj(u.T) / sw1[None, :]
-    modes_2 = np.conj(vh) / sw2[None, :]
     return SchmidtDecomposition(
         coefficients=s,
         modes_1=modes_1,
@@ -158,6 +315,7 @@ def decompose(kernel: KernelMatrix, rank: int | None = None,
         truncation_rank=len(s),
         residual=residual,
         renormalized=renormalize,
+        method=method,
     )
 
 
@@ -189,6 +347,19 @@ def optimal_separable(d: SchmidtDecomposition):
     return np.conj(d.modes_1[0]), np.conj(d.modes_2[0])
 
 
+def _one_sided_kernel(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
+    """Q/sqrt(N/2) on the offset grid: D E H D with E = L_e, H = L_f at offset sums."""
+    check_dense_fits(grid.count, grid.count)
+    offs = grid.nodes - grid.center
+    sums = 2.0 * offs[0] + grid.step * np.arange(2 * grid.count - 1)
+    scale = 1.0 / np.sqrt(normalization(sys) / 2.0)
+    line_e = 1j * sys.coupling_e / (offs + 1j * sys.gamma_e)
+    line_f = 1j * sys.coupling_f / (sums + 1j * sys.gamma_f)
+    grid1 = grid.shifted(sys.omega_e - grid.center)
+    grid2 = grid.shifted(sys.omega_f - sys.omega_e - grid.center)
+    return HankelKernel(grid1, grid2, line_e, scale * line_f, symmetric=False)
+
+
 def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
                              rank: int | None = None,
                              renormalize: bool = False) -> SchmidtDecomposition:
@@ -200,22 +371,7 @@ def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
     of Delta merely translates the second axis.  The stored grids are the
     absolute ones.
     """
-    check_dense_fits(grid.count, grid.count)
-    offs = grid.nodes - grid.center
-    ge, gf = sys.gamma_e, sys.gamma_f
-    ce, cf = sys.coupling_e, sys.coupling_f
-    scale = 1.0 / np.sqrt(normalization(sys) / 2.0)
-
-    def q_off(x, y):
-        return scale * (1j * ce / (x + 1j * ge)) * (1j * cf / (x + y + 1j * gf))
-
-    w = quadrature_weights(grid)
-    sw = np.sqrt(w)
-    entries = q_off(offs[:, None], offs[None, :]) * (sw[:, None] * sw[None, :])
-    grid1 = grid.shifted(sys.omega_e - grid.center)
-    grid2 = grid.shifted(sys.omega_f - sys.omega_e - grid.center)
-    kernel = KernelMatrix(grid1, grid2, entries, True)
-    return decompose(kernel, rank=rank, renormalize=renormalize)
+    return decompose(_one_sided_kernel(sys, grid), rank=rank, renormalize=renormalize)
 
 
 def bounds_grid(sys: LevelSystem) -> FrequencyGrid:
@@ -237,8 +393,9 @@ def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid,
 
     E_inf = 2 / s_1^2 and S_inf = 1 + S_a, where s_k and S_a come from the
     decomposition of Q/sqrt(N/2).  Both are independent of the detuning.
+    Only the coefficients are computed (see `choose_solver`).
     """
-    dq = asymmetric_decomposition(sys, grid, rank=rank)
+    dq = decompose(_one_sided_kernel(sys, grid), rank=rank, vectors=False)
     if dq.coefficients.size == 0 or dq.coefficients[0] <= 0:
         raise ValueError("degenerate one-sided decomposition")
     e_inf = 2.0 / dq.coefficients[0] ** 2

@@ -5,7 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from tpaopt import (LevelSystem, asymptotic_bounds, choose_solver, cli, decompose, default_grid,
+                    grids, optimal_state_kernel, schmidt)
 from tpaopt.cli import main
+from tpaopt.schmidt import ARPACK_NODES_PER_RANK, ARPACK_NODES_PER_RANK_VECTORS, DEFAULT_RANK
 
 
 def read_report(out_dir):
@@ -236,3 +239,82 @@ def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     assert main(["schmidt", "--rank", "4", "--out", str(tmp_path)] + argv) == 2
     assert time.perf_counter() - t0 < 5.0
     assert "physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, rank, vectors, expected", [
+    (801, None, False, ("dense_values", 801)),       # bounds and sweep rows: full spectrum
+    (801, None, True, ("dense", 801)),               # single point writing modes
+    (801, 300, False, ("dense_values", 300)),        # large explicit rank: dense, cut to k
+    (801, 300, True, ("dense", 300)),
+    (4001, None, False, ("arpack", 300)),            # default rank beyond the dense crossover
+    (4001, None, True, ("arpack", 300)),
+    (3061, 16, True, ("arpack", 16)),                # small explicit rank
+    (3061, 60, False, ("arpack", 60)),
+    (201, 16, False, ("arpack", 16)),
+    (90, 16, True, ("dense", 16)),
+    (100, 99, False, ("dense_values", 99)),          # ARPACK needs k < n - 1
+    (4001, 0, True, ("dense", 4001)),                # rank < 1: full spectrum at any size
+    (8001, 16, False, ("arpack", 16)),
+])
+def test_solver_policy(n, rank, vectors, expected):
+    assert choose_solver(n, rank, vectors) == expected
+
+
+def test_solver_policy_crossovers():
+    for vectors, per_rank in ((False, ARPACK_NODES_PER_RANK),
+                              (True, ARPACK_NODES_PER_RANK_VECTORS)):
+        limit = per_rank * DEFAULT_RANK
+        assert choose_solver(limit, None, vectors)[0].startswith("dense")
+        assert choose_solver(limit + 1, None, vectors) == ("arpack", DEFAULT_RANK)
+        assert choose_solver(per_rank * 40, 40, vectors)[0].startswith("dense")
+        assert choose_solver(per_rank * 40 + 1, 40, vectors) == ("arpack", 40)
+
+
+def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):
+    argv = ["schmidt", "--dev", "0", "--step", "0.1", "--rank", "16", "--format", "json"]
+    sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=0.0)
+    grid = default_grid(sys_, step=0.1)
+    assert grid.count == 8001
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_kernel called")
+
+    with monkeypatch.context() as m:
+        m.setattr(grids, "sample_kernel", refuse)
+        m.setattr(schmidt, "sample_kernel", refuse)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    rep = read_report(str(tmp_path))
+    assert rep["grid"]["points"] == 8001
+    diag = rep["diagnostics"]
+    assert (diag["method"], diag["n"], diag["k"]) == ("hankel_arpack", 8001, 16)
+    # oracle: the same truncated solve on the sampled dense matrix (1 GB)
+    r1 = decompose(optimal_state_kernel(sys_, grid), rank=16, vectors=False).coefficients[0]
+    assert rep["results"]["r"][0] == pytest.approx(r1, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solver_stats_reported_and_bounds_solved_once_per_deviation(tmp_path, monkeypatch,
+                                                                    threads):
+    monkeypatch.setenv("TPAOPT_THREADS", threads)
+    calls = []
+
+    def counting_bounds(sys_, grid, rank=None):
+        calls.append(sys_.delta_deviation)
+        return asymptotic_bounds(sys_, grid, rank)
+
+    monkeypatch.setattr(cli, "asymptotic_bounds", counting_bounds)
+    out = str(tmp_path)
+    assert main(["schmidt", "--dev", "-1.5", "--sweep", "delta", "1", "3", "3",
+                 "--out", out]) == 0
+    assert calls == [-1.5]
+    for row in read_report(out)["results"]["rows"]:
+        assert row["method"] == "dense_values" and row["k"] == row["n"] == 1001
+        assert row["rank"] is None and 0.99 < row["captured_norm"] <= 1.0
+    single = str(tmp_path / "single")
+    assert main(["schmidt", "--dev", "-1.5", "--rank", "8", "--out", single]) == 0
+    diag = read_report(single)["diagnostics"]
+    assert (diag["method"], diag["n"], diag["k"], diag["rank"]) == ("hankel_arpack", 1001, 8, 8)
+    kept = diag["coefficient_norm_sq"]
+    assert diag["captured_norm"] == pytest.approx(
+        kept / (kept + diag["truncation_residual"] ** 2), rel=1e-12)
+    assert not diag["dense"]

@@ -164,3 +164,19 @@ def test_kernel_csv_dump(tmp_path):
     assert len(lines) == 3 + g.count  # three header lines, one line per row
     first = [float(v) for v in lines[3].split(",")]
     assert len(first) == 2 * g.count  # re,im pairs
+
+
+@pytest.mark.parametrize("embed", [True, False])
+def test_marginal_sum_matches_row_by_row_sum_bitwise(embed):
+    sys = LevelSystem(delta_detuning=3.0, delta_deviation=-1.2)
+    g1, g2 = make_grid(1.5, 12.0, 0.25), make_grid(2.0, 8.0, 0.25)
+    k = optimal_state_kernel(sys, g1, g2, embed_weights=embed)
+    p = np.abs(k.entries) ** 2
+    if not embed:
+        p = p * np.outer(quadrature_weights(g1), quadrature_weights(g2))
+    acc = np.zeros(g1.count + g2.count - 1)
+    for i, row in enumerate(p):
+        acc[i : i + g2.count] += row
+    omega_plus, density = kernel_marginal_sum(k)
+    np.testing.assert_array_equal(density, acc / g1.step)
+    assert omega_plus.size == acc.size

@@ -5,18 +5,23 @@ from conftest import synthetic_decomposition
 from tpaopt import (
     LevelSystem,
     asymmetric_decomposition,
+    choose_solver,
     asymptotic_bounds,
     decompose,
     entropy,
     make_grid,
+    normalization,
     optimal_separable,
     optimal_state_kernel,
+    optimal_state_operator,
     pairing_check,
     quadrature_weights,
     quantum_enhancement,
     reconstruct,
+    response_asymmetric,
     sample_kernel,
 )
+from tpaopt.schmidt import _one_sided_kernel
 
 
 def small_kernel(delta=2.0, dev=-1.0, half=60.0, step=0.25):
@@ -236,3 +241,68 @@ def test_enhancement_limit_grows_toward_small_final_width():
     vals = [asymptotic_bounds(LevelSystem(delta_deviation=dev), grid, rank=60)[0]
             for dev in (-1.0, -1.5, -1.9)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def _structured_and_oracle(one_sided):
+    """(HankelKernel, independently sampled KernelMatrix) of Phi or of Q/sqrt(N/2)."""
+    sys = LevelSystem(delta_detuning=3.0, delta_deviation=-1.2)
+    grid = make_grid(sys.omega_f / 2.0, 30.0, 0.25)
+    if not one_sided:
+        return optimal_state_operator(sys, grid), optimal_state_kernel(sys, grid)
+    op = _one_sided_kernel(sys, grid)
+    scale = 1.0 / np.sqrt(normalization(sys) / 2.0)
+    return op, sample_kernel(lambda a, b: response_asymmetric(sys, a, b) * scale,
+                             op.grid1, op.grid2)
+
+
+def _max_mode_gap(a, b):
+    """Largest entry difference of two mode sets, each mode aligned in phase to its partner."""
+    dots = np.sum(np.conj(a) * b, axis=1)
+    return float(np.max(np.abs(a * (dots / np.abs(dots))[:, None] - b)))
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["phi", "q"])
+def test_structured_kernel_matches_sampled_oracle(one_sided):
+    op, oracle = _structured_and_oracle(one_sided)
+    a, lin = oracle.entries, op.as_operator()
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((a.shape[1], 3)) + 1j * rng.standard_normal((a.shape[1], 3))
+    assert op.shape == a.shape
+    assert np.max(np.abs(lin.matvec(v[:, 0]) - a @ v[:, 0])) < 1e-12
+    assert np.max(np.abs(lin.matmat(v) - a @ v)) < 1e-12
+    assert np.max(np.abs(lin.rmatvec(v[:, 1]) - np.conj(a.T) @ v[:, 1])) < 1e-12
+    assert np.max(np.abs(lin.rmatmat(v) - np.conj(a.T) @ v)) < 1e-12
+    assert op.frobenius_norm2() == pytest.approx(oracle.frobenius_norm2(), abs=1e-12)
+    assert np.max(np.abs(op.to_dense().entries - a)) < 1e-12
+    for rank in (8, None):
+        d_op, d_oracle = decompose(op, rank=rank), decompose(oracle, rank=rank)
+        assert d_op.method == ("hankel_arpack" if rank else "dense")
+        np.testing.assert_allclose(d_op.coefficients, d_oracle.coefficients, rtol=0, atol=1e-12)
+        assert d_op.residual == pytest.approx(d_oracle.residual, abs=1e-12 if rank else 1e-7)
+        lead = slice(0, 8)  # trailing full-rank modes are not well defined
+        assert _max_mode_gap(d_op.modes_1[lead], d_oracle.modes_1[lead]) < 1e-12
+        assert _max_mode_gap(d_op.modes_2[lead], d_oracle.modes_2[lead]) < 1e-12
+
+
+def test_values_only_decomposition_has_no_modes():
+    op, _ = _structured_and_oracle(False)
+    d = decompose(op, rank=8, vectors=False)
+    assert d.modes_1.shape == (0, op.shape[0]) and d.coefficients.size == 8
+    full = decompose(op, vectors=False)
+    assert full.method == "dense_values" and full.coefficients.size == op.shape[0]
+
+
+def test_values_only_bounds_match_full_decomposition():
+    sys = LevelSystem(delta_detuning=7.0, delta_deviation=-1.5)
+    grid = make_grid(0.0, 40.0, 0.2)
+    d = asymmetric_decomposition(sys, grid)
+    assert d.method == "dense" and d.coefficients.size == grid.count
+    e_inf, s_inf = asymptotic_bounds(sys, grid)
+    assert e_inf == pytest.approx(2.0 / d.coefficients[0] ** 2, rel=1e-12)
+    assert s_inf == pytest.approx(1.0 + entropy(d), abs=1e-9)
+
+
+def test_structured_kernel_checks_memory_before_allocating():
+    sys = LevelSystem()
+    with pytest.raises(ValueError, match="physical memory"):
+        optimal_state_operator(sys, make_grid(0.0, 400.0, 1e-4))
