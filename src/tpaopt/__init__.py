@@ -37,6 +37,7 @@ from .schmidt import (
     optimal_state_kernel,
     optimal_state_operator,
     choose_solver,
+    solver_rank,
     decompose,
     entropy,
     quantum_enhancement,

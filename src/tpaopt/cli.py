@@ -20,10 +20,11 @@ a thread pool; results are gathered in parameter order, so output is
 unchanged.  Pair it with OPENBLAS_NUM_THREADS=1, or the BLAS threads
 oversubscribe the cores.
 
-The Schmidt solver (dense SVD, values-only dense SVD, or ARPACK on the
-matrix-free Hankel kernel) is the library's choice (`schmidt.choose_solver`)
-from the node count, --rank (passed through unchanged) and whether modes are
-written; the report's diagnostics and sweep rows name the one that ran.
+The Schmidt solver is the library's choice: `schmidt.solver_rank` turns
+--rank (passed through unchanged) and the node count into the rank handed to
+`decompose`, which runs a dense SVD (values-only where no modes are written)
+or ARPACK on the matrix-free Hankel kernel; the report's diagnostics and sweep
+rows name the one that ran.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -42,7 +42,8 @@ import numpy as np
 from .grids import auto_grid, default_grid, write_kernel_csv
 from .response import LevelSystem
 from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy, optimal_state_kernel,
-                      optimal_state_operator, pairing_check, quantum_enhancement)
+                      optimal_state_operator, pairing_check, quantum_enhancement,
+                      solver_rank)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
 
@@ -117,21 +118,23 @@ def _resolve(value, auto, sys_):
 
 def _decompose_at(delta, dev, rank, vectors=False, half=None, step=None, center=None,
                   dump_path=None):
-    """(system, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
+    """(system, rank used, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     if half is None and step is None and center is None:
         grid = auto_grid(sys_)
     else:
         grid = default_grid(sys_, half, step, center)
+    rank = solver_rank(grid.count, rank)
     kernel = optimal_state_operator(sys_, grid)
     if dump_path is not None:
         write_kernel_csv(optimal_state_kernel(sys_, grid), dump_path)
-    return sys_, decompose(kernel, rank=rank, vectors=vectors)
+    return sys_, rank, decompose(kernel, rank=rank, vectors=vectors)
 
 
 def _bounds(sys_, rank):
     """(E_inf, S_inf) on the library's bounds grid."""
-    return asymptotic_bounds(sys_, bounds_grid(sys_), rank=rank)
+    grid = bounds_grid(sys_)
+    return asymptotic_bounds(sys_, grid, rank=solver_rank(grid.count, rank))
 
 
 def _solver_stats(d):
@@ -147,22 +150,15 @@ def _solver_stats(d):
 
 def _schmidt_point(args, delta, dev):
     single = not args.sweep  # only a single point writes modes (and the kernel)
-    sys_, d = _decompose_at(delta, dev, args.rank, single, args.grid_half_width, args.step,
-                            args.grid_center,
-                            os.path.join(args.out, "kernel.csv") if single and args.dump_kernel
-                            else None)
-    # The bounds depend on the deviation alone: one solve per deviation, also in a thread pool.
-    entry = args.bounds.setdefault(dev, [threading.Lock(), None])
-    with entry[0]:
-        if entry[1] is None:
-            entry[1] = _bounds(sys_, args.rank)
-    e_inf, s_inf = entry[1]
+    sys_, rank, d = _decompose_at(delta, dev, args.rank, single, args.grid_half_width,
+                                  args.step, args.grid_center,
+                                  os.path.join(args.out, "kernel.csv")
+                                  if single and args.dump_kernel else None)
+    e_inf, s_inf = _bounds(sys_, args.rank)
     r1 = float(d.coefficients[0])
-    stats = _solver_stats(d)
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
-           "grid": _grid_dict(d.grid1), "rank": None if stats["k"] == stats["n"] else stats["k"],
-           **stats}
+           "grid": _grid_dict(d.grid1), "rank": rank, **_solver_stats(d)}
     return row, d
 
 
@@ -254,7 +250,6 @@ def cmd_run(args) -> int:
     echoed, sweepable, point, (csv_name, columns), single = COMMANDS[args.command]
     os.makedirs(args.out, exist_ok=True)
     params = {k: getattr(args, k) for k in echoed}
-    args.bounds = {}  # deviation -> [lock, schmidt's (E_inf, S_inf)], for this invocation only
     values = {k: getattr(args, k) for k in sweepable}
     if not args.sweep:
         row, state = point(args, **values)
@@ -296,7 +291,7 @@ def _fig8_points(n):
 
 
 def _schmidt_values(delta, dev, rank):
-    d = _decompose_at(delta, dev, rank)[1]
+    d = _decompose_at(delta, dev, rank)[2]
     return entropy(d), quantum_enhancement(d)
 
 
@@ -319,7 +314,7 @@ def _pump_gains(dev, phi):
 
 def _fig8_ratio(column, point, rank):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
-    sys_, d = _decompose_at(*point, 16 if rank is None else rank)
+    sys_, _, d = _decompose_at(*point, 16 if rank is None else rank)
     lam1 = float(d.coefficients[0] ** 2)
     if column == 0:
         return (1.0 / lam1,)

@@ -28,6 +28,7 @@ __all__ = [
     "optimal_state_kernel",
     "optimal_state_operator",
     "choose_solver",
+    "solver_rank",
     "decompose",
     "entropy",
     "quantum_enhancement",
@@ -40,11 +41,11 @@ __all__ = [
 
 COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
 
-# Solver policy of `choose_solver`, from timings with one BLAS thread on a 2-core x86-64 VM:
-# ARPACK on a HankelKernel beats a dense SVD when n > PER_RANK * k.
-DEFAULT_RANK = 300                  # coefficients kept by default beyond the dense crossover
-ARPACK_NODES_PER_RANK = 7           # coefficients only (values-only dense SVD)
-ARPACK_NODES_PER_RANK_VECTORS = 6   # with modes (dense SVD with vectors)
+# Default-rank policy of `solver_rank`, from timings of Phi at delta = -1.5 with one BLAS thread
+# on a 2-core x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum is faster
+# than ARPACK for DEFAULT_RANK coefficients (on the matrix-free kernel); beyond, ARPACK is.
+DEFAULT_RANK = 300
+DENSE_MAX_NODES = 2100
 
 
 @dataclass(frozen=True)
@@ -188,24 +189,27 @@ def optimal_state_operator(sys: LevelSystem, grid: FrequencyGrid) -> HankelKerne
                         np.conj(lineshape(sys, "f", sums)) * scale, symmetric=True)
 
 
-def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> tuple[str, int]:
-    """(method, k): how `decompose` computes k coefficients of an n x n kernel.
+def solver_rank(n: int, rank: int | None = None) -> int | None:
+    """The rank to give `decompose` for an n x n kernel when `rank` coefficients are asked for.
 
-    ARPACK ("arpack") runs when n > ARPACK_NODES_PER_RANK * k (with modes:
-    ARPACK_NODES_PER_RANK_VECTORS * k) and k < n - 1, a dense SVD cut to k
-    coefficients otherwise: "dense" with modes, "dense_values" without.
-    rank None asks for the full spectrum where a dense SVD is the faster
-    solver, and for DEFAULT_RANK coefficients beyond; rank < 1 asks for the
-    full spectrum at any size.
+    An explicit rank >= 1 is kept; rank < 1 means the full spectrum (None).
+    The default, None, is the full spectrum up to DENSE_MAX_NODES nodes and
+    DEFAULT_RANK coefficients beyond.
     """
-    per_rank = ARPACK_NODES_PER_RANK_VECTORS if vectors else ARPACK_NODES_PER_RANK
     if rank is None:
-        k = n if n <= per_rank * DEFAULT_RANK else DEFAULT_RANK
-    else:
-        k = n if rank < 1 else min(rank, n)
-    if k < n - 1 and n > per_rank * k:
-        return "arpack", k
-    return ("dense" if vectors else "dense_values"), k
+        return None if n <= DENSE_MAX_NODES else DEFAULT_RANK
+    return rank if rank >= 1 else None
+
+
+def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
+    """The method `decompose` runs on an n x n kernel for `rank` coefficients.
+
+    "arpack" (the truncated SVD) for a rank below n - 1, otherwise a dense
+    SVD cut to rank: "dense", or "dense_values" (no vectors) if not vectors.
+    """
+    if rank is not None and rank < n - 1:
+        return "arpack"
+    return "dense" if vectors else "dense_values"
 
 
 def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
@@ -245,13 +249,12 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         Must have weight_embedded set; the singular values of the embedded
         matrix are the Schmidt coefficients.
     rank : int or None
-        Number of leading coefficients to compute; `choose_solver` picks
-        the method from (n, rank, vectors).  None asks for the full spectrum
-        (truncated to DEFAULT_RANK on large grids), < 1 for the full
-        spectrum at any size.  The iterative solver (ARPACK on the Gram
-        operator, fixed start vector) runs on a `HankelKernel` without
-        forming its matrix.  Ranks beyond the matrix dimension are clipped
-        with a warning.
+        Number of leading coefficients to compute.  None runs the dense
+        reference SVD; a rank below n - 1 uses the iterative solver (ARPACK
+        on the Gram operator) with a fixed start vector, on a `HankelKernel`
+        without forming its matrix (see `choose_solver`; `solver_rank` gives
+        the default rank for a grid size).  Ranks beyond the matrix
+        dimension are clipped with a warning.
     renormalize : bool
         Rescale the retained coefficients so their squares sum to 1.
     vectors : bool
@@ -272,21 +275,21 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         )
         rank = max_rank
 
-    method, k = choose_solver(max_rank, rank, vectors)
+    method = choose_solver(max_rank, rank, vectors)
     if method == "arpack":
         structured = isinstance(kernel, HankelKernel)
         a = (kernel.as_operator() if structured
              else _operator(kernel.shape, kernel.entries.dot, kernel.entries.T.dot))
-        u, s, vh = _arpack(a, k, vectors)
+        u, s, vh = _arpack(a, rank, vectors)
         method = "hankel_arpack" if structured else method
     else:
         if isinstance(kernel, HankelKernel):
             kernel = kernel.to_dense()
         if vectors:
             u, s, vh = np.linalg.svd(kernel.entries, full_matrices=False)
-            u, s, vh = u[:, :k], s[:k], vh[:k, :]
+            u, s, vh = u[:, :rank], s[:rank], vh[:rank, :]
         else:
-            u, s, vh = None, np.linalg.svd(kernel.entries, compute_uv=False)[:k], None
+            u, s, vh = None, np.linalg.svd(kernel.entries, compute_uv=False)[:rank], None
     fro2 = kernel.frobenius_norm2()
 
     n1, n2 = kernel.shape
@@ -393,7 +396,8 @@ def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid,
 
     E_inf = 2 / s_1^2 and S_inf = 1 + S_a, where s_k and S_a come from the
     decomposition of Q/sqrt(N/2).  Both are independent of the detuning.
-    Only the coefficients are computed (see `choose_solver`).
+    Only the coefficients are computed: rank None takes the full spectrum
+    from a values-only dense SVD, a rank below n - 1 the truncated one.
     """
     dq = decompose(_one_sided_kernel(sys, grid), rank=rank, vectors=False)
     if dq.coefficients.size == 0 or dq.coefficients[0] <= 0:

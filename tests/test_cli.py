@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from tpaopt import (LevelSystem, asymptotic_bounds, choose_solver, cli, decompose, default_grid,
-                    grids, optimal_state_kernel, schmidt)
+from tpaopt import (LevelSystem, choose_solver, decompose, default_grid, grids,
+                    optimal_state_kernel, schmidt, solver_rank)
 from tpaopt.cli import main
-from tpaopt.schmidt import ARPACK_NODES_PER_RANK, ARPACK_NODES_PER_RANK_VECTORS, DEFAULT_RANK
+from tpaopt.schmidt import DEFAULT_RANK, DENSE_MAX_NODES
 
 
 def read_report(out_dir):
@@ -242,32 +242,29 @@ def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("n, rank, vectors, expected", [
-    (801, None, False, ("dense_values", 801)),       # bounds and sweep rows: full spectrum
-    (801, None, True, ("dense", 801)),               # single point writing modes
-    (801, 300, False, ("dense_values", 300)),        # large explicit rank: dense, cut to k
-    (801, 300, True, ("dense", 300)),
+    (801, None, False, ("dense_values", None)),      # bounds and sweep rows: full spectrum
+    (801, None, True, ("dense", None)),              # single point writing modes
+    (801, 300, False, ("arpack", 300)),              # explicit rank: truncated solver
     (4001, None, False, ("arpack", 300)),            # default rank beyond the dense crossover
     (4001, None, True, ("arpack", 300)),
-    (3061, 16, True, ("arpack", 16)),                # small explicit rank
-    (3061, 60, False, ("arpack", 60)),
-    (201, 16, False, ("arpack", 16)),
-    (90, 16, True, ("dense", 16)),
-    (100, 99, False, ("dense_values", 99)),          # ARPACK needs k < n - 1
-    (4001, 0, True, ("dense", 4001)),                # rank < 1: full spectrum at any size
-    (8001, 16, False, ("arpack", 16)),
+    (3061, 16, True, ("arpack", 16)),
+    (90, 16, True, ("arpack", 16)),
+    (100, 99, False, ("dense_values", 99)),          # ARPACK needs k < n - 1: dense, cut to k
+    (100, 98, True, ("arpack", 98)),
+    (4001, 0, True, ("dense", None)),                # rank < 1: full spectrum at any size
+    (4001, -3, False, ("dense_values", None)),
 ])
 def test_solver_policy(n, rank, vectors, expected):
-    assert choose_solver(n, rank, vectors) == expected
+    k = solver_rank(n, rank)
+    assert (choose_solver(n, k, vectors), k) == expected
 
 
-def test_solver_policy_crossovers():
-    for vectors, per_rank in ((False, ARPACK_NODES_PER_RANK),
-                              (True, ARPACK_NODES_PER_RANK_VECTORS)):
-        limit = per_rank * DEFAULT_RANK
-        assert choose_solver(limit, None, vectors)[0].startswith("dense")
-        assert choose_solver(limit + 1, None, vectors) == ("arpack", DEFAULT_RANK)
-        assert choose_solver(per_rank * 40, 40, vectors)[0].startswith("dense")
-        assert choose_solver(per_rank * 40 + 1, 40, vectors) == ("arpack", 40)
+@pytest.mark.parametrize("vectors", [False, True])
+def test_solver_policy_crossover(vectors):
+    assert solver_rank(DENSE_MAX_NODES) is None
+    assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
+    assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
+    assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == "arpack"
 
 
 def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):
@@ -292,21 +289,10 @@ def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):
     assert rep["results"]["r"][0] == pytest.approx(r1, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_solver_stats_reported_and_bounds_solved_once_per_deviation(tmp_path, monkeypatch,
-                                                                    threads):
-    monkeypatch.setenv("TPAOPT_THREADS", threads)
-    calls = []
-
-    def counting_bounds(sys_, grid, rank=None):
-        calls.append(sys_.delta_deviation)
-        return asymptotic_bounds(sys_, grid, rank)
-
-    monkeypatch.setattr(cli, "asymptotic_bounds", counting_bounds)
+def test_solver_stats_reported(tmp_path):
     out = str(tmp_path)
     assert main(["schmidt", "--dev", "-1.5", "--sweep", "delta", "1", "3", "3",
                  "--out", out]) == 0
-    assert calls == [-1.5]
     for row in read_report(out)["results"]["rows"]:
         assert row["method"] == "dense_values" and row["k"] == row["n"] == 1001
         assert row["rank"] is None and 0.99 < row["captured_norm"] <= 1.0

@@ -5,7 +5,6 @@ from conftest import synthetic_decomposition
 from tpaopt import (
     LevelSystem,
     asymmetric_decomposition,
-    choose_solver,
     asymptotic_bounds,
     decompose,
     entropy,
@@ -21,6 +20,7 @@ from tpaopt import (
     response_asymmetric,
     sample_kernel,
 )
+from tpaopt import schmidt
 from tpaopt.schmidt import _one_sided_kernel
 
 
@@ -290,6 +290,16 @@ def test_values_only_decomposition_has_no_modes():
     assert d.modes_1.shape == (0, op.shape[0]) and d.coefficients.size == 8
     full = decompose(op, vectors=False)
     assert full.method == "dense_values" and full.coefficients.size == op.shape[0]
+
+
+@pytest.mark.parametrize("structured", [False, True], ids=["sampled", "operator"])
+def test_default_rank_is_the_full_spectrum_at_any_size(monkeypatch, structured):
+    # the default-rank crossover belongs to solver_rank; decompose(rank=None) never truncates
+    monkeypatch.setattr(schmidt, "DENSE_MAX_NODES", 10)
+    op, oracle = _structured_and_oracle(False)
+    d = decompose(op if structured else oracle)
+    assert d.method == "dense" and d.coefficients.size == op.shape[0]
+    assert d.coefficients.size > schmidt.DENSE_MAX_NODES
 
 
 def test_values_only_bounds_match_full_decomposition():
