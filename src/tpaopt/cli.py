@@ -10,7 +10,9 @@ figure      Deterministic CSV tables for the bundled sweep presets
             (fig2a..fig8c).
 
 Outputs are CSV tables plus a JSON run report with a fixed schema
-{schema_version, command, params, grid, results, diagnostics, wall_time_ms}.
+{schema_version, command, params, grid, results, diagnostics, timing,
+wall_time_ms}; timing holds the milliseconds spent per stage (solve, bounds,
+shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
 system parameters, a bad TPAOPT_THREADS and grids whose dense kernel exceeds
@@ -33,8 +35,10 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -47,7 +51,7 @@ from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy, optima
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_BAD_ARGS = 2
 EXIT_NUMERICAL = 3
 
@@ -67,9 +71,31 @@ def _grid_dict(grid):
     return {"min": grid.min, "max": grid.max, "step": grid.step, "points": grid.count}
 
 
+class _StageClock:
+    """Wall milliseconds per stage, summed over points; pool threads share one clock.
+
+    `with clock("solve"): ...` adds the block's duration to that stage.
+    """
+
+    def __init__(self):
+        self.ms = {}
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def __call__(self, stage):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            ms = (time.perf_counter() - t0) * 1000.0
+            with self._lock:
+                self.ms[stage] = self.ms.get(stage, 0.0) + ms
+
+
 def _write_report(args, command, params, grid, results, diagnostics, t0):
     report = {"schema_version": SCHEMA_VERSION, "command": command, "params": params,
               "grid": grid, "results": results, "diagnostics": diagnostics,
+              "timing": {k: round(v, 3) for k, v in args.timed.ms.items()},
               "wall_time_ms": int(round((time.perf_counter() - t0) * 1000))}
     if args.format in ("json", "both"):
         with open(os.path.join(args.out, "report.json"), "w", encoding="ascii") as fh:
@@ -116,7 +142,7 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(delta, dev, rank, vectors=False, half=None, step=None, center=None,
+def _decompose_at(timed, delta, dev, rank, vectors=False, half=None, step=None, center=None,
                   dump_path=None):
     """(system, rank used, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
@@ -125,16 +151,19 @@ def _decompose_at(delta, dev, rank, vectors=False, half=None, step=None, center=
     else:
         grid = default_grid(sys_, half, step, center)
     rank = solver_rank(grid.count, rank)
-    kernel = optimal_state_operator(sys_, grid)
     if dump_path is not None:
-        write_kernel_csv(optimal_state_kernel(sys_, grid), dump_path)
-    return sys_, rank, decompose(kernel, rank=rank, vectors=vectors)
+        with timed("write"):
+            write_kernel_csv(optimal_state_kernel(sys_, grid), dump_path)
+    with timed("solve"):
+        return sys_, rank, decompose(optimal_state_operator(sys_, grid), rank=rank,
+                                     vectors=vectors)
 
 
-def _bounds(sys_, rank):
+def _bounds(timed, sys_, rank):
     """(E_inf, S_inf) on the library's bounds grid."""
     grid = bounds_grid(sys_)
-    return asymptotic_bounds(sys_, grid, rank=solver_rank(grid.count, rank))
+    with timed("bounds"):
+        return asymptotic_bounds(sys_, grid, rank=solver_rank(grid.count, rank))
 
 
 def _solver_stats(d):
@@ -150,11 +179,11 @@ def _solver_stats(d):
 
 def _schmidt_point(args, delta, dev):
     single = not args.sweep  # only a single point writes modes (and the kernel)
-    sys_, rank, d = _decompose_at(delta, dev, args.rank, single, args.grid_half_width,
-                                  args.step, args.grid_center,
+    sys_, rank, d = _decompose_at(args.timed, delta, dev, args.rank, single,
+                                  args.grid_half_width, args.step, args.grid_center,
                                   os.path.join(args.out, "kernel.csv")
                                   if single and args.dump_kernel else None)
-    e_inf, s_inf = _bounds(sys_, args.rank)
+    e_inf, s_inf = _bounds(args.timed, sys_, args.rank)
     r1 = float(d.coefficients[0])
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
@@ -196,7 +225,9 @@ def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     state = CwSpdc(sigma=_resolve(sigma, auto_slm_sigma, sys_))
     grid = slm_grid(sys_, state, args.grid_half_width, args.step)
-    return _shaping_row(optimal_slm(sys_, state, grid), sigma=state.sigma)
+    with args.timed("shape"):
+        sol = optimal_slm(sys_, state, grid)
+    return _shaping_row(sol, sigma=state.sigma)
 
 
 def _pump_point(args, delta, dev, sigma, phi, zeta):
@@ -209,7 +240,9 @@ def _pump_point(args, delta, dev, sigma, phi, zeta):
         zeta = None
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
-    return _shaping_row(optimal_pump_shaper(sys_, state, grid), sigma=sigma, zeta=zeta)
+    with args.timed("shape"):
+        sol = optimal_pump_shaper(sys_, state, grid)
+    return _shaping_row(sol, sigma=sigma, zeta=zeta)
 
 
 def _shaping_single(csv_name, columns, args, params, row, sol):
@@ -253,7 +286,8 @@ def cmd_run(args) -> int:
     values = {k: getattr(args, k) for k in sweepable}
     if not args.sweep:
         row, state = point(args, **values)
-        results, diagnostics, summary = single(args, params, row, state)
+        with args.timed("write"):
+            results, diagnostics, summary = single(args, params, row, state)
         _write_report(args, args.command, params, row["grid"], results, diagnostics, t0)
         print(summary)
         return 0
@@ -266,8 +300,9 @@ def cmd_run(args) -> int:
 
     rows = _map_points(sweep_row, swept)
     if args.format in ("csv", "both"):
-        _write_csv(os.path.join(args.out, csv_name), (name,) + columns,
-                   ([r["value"]] + [r[c] for c in columns] for r in rows))
+        with args.timed("write"):
+            _write_csv(os.path.join(args.out, csv_name), (name,) + columns,
+                       ([r["value"]] + [r[c] for c in columns] for r in rows))
     _write_report(args, args.command, params, None, {"rows": rows}, {"points": len(rows)}, t0)
     return 0
 
@@ -290,57 +325,62 @@ def _fig8_points(n):
             for d in np.linspace(-1.9, 0.0, max(2, nd - 1))]
 
 
-def _schmidt_values(delta, dev, rank):
-    d = _decompose_at(delta, dev, rank)[2]
+def _schmidt_values(timed, delta, dev, rank):
+    d = _decompose_at(timed, delta, dev, rank)[2]
     return entropy(d), quantum_enhancement(d)
 
 
-def _slm_gains(delta):
+def _slm_gains(timed, delta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    return tuple(optimal_slm(sys_, CwSpdc(sigma=s)).e_opt for s in SIGMAS)
+    with timed("shape"):
+        return tuple(optimal_slm(sys_, CwSpdc(sigma=s)).e_opt for s in SIGMAS)
 
 
-def _matched_slm_populations(delta):
+def _matched_slm_populations(timed, delta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
+    with timed("shape"):
+        sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
     return sol.p_shaped, sol.p_unshaped
 
 
-def _pump_gains(dev, phi):
+def _pump_gains(timed, dev, phi):
     sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=dev)
-    return tuple(optimal_pump_shaper(sys_, PumpShaped(sigma=s, phi=phi, infinite_pm=True)).e_opt
-                 for s in SIGMAS)
+    states = [PumpShaped(sigma=s, phi=phi, infinite_pm=True) for s in SIGMAS]
+    with timed("shape"):
+        return tuple(optimal_pump_shaper(sys_, state).e_opt for state in states)
 
 
-def _fig8_ratio(column, point, rank):
+def _fig8_ratio(column, point, rank, timed):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
-    sys_, _, d = _decompose_at(*point, 16 if rank is None else rank)
+    sys_, _, d = _decompose_at(timed, *point, 16 if rank is None else rank)
     lam1 = float(d.coefficients[0] ** 2)
     if column == 0:
         return (1.0 / lam1,)
     state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
-    sol = optimal_pump_shaper(sys_, state)
+    with timed("shape"):
+        sol = optimal_pump_shaper(sys_, state)
     return ((sol.p_shaped, sol.p_unshaped)[column - 1] / lam1,)
 
 
 # name -> (header, points(--points or None) -> leading columns of each row,
-#          values(point, rank) -> the remaining columns)
+#          values(point, rank, stage clock) -> the remaining columns)
 FIGURES = {
     "fig2a": (("delta_deviation", "entropy_bits", "quantum_enhancement"), _line(-1.9, 2.0, 24),
-              lambda p, rank: _schmidt_values(5.0, p[0], rank)),
+              lambda p, rank, timed: _schmidt_values(timed, 5.0, p[0], rank)),
     "fig2b": (("detuning", "entropy_bits", "quantum_enhancement"), _line(0.1, 100.0, 25, log=True),
-              lambda p, rank: _schmidt_values(p[0], -1.9, rank)),
+              lambda p, rank, timed: _schmidt_values(timed, p[0], -1.9, rank)),
     "fig2c": (("delta_deviation", "entropy_limit_bits", "enhancement_limit"), _line(-1.9, 2.0, 24),
-              lambda p, rank: _bounds(LevelSystem(delta_deviation=p[0]), rank)[::-1]),
+              lambda p, rank, timed:
+              _bounds(timed, LevelSystem(delta_deviation=p[0]), rank)[::-1]),
     "fig5a": (("detuning",) + SIGMA_COLUMNS, _line(0.1, 50.0, 21, log=True),
-              lambda p, rank: _slm_gains(p[0])),
+              lambda p, rank, timed: _slm_gains(timed, p[0])),
     "fig6b": (("detuning", "p_shaped_over_n", "p_unshaped_over_n"),
               _line(0.1, 100.0, 25, log=True),
-              lambda p, rank: _matched_slm_populations(p[0])),
+              lambda p, rank, timed: _matched_slm_populations(timed, p[0])),
     "fig7a": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
-              lambda p, rank: _pump_gains(p[0], 0.0)),
+              lambda p, rank, timed: _pump_gains(timed, p[0], 0.0)),
     "fig7b": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
-              lambda p, rank: _pump_gains(p[0], 1.0)),
+              lambda p, rank, timed: _pump_gains(timed, p[0], 1.0)),
     "fig8a": (("detuning", "delta_deviation", "quantum_enhancement"), _fig8_points,
               partial(_fig8_ratio, 0)),
     "fig8b": (("detuning", "delta_deviation", "e_q_shaped"), _fig8_points,
@@ -355,10 +395,11 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header, make_points, values = FIGURES[args.name]
     points = make_points(args.points)
-    computed = _map_points(lambda p: values(p, args.rank), points)
+    computed = _map_points(lambda p: values(p, args.rank, args.timed), points)
     rows = [p + tuple(v) for p, v in zip(points, computed)]
     csv_path = os.path.join(args.out, f"{args.name}.csv")
-    _write_csv(csv_path, header, rows)
+    with args.timed("write"):
+        _write_csv(csv_path, header, rows)
     _write_report(args, f"figure {args.name}",
                   {"name": args.name, "points": args.points, "rank": args.rank},
                   None, {"csv": os.path.basename(csv_path), "rows": len(rows)},
@@ -459,6 +500,7 @@ def main(argv=None) -> int:
             tokens = _load_config_tokens(args.config, parsers[argv[0]])
             # config values come first so explicit flags take precedence
             args = parser.parse_args([argv[0]] + tokens + argv[1:])
+        args.timed = _StageClock()
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -243,6 +243,8 @@ def write_kernel_csv(kernel: KernelMatrix, path) -> None:
         fh.write("# grid2 min,step,count = {:.17g},{:.17g},{}\n".format(
             kernel.grid2.min, kernel.grid2.step, kernel.grid2.count))
         fh.write(f"# weight_embedded = {kernel.weight_embedded}\n")
-        for row in kernel.entries:
-            fh.write(",".join(f"{z.real:.9g},{z.imag:.9g}" for z in row))
-            fh.write("\n")
+        # a complex row viewed as floats is its re,im pairs; '%.9g' % x == format(x, '.9g')
+        pairs = np.ascontiguousarray(kernel.entries, dtype=complex).view(np.float64)
+        line = ",".join(["%.9g"] * pairs.shape[1]) + "\n"
+        for row in pairs:
+            fh.write(line % tuple(row.tolist()))

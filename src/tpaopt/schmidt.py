@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
+# Largest relative mirror asymmetry of a centro-Hermitian `HankelKernel`; nodes computed as
+# min + k * step leave 1e-14 or so on the kernels that are centro-Hermitian in exact arithmetic.
+CENTRO_HERMITIAN_RTOL = 1e-12
 
 # Default-rank policy of `solver_rank`, from timings of Phi at delta = -1.5 with one BLAS thread
 # on a 2-core x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum is faster
@@ -56,7 +59,9 @@ class SchmidtDecomposition:
     modes_2[k] hold the mode pair on the grid nodes, orthonormal under the
     trapezoidal inner product.  The amplitude is sum_k r_k conj(modes_1[k])
     x conj(modes_2[k]).  residual is the Frobenius norm of the part of the
-    kernel discarded by truncation (0 at full rank, up to roundoff).  Without
+    kernel discarded by truncation: from the discarded singular values after
+    a dense SVD (exactly 0 at full rank), from the norm difference, which
+    resolves no less than about 1e-8 of the norm, after ARPACK.  Without
     vectors the mode arrays have no rows.  method names the solver that ran
     (see `choose_solver`; "hankel_arpack" is ARPACK on a `HankelKernel`).
     """
@@ -100,6 +105,11 @@ def _operator(shape, apply, apply_transpose) -> LinearOperator:
                           dtype=complex)
 
 
+def _mirror_conjugate(x: np.ndarray) -> bool:
+    """Whether x reversed equals conj(x) to CENTRO_HERMITIAN_RTOL of max |x|."""
+    return np.max(np.abs(x[::-1] - np.conj(x))) <= CENTRO_HERMITIAN_RTOL * np.max(np.abs(x))
+
+
 class HankelKernel:
     """Weight-embedded kernel D (E H + H E) D, or D E H D if one-sided, kept matrix-free.
 
@@ -108,6 +118,13 @@ class HankelKernel:
     Products with the matrix and its adjoint cost O(n log n) by zero-padded
     FFT and O(n) memory; `to_dense` gathers the matrix for the dense SVD.
     grid2 is grid1 up to a shift, so both axes have the same weights.
+
+    `centro_hermitian` tells whether J A J = conj(A), J reversing the node
+    order: diag and hankel are conjugated by reversal (to CENTRO_HERMITIAN_RTOL
+    of their largest magnitude) and the weights are mirror-symmetric.  This
+    holds for the one-sided kernel on its offset grid and for Phi at zero
+    detuning, since both Lorentzian lines obey L(-x) = conj L(x) about their
+    centres; the dense SVD of such a kernel runs in real arithmetic.
     """
 
     weight_embedded = True
@@ -120,6 +137,12 @@ class HankelKernel:
         self._sw = np.sqrt(quadrature_weights(grid1))
         self._fft_size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
         self._hankel_fft = np.fft.fft(hankel, self._fft_size)
+        self._centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
+                                      and np.array_equal(self._sw, self._sw[::-1]))
+
+    @property
+    def centro_hermitian(self) -> bool:
+        return self._centro_hermitian
 
     def _hankel_apply(self, u: np.ndarray) -> np.ndarray:
         """H @ u along axis 0: the tail of the convolution of hankel with reversed u."""
@@ -213,14 +236,21 @@ def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
 
 
 def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
-    """Rotate each singular pair so the largest-magnitude entry of u is real positive."""
-    for k in range(u.shape[1]):
-        m = np.argmax(np.abs(u[:, k]))
-        z = u[m, k]
-        if z != 0:
-            ph = z / abs(z)
-            u[:, k] *= np.conj(ph)
-            vh[k, :] *= ph
+    """Rotate each singular pair so the anchor entry of u is real positive.
+
+    The anchor is the lowest index whose magnitude is within a relative 1e-6
+    of the column's largest, so entries tied up to roundoff (such as the
+    mirror pairs |u_i| = |u_(n-1-i)| of a centro-Hermitian kernel) do not
+    let roundoff pick it.
+    """
+    mag = np.abs(u)
+    anchor = np.argmax(mag >= (1.0 - 1e-6) * mag.max(axis=0), axis=0)
+    z = u[anchor, np.arange(u.shape[1])]
+    ph = np.ones_like(z)
+    nonzero = z != 0
+    ph[nonzero] = z[nonzero] / np.abs(z[nonzero])
+    u *= np.conj(ph)
+    vh *= ph[:, None]
 
 
 def _arpack(a: LinearOperator, k: int, vectors: bool):
@@ -239,6 +269,34 @@ def _arpack(a: LinearOperator, k: int, vectors: bool):
     return u, s[order], vh
 
 
+def _dense_svd(kernel: KernelMatrix | HankelKernel, vectors: bool):
+    """Full SVD (u, s, vh; u and vh None without vectors) of the kernel's dense matrix.
+
+    A centro-Hermitian `HankelKernel` A is unitarily similar to the real
+    R = Re(Z^H A Z) with Z = (I + iJ)/sqrt(2) (Lee 1980; Hill, Bates & Waters
+    1990), so its SVD runs in real arithmetic at under half the cost, and
+    A = (Z u_R) s (Z v_R)^H gives the modes.
+    """
+    structured = isinstance(kernel, HankelKernel)
+    a = kernel.to_dense().entries if structured else kernel.entries
+    real = structured and kernel.centro_hermitian
+    if real:
+        # R = (Re A + J Re A J)/2 - (Im A J - J Im A)/2: the projection onto
+        # centro-Hermitian matrices drops the roundoff-level asymmetry of A
+        # instead of copying it into R, as Re A - Im A J would.
+        r = a.real + a.real[::-1, ::-1]
+        r -= a.imag[:, ::-1]
+        r += a.imag[::-1, :]
+        r *= 0.5
+        a = r  # the complex matrix is not kept through the SVD
+    if not vectors:
+        return None, np.linalg.svd(a, compute_uv=False), None
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if real:
+        u, vh = (u + 1j * u[::-1]) / np.sqrt(2.0), (vh - 1j * vh[:, ::-1]) / np.sqrt(2.0)
+    return u, s, vh
+
+
 def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
               renormalize: bool = False, vectors: bool = True) -> SchmidtDecomposition:
     """Schmidt-decompose a weight-embedded kernel.
@@ -254,7 +312,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         on the Gram operator) with a fixed start vector, on a `HankelKernel`
         without forming its matrix (see `choose_solver`; `solver_rank` gives
         the default rank for a grid size).  Ranks beyond the matrix
-        dimension are clipped with a warning.
+        dimension are clipped with a warning.  The dense SVD of a
+        centro-Hermitian `HankelKernel` runs on an equivalent real matrix
+        of the same size; its coefficients and modes are those of the
+        complex SVD up to roundoff.
     renormalize : bool
         Rescale the retained coefficients so their squares sum to 1.
     vectors : bool
@@ -282,15 +343,14 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
              else _operator(kernel.shape, kernel.entries.dot, kernel.entries.T.dot))
         u, s, vh = _arpack(a, rank, vectors)
         method = "hankel_arpack" if structured else method
+        residual = float(np.sqrt(max(kernel.frobenius_norm2() - np.sum(s**2), 0.0)))
     else:
-        if isinstance(kernel, HankelKernel):
-            kernel = kernel.to_dense()
+        u, s, vh = _dense_svd(kernel, vectors)
+        keep = s.size if rank is None else rank
+        residual = float(np.sqrt(np.sum(s[keep:] ** 2)))
+        s = s[:keep]
         if vectors:
-            u, s, vh = np.linalg.svd(kernel.entries, full_matrices=False)
-            u, s, vh = u[:, :rank], s[:rank], vh[:rank, :]
-        else:
-            u, s, vh = None, np.linalg.svd(kernel.entries, compute_uv=False)[:rank], None
-    fro2 = kernel.frobenius_norm2()
+            u, vh = u[:, :keep], vh[:keep, :]
 
     n1, n2 = kernel.shape
     if vectors:
@@ -302,7 +362,6 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     else:
         modes_1, modes_2 = np.empty((0, n1), complex), np.empty((0, n2), complex)
 
-    residual = float(np.sqrt(max(fro2 - np.sum(s**2), 0.0)))
     if renormalize:
         total = np.sqrt(np.sum(s**2))
         if total == 0:

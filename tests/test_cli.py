@@ -1,12 +1,16 @@
 import json
 import os
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from tpaopt import (LevelSystem, choose_solver, decompose, default_grid, grids,
                     optimal_state_kernel, schmidt, solver_rank)
+from tpaopt import cli
 from tpaopt.cli import main
 from tpaopt.schmidt import DEFAULT_RANK, DENSE_MAX_NODES
 
@@ -21,7 +25,8 @@ def test_schmidt_separable_point(tmp_path):
     assert main(["schmidt", "--delta", "0", "--dev", "0", "--out", out, "--rank", "8",
                  "--grid-half-width", "200", "--step", "0.5", "--grid-center", "0"]) == 0
     rep = read_report(out)
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
+    assert set(rep["timing"]) == {"solve", "bounds", "write"}
     assert rep["results"]["entropy_bits"] <= 0.02
     assert rep["results"]["quantum_enhancement"] <= 1.01
     assert rep["grid"]["points"] == 801
@@ -63,8 +68,9 @@ def test_figure_fig2b_columns_and_determinism(tmp_path):
     header = csv1.decode().splitlines()[0]
     assert header == "detuning,entropy_bits,quantum_enhancement"
     rep1, rep2 = read_report(out1), read_report(out2)
-    rep1.pop("wall_time_ms")
-    rep2.pop("wall_time_ms")
+    for rep in (rep1, rep2):  # the run-to-run fields
+        rep.pop("wall_time_ms")
+        rep.pop("timing")
     assert rep1 == rep2
 
 
@@ -73,9 +79,37 @@ def test_report_schema_keys(tmp_path):
     assert main(["shape-slm", "--delta", "2", "--sigma", "1", "--out", out]) == 0
     rep = read_report(out)
     assert set(rep) == {"schema_version", "command", "params", "grid",
-                        "results", "diagnostics", "wall_time_ms"}
+                        "results", "diagnostics", "timing", "wall_time_ms"}
     assert rep["command"] == "shape-slm"
     assert isinstance(rep["wall_time_ms"], int)
+    assert set(rep["timing"]) == {"shape", "write"}
+    assert all(ms >= 0.0 for ms in rep["timing"].values())
+
+
+def test_stage_clock_keeps_every_update_under_threads(monkeypatch):
+    # each thread's clock advances 0.5 s per reading, so every block lasts exactly 500 ms
+    local = threading.local()
+
+    def fake_perf_counter():
+        local.t = getattr(local, "t", -0.5) + 0.5
+        return local.t
+
+    monkeypatch.setattr(cli.time, "perf_counter", fake_perf_counter)
+    clock = cli._StageClock()
+
+    def work(_):
+        for _ in range(500):
+            with clock("solve"):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert clock.ms == {"solve": 8 * 500 * 500.0}
 
 
 def test_figure_fig2c_enhancement_limit_decreases_with_final_width(tmp_path):

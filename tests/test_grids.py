@@ -180,3 +180,20 @@ def test_marginal_sum_matches_row_by_row_sum_bitwise(embed):
     omega_plus, density = kernel_marginal_sum(k)
     np.testing.assert_array_equal(density, acc / g1.step)
     assert omega_plus.size == acc.size
+
+
+def test_kernel_csv_rows_match_per_element_formatting(tmp_path):
+    # reference: the per-element f-string loop the row formatting replaced
+    g1, g2 = make_grid(0.0, 2.0, 0.5), make_grid(1.0, 1.5, 0.5)
+    n = 2 * g1.count * g2.count
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 1.0, -3.0, 12345678.0, 1e-300, -5e-324, 1e20, 123456789012.0, 0.1]
+    scales = 10.0 ** rng.integers(-20, 21, n - len(special))
+    values = np.concatenate([special, rng.standard_normal(n - len(special)) * scales])
+    entries = (values[0::2] + 1j * values[1::2]).reshape(g1.count, g2.count)
+    k = KernelMatrix(g1, g2, entries, True)
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(k, path)
+    rows = path.read_text().splitlines()[3:]
+    expected = [",".join(f"{z.real:.9g},{z.imag:.9g}" for z in row) for row in k.entries]
+    assert rows == expected

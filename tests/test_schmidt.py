@@ -316,3 +316,80 @@ def test_structured_kernel_checks_memory_before_allocating():
     sys = LevelSystem()
     with pytest.raises(ValueError, match="physical memory"):
         optimal_state_operator(sys, make_grid(0.0, 400.0, 1e-4))
+
+
+@pytest.mark.parametrize("dev", [-1.9, -1.76, -0.5, 1.0])
+def test_one_sided_kernel_is_centro_hermitian(dev):
+    sys = LevelSystem(delta_detuning=4.0, delta_deviation=dev)
+    assert _one_sided_kernel(sys, schmidt.bounds_grid(sys)).centro_hermitian
+
+
+def test_centro_hermitian_detection():
+    sys = LevelSystem(delta_deviation=-1.2)
+    grid = make_grid(sys.omega_f / 2.0, 30.0, 0.25)
+    assert optimal_state_operator(sys, grid).centro_hermitian  # Delta = 0
+    detuned = LevelSystem(delta_detuning=0.1, delta_deviation=-1.2)
+    assert not optimal_state_operator(detuned, grid).centro_hermitian
+    q = _one_sided_kernel(sys, grid)
+    diag = q.diag.copy()
+    diag[3] *= 1.0 + 1e-8
+    assert not schmidt.HankelKernel(q.grid1, q.grid2, diag, q.hankel, False).centro_hermitian
+
+
+def _centro_hermitian_kernels():
+    """Q/sqrt(N/2) and Phi at zero detuning, both centro-Hermitian, on small grids."""
+    sys = LevelSystem(delta_deviation=-1.5)
+    q = _one_sided_kernel(sys, make_grid(0.0, 40.0, 0.2))
+    phi = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 30.0, 0.25))
+    return {"q": q, "phi": phi}
+
+
+@pytest.mark.parametrize("name", ["q", "phi"])
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_real_arithmetic_solve_matches_complex_svd(name, vectors):
+    op = _centro_hermitian_kernels()[name]
+    assert op.centro_hermitian
+    a = op.to_dense().entries
+    s = np.linalg.svd(a, compute_uv=False)
+    d = decompose(op, vectors=vectors)
+    assert d.method == ("dense" if vectors else "dense_values")
+    assert np.max(np.abs(d.coefficients - s)) <= 1e-13 * s[0]
+    assert d.residual == 0.0  # a full dense spectrum discards nothing
+    if vectors:
+        assert np.max(np.abs(reconstruct(d) - a)) < 1e-12
+        w = quadrature_weights(d.grid1)
+        for modes in (d.modes_1, d.modes_2):
+            gram = np.einsum("kn,n,ln->kl", np.conj(modes), w, modes)
+            assert np.max(np.abs(gram - np.eye(len(s)))) < 1e-10
+
+
+def test_values_only_bounds_match_complex_svd():
+    sys = LevelSystem(delta_detuning=7.0, delta_deviation=-1.76)
+    grid = make_grid(0.0, 40.0, 0.2)
+    s = decompose(_one_sided_kernel(sys, grid).to_dense(), vectors=False)  # complex SVD
+    e_inf, s_inf = asymptotic_bounds(sys, grid)
+    assert e_inf == pytest.approx(2.0 / s.coefficients[0] ** 2, rel=1e-12)
+    assert s_inf == pytest.approx(1.0 + entropy(s), abs=1e-10)
+
+
+def test_full_rank_dense_residual_is_zero():
+    _, k = small_kernel(half=30.0, step=0.5)
+    assert decompose(k).residual == 0.0
+    assert decompose(k, vectors=False).residual == 0.0
+
+
+def test_mirror_tie_phase_anchor_is_stable():
+    # two entries of equal magnitude, as every mode of a centro-Hermitian kernel has
+    rng = np.random.default_rng(5)
+    u = 0.3 * (rng.standard_normal((9, 1)) + 1j * rng.standard_normal((9, 1))) / 2.0
+    u[2, 0], u[6, 0] = np.exp(0.3j), np.exp(-1.1j)
+    fixed = []
+    for sign in (1.0, -1.0):
+        up = u.copy()
+        up[2, 0] *= 1.0 + sign * 1e-15
+        up[6, 0] *= 1.0 - sign * 1e-15
+        vh = np.ones((1, 9), complex)
+        schmidt._fix_mode_phases(up, vh)
+        assert up[2, 0].real > 0 and abs(up[2, 0].imag) <= 1e-15
+        fixed.append(up)
+    assert np.max(np.abs(fixed[0] - fixed[1])) < 1e-14
