@@ -95,7 +95,8 @@ def test_full_rank_reconstruction():
     rec = reconstruct(d)
     err = np.linalg.norm(rec - k.entries) / np.linalg.norm(k.entries)
     assert err < 1e-6
-    assert d.residual <= 1e-10
+    assert d.residual == 0.0  # a full dense spectrum discards nothing
+    assert decompose(k, vectors=False).residual == 0.0
 
 
 def test_truncation_residual_and_soundness():
@@ -310,6 +311,10 @@ def test_values_only_bounds_match_full_decomposition():
     e_inf, s_inf = asymptotic_bounds(sys, grid)
     assert e_inf == pytest.approx(2.0 / d.coefficients[0] ** 2, rel=1e-12)
     assert s_inf == pytest.approx(1.0 + entropy(d), abs=1e-9)
+    # the real-arithmetic solve of Q against the complex SVD of its matrix
+    c = decompose(_one_sided_kernel(sys, grid).to_dense(), vectors=False)
+    assert e_inf == pytest.approx(2.0 / c.coefficients[0] ** 2, rel=1e-12)
+    assert s_inf == pytest.approx(1.0 + entropy(c), abs=1e-10)
 
 
 def test_structured_kernel_checks_memory_before_allocating():
@@ -361,21 +366,6 @@ def test_real_arithmetic_solve_matches_complex_svd(name, vectors):
         for modes in (d.modes_1, d.modes_2):
             gram = np.einsum("kn,n,ln->kl", np.conj(modes), w, modes)
             assert np.max(np.abs(gram - np.eye(len(s)))) < 1e-10
-
-
-def test_values_only_bounds_match_complex_svd():
-    sys = LevelSystem(delta_detuning=7.0, delta_deviation=-1.76)
-    grid = make_grid(0.0, 40.0, 0.2)
-    s = decompose(_one_sided_kernel(sys, grid).to_dense(), vectors=False)  # complex SVD
-    e_inf, s_inf = asymptotic_bounds(sys, grid)
-    assert e_inf == pytest.approx(2.0 / s.coefficients[0] ** 2, rel=1e-12)
-    assert s_inf == pytest.approx(1.0 + entropy(s), abs=1e-10)
-
-
-def test_full_rank_dense_residual_is_zero():
-    _, k = small_kernel(half=30.0, step=0.5)
-    assert decompose(k).residual == 0.0
-    assert decompose(k, vectors=False).residual == 0.0
 
 
 def test_mirror_tie_phase_anchor_is_stable():
