@@ -39,6 +39,8 @@ from .schmidt import (
     choose_solver,
     solver_rank,
     decompose,
+    optimal_state_schmidt,
+    solver_stats,
     entropy,
     quantum_enhancement,
     optimal_separable,

@@ -1,13 +1,10 @@
 """Command-line driver: single evaluations, parameter sweeps, figure tables.
 
-Subcommands
------------
-schmidt     Schmidt analysis of the optimal pair amplitude for one (Delta,
-            delta) point or a parameter sweep.
-shape-slm   Optimal identical modulators for a cw-SPDC pair.
-shape-pump  Optimal pump shaper for chirped-pump down-conversion.
-figure      Deterministic CSV tables for the bundled sweep presets
-            (fig2a..fig8c).
+Subcommands: schmidt (Schmidt analysis of the optimal pair amplitude at one
+(Delta, delta) point or along a sweep), shape-slm (optimal identical
+modulators for a cw-SPDC pair), shape-pump (optimal pump shaper for
+chirped-pump down-conversion) and figure (CSV tables of the bundled presets
+fig2a..fig8c).
 
 Outputs are CSV tables plus a JSON run report with a fixed schema
 {schema_version, command, params, grid, results, diagnostics, timing,
@@ -22,11 +19,13 @@ a thread pool; results are gathered in parameter order, so output is
 unchanged.  Pair it with OPENBLAS_NUM_THREADS=1, or the BLAS threads
 oversubscribe the cores.
 
-The Schmidt solver is the library's choice: `schmidt.solver_rank` turns
---rank (passed through unchanged) and the node count into the rank handed to
-`decompose`, which runs a dense SVD (values-only where no modes are written)
-or ARPACK on the matrix-free Hankel kernel; the report's diagnostics and sweep
-rows name the one that ran.
+A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
+the grid flags and --rank as they are: the library builds the grid
+(`grids.auto_grid`, the reference grid widened at large detuning unless
+--grid-half-width is given) and picks the solver (`schmidt.solver_rank`), as
+`asymptotic_bounds` does on its own grid; the report's diagnostics and sweep
+rows name the solver that ran.  The Schmidt path supports one intermediate
+level only.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from functools import partial
 
 import numpy as np
 
-from .grids import auto_grid, default_grid, write_kernel_csv
+from .grids import write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (asymptotic_bounds, bounds_grid, decompose, entropy, optimal_state_kernel,
-                      optimal_state_operator, pairing_check, quantum_enhancement,
-                      solver_rank)
+from .schmidt import (asymptotic_bounds, entropy, optimal_state_kernel, optimal_state_schmidt,
+                      pairing_check, quantum_enhancement, solver_rank, solver_stats)
+from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
 
@@ -74,7 +73,8 @@ def _grid_dict(grid):
 class _StageClock:
     """Wall milliseconds per stage, summed over points; pool threads share one clock.
 
-    `with clock("solve"): ...` adds the block's duration to that stage.
+    `with clock("solve"): ...` adds the block's duration to that stage, as
+    does `clock.run("solve", fn, *args, **kwargs)` for the call fn(...).
     """
 
     def __init__(self):
@@ -90,6 +90,10 @@ class _StageClock:
             ms = (time.perf_counter() - t0) * 1000.0
             with self._lock:
                 self.ms[stage] = self.ms.get(stage, 0.0) + ms
+
+    def run(self, stage, fn, *args, **kwargs):
+        with self(stage):
+            return fn(*args, **kwargs)
 
 
 def _write_report(args, command, params, grid, results, diagnostics, t0):
@@ -116,9 +120,7 @@ def _map_points(fn, values):
 
 
 def _space(lo, hi, n, log=False):
-    if log:
-        return np.logspace(np.log10(lo), np.log10(hi), n)
-    return np.linspace(lo, hi, n)
+    return np.logspace(np.log10(lo), np.log10(hi), n) if log else np.linspace(lo, hi, n)
 
 
 def _sweep_values(args, sweepable):
@@ -142,35 +144,14 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(timed, delta, dev, rank, vectors=False, half=None, step=None, center=None,
-                  dump_path=None):
-    """(system, rank used, decomposition) on `auto_grid`, or on `default_grid` if overridden."""
+def _decompose_at(timed, delta, dev, rank, vectors=False, dump_path=None, **overrides):
+    """(system, decomposition) of the optimal state at (delta, dev), on the overridden grid."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    if half is None and step is None and center is None:
-        grid = auto_grid(sys_)
-    else:
-        grid = default_grid(sys_, half, step, center)
-    rank = solver_rank(grid.count, rank)
+    d = timed.run("solve", optimal_state_schmidt, sys_, rank=rank, vectors=vectors, **overrides)
     if dump_path is not None:
         with timed("write"):
-            write_kernel_csv(optimal_state_kernel(sys_, grid), dump_path)
-    with timed("solve"):
-        return sys_, rank, decompose(optimal_state_operator(sys_, grid), rank=rank,
-                                     vectors=vectors)
-
-
-def _bounds(timed, sys_, rank):
-    """(E_inf, S_inf) on the library's bounds grid."""
-    grid = bounds_grid(sys_)
-    with timed("bounds"):
-        return asymptotic_bounds(sys_, grid, rank=solver_rank(grid.count, rank))
-
-
-def _solver_stats(d):
-    """Which solver ran, on how many nodes, for how many coefficients, capturing what norm."""
-    kept = float(np.sum(d.coefficients**2))
-    return {"method": d.method, "n": d.grid1.count, "k": len(d.coefficients),
-            "captured_norm": kept / (kept + d.residual**2)}
+            write_kernel_csv(optimal_state_kernel(sys_, d.grid1), dump_path)
+    return sys_, d
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +160,15 @@ def _solver_stats(d):
 
 def _schmidt_point(args, delta, dev):
     single = not args.sweep  # only a single point writes modes (and the kernel)
-    sys_, rank, d = _decompose_at(args.timed, delta, dev, args.rank, single,
-                                  args.grid_half_width, args.step, args.grid_center,
-                                  os.path.join(args.out, "kernel.csv")
-                                  if single and args.dump_kernel else None)
-    e_inf, s_inf = _bounds(args.timed, sys_, args.rank)
+    dump = os.path.join(args.out, "kernel.csv") if single and args.dump_kernel else None
+    sys_, d = _decompose_at(args.timed, delta, dev, args.rank, single, dump,
+                            half=args.grid_half_width, step=args.step, center=args.grid_center)
+    e_inf, s_inf = args.timed.run("bounds", asymptotic_bounds, sys_, rank=args.rank)
     r1 = float(d.coefficients[0])
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
-           "grid": _grid_dict(d.grid1), "rank": rank, **_solver_stats(d)}
+           "grid": _grid_dict(d.grid1), "rank": solver_rank(d.grid1.count, args.rank),
+           **solver_stats(d)}
     return row, d
 
 
@@ -198,7 +179,7 @@ def _schmidt_single(args, params, row, d):
                **{k: row[k] for k in ("entropy_bits", "quantum_enhancement", "e_inf", "s_inf")}}
     diagnostics = {"rank": row["rank"], "dense": d.method.startswith("dense"),
                    "truncation_residual": d.residual, "coefficient_norm_sq": float(np.sum(r**2)),
-                   **_solver_stats(d)}
+                   **solver_stats(d)}
     if args.format in ("csv", "both"):
         _write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), ["k", "r", "r_squared"],
                    [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
@@ -216,17 +197,15 @@ SHAPING_COLUMNS = ("e_opt", "p_shaped", "p_unshaped", "residual")
 
 
 def _shaping_row(sol, **resolved):
-    row = dict(resolved, grid=_grid_dict(sol.grid))
-    row.update((k, getattr(sol, k)) for k in SHAPING_COLUMNS)
-    return row, sol
+    return dict(resolved, grid=_grid_dict(sol.grid),
+                **{k: getattr(sol, k) for k in SHAPING_COLUMNS}), sol
 
 
 def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     state = CwSpdc(sigma=_resolve(sigma, auto_slm_sigma, sys_))
     grid = slm_grid(sys_, state, args.grid_half_width, args.step)
-    with args.timed("shape"):
-        sol = optimal_slm(sys_, state, grid)
+    sol = args.timed.run("shape", optimal_slm, sys_, state, grid)
     return _shaping_row(sol, sigma=state.sigma)
 
 
@@ -240,8 +219,7 @@ def _pump_point(args, delta, dev, sigma, phi, zeta):
         zeta = None
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
-    with args.timed("shape"):
-        sol = optimal_pump_shaper(sys_, state, grid)
+    sol = args.timed.run("shape", optimal_pump_shaper, sys_, state, grid)
     return _shaping_row(sol, sigma=sigma, zeta=zeta)
 
 
@@ -326,7 +304,7 @@ def _fig8_points(n):
 
 
 def _schmidt_values(timed, delta, dev, rank):
-    d = _decompose_at(timed, delta, dev, rank)[2]
+    d = _decompose_at(timed, delta, dev, rank)[1]
     return entropy(d), quantum_enhancement(d)
 
 
@@ -338,8 +316,7 @@ def _slm_gains(timed, delta):
 
 def _matched_slm_populations(timed, delta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    with timed("shape"):
-        sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
+    sol = timed.run("shape", optimal_slm, sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
     return sol.p_shaped, sol.p_unshaped
 
 
@@ -352,13 +329,12 @@ def _pump_gains(timed, dev, phi):
 
 def _fig8_ratio(column, point, rank, timed):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
-    sys_, _, d = _decompose_at(timed, *point, 16 if rank is None else rank)
+    sys_, d = _decompose_at(timed, *point, 16 if rank is None else rank)
     lam1 = float(d.coefficients[0] ** 2)
     if column == 0:
         return (1.0 / lam1,)
     state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
-    with timed("shape"):
-        sol = optimal_pump_shaper(sys_, state)
+    sol = timed.run("shape", optimal_pump_shaper, sys_, state)
     return ((sol.p_shaped, sol.p_unshaped)[column - 1] / lam1,)
 
 
@@ -370,8 +346,8 @@ FIGURES = {
     "fig2b": (("detuning", "entropy_bits", "quantum_enhancement"), _line(0.1, 100.0, 25, log=True),
               lambda p, rank, timed: _schmidt_values(timed, p[0], -1.9, rank)),
     "fig2c": (("delta_deviation", "entropy_limit_bits", "enhancement_limit"), _line(-1.9, 2.0, 24),
-              lambda p, rank, timed:
-              _bounds(timed, LevelSystem(delta_deviation=p[0]), rank)[::-1]),
+              lambda p, rank, timed: timed.run("bounds", asymptotic_bounds,
+                                               LevelSystem(delta_deviation=p[0]), rank=rank)[::-1]),
     "fig5a": (("detuning",) + SIGMA_COLUMNS, _line(0.1, 50.0, 21, log=True),
               lambda p, rank, timed: _slm_gains(timed, p[0])),
     "fig6b": (("detuning", "p_shaped_over_n", "p_unshaped_over_n"),

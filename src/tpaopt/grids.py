@@ -159,31 +159,38 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
     return KernelMatrix(grid1, grid2, out, embed_weights)
 
 
+def _reference(sys: LevelSystem) -> tuple[float, float, float]:
+    """Centre, half-width and step of the reference grid: omega_f / 2, 200 gamma_f, gamma_e / 5."""
+    return sys.omega_f / 2.0, 200.0 * sys.gamma_f, sys.gamma_e / 5.0
+
+
 def default_grid(sys: LevelSystem, half: float | None = None, step: float | None = None,
                  center: float | None = None) -> FrequencyGrid:
     """Reference photon-frequency grid: +-200 gamma_f about omega_f / 2, step gamma_e / 5.
 
     half, step and center, when given, replace the reference values.
     """
-    return make_grid(sys.omega_f / 2.0 if center is None else center,
-                     200.0 * sys.gamma_f if half is None else half,
-                     sys.gamma_e / 5.0 if step is None else step)
+    ref_center, ref_half, ref_step = _reference(sys)
+    return make_grid(ref_center if center is None else center,
+                     ref_half if half is None else half,
+                     ref_step if step is None else step)
 
 
-def auto_grid(sys: LevelSystem) -> FrequencyGrid:
-    """`default_grid` with a coverage fallback for large detuning.
+def auto_grid(sys: LevelSystem, half: float | None = None, step: float | None = None,
+              center: float | None = None) -> FrequencyGrid:
+    """The grid of a Schmidt point: `default_grid` with the same overrides, widened if needed.
 
-    The +-200 gamma_f rule cannot contain both single-photon lines once
-    half the detuning approaches 200 gamma_f; in that regime the half-width
-    widens to |Delta|/2 + max(200 gamma_f, 100 gamma_e) so both lines keep
-    a generous tail margin.
+    Unless half is given, the half-width widens once +-200 gamma_f cannot hold both
+    single-photon lines (omega_e, omega_f - omega_e) with 15 gamma_e to spare, to the
+    farther line's distance from the centre plus max(200 gamma_f, 100 gamma_e).
     """
-    ge = sys.gamma_e
-    line_offset = abs(sys.omega_f / 2.0 - sys.omega_e)
-    half = 200.0 * sys.gamma_f
-    if half < line_offset + 15.0 * ge:
-        half = line_offset + max(200.0 * sys.gamma_f, 100.0 * ge)
-    return make_grid(sys.omega_f / 2.0, half, ge / 5.0)
+    if half is None:
+        ref_center, ref_half, _ = _reference(sys)
+        c = ref_center if center is None else center
+        line_offset = max(abs(c - sys.omega_e), abs(sys.omega_f - sys.omega_e - c))
+        if ref_half < line_offset + 15.0 * sys.gamma_e:
+            half = line_offset + max(ref_half, 100.0 * sys.gamma_e)
+    return default_grid(sys, half, step, center)
 
 
 def _plain_density(kernel: KernelMatrix):

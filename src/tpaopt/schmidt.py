@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-from .grids import (FrequencyGrid, KernelMatrix, check_dense_fits, make_grid,
+from .grids import (FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits, make_grid,
                     quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
@@ -30,6 +30,8 @@ __all__ = [
     "choose_solver",
     "solver_rank",
     "decompose",
+    "optimal_state_schmidt",
+    "solver_stats",
     "entropy",
     "quantum_enhancement",
     "optimal_separable",
@@ -137,12 +139,8 @@ class HankelKernel:
         self._sw = np.sqrt(quadrature_weights(grid1))
         self._fft_size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
         self._hankel_fft = np.fft.fft(hankel, self._fft_size)
-        self._centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
-                                      and np.array_equal(self._sw, self._sw[::-1]))
-
-    @property
-    def centro_hermitian(self) -> bool:
-        return self._centro_hermitian
+        self.centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
+                                     and np.array_equal(self._sw, self._sw[::-1]))
 
     def _hankel_apply(self, u: np.ndarray) -> np.ndarray:
         """H @ u along axis 0: the tail of the convolution of hankel with reversed u."""
@@ -330,10 +328,8 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         raise ValueError("decompose requires a weight-embedded kernel")
     max_rank = min(kernel.shape)
     if rank is not None and rank > max_rank:
-        warnings.warn(
-            f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
-            RuntimeWarning,
-        )
+        warnings.warn(f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
+                      RuntimeWarning)
         rank = max_rank
 
     method = choose_solver(max_rank, rank, vectors)
@@ -368,17 +364,33 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
             raise ValueError("cannot renormalize an identically zero kernel")
         s = s / total
 
-    return SchmidtDecomposition(
-        coefficients=s,
-        modes_1=modes_1,
-        modes_2=modes_2,
-        grid1=kernel.grid1,
-        grid2=kernel.grid2,
-        truncation_rank=len(s),
-        residual=residual,
-        renormalized=renormalize,
-        method=method,
-    )
+    return SchmidtDecomposition(coefficients=s, modes_1=modes_1, modes_2=modes_2,
+                                grid1=kernel.grid1, grid2=kernel.grid2, truncation_rank=len(s),
+                                residual=residual, renormalized=renormalize, method=method)
+
+
+def optimal_state_schmidt(sys: LevelSystem, grid: FrequencyGrid | None = None,
+                          rank: int | None = None, vectors: bool = True, *,
+                          half: float | None = None, step: float | None = None,
+                          center: float | None = None) -> SchmidtDecomposition:
+    """Schmidt decomposition of the optimal pair amplitude Phi by the library's policy.
+
+    grid defaults to `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and
+    `decompose` runs on the matrix-free `optimal_state_operator`; vectors=False skips the modes.
+    """
+    if grid is None:
+        grid = auto_grid(sys, half, step, center)
+    elif (half, step, center) != (None, None, None):
+        raise ValueError("half, step and center apply to the default grid only")
+    return decompose(optimal_state_operator(sys, grid), rank=solver_rank(grid.count, rank),
+                     vectors=vectors)
+
+
+def solver_stats(d: SchmidtDecomposition) -> dict:
+    """method, n, k and captured_norm = sum r^2 / (sum r^2 + residual^2) of a decomposition."""
+    kept = float(np.sum(d.coefficients**2))
+    return {"method": d.method, "n": d.grid1.count, "k": len(d.coefficients),
+            "captured_norm": kept / (kept + d.residual**2)}
 
 
 def entropy(d: SchmidtDecomposition) -> float:
@@ -449,16 +461,19 @@ def bounds_grid(sys: LevelSystem) -> FrequencyGrid:
     return make_grid(0.0, half, step)
 
 
-def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid,
+def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid | None = None,
                       rank: int | None = None) -> tuple[float, float]:
     """Large-detuning bounds (E_inf, S_inf) from the one-sided kernel.
 
     E_inf = 2 / s_1^2 and S_inf = 1 + S_a, where s_k and S_a come from the
-    decomposition of Q/sqrt(N/2).  Both are independent of the detuning.
-    Only the coefficients are computed: rank None takes the full spectrum
-    from a values-only dense SVD, a rank below n - 1 the truncated one.
+    decomposition of Q/sqrt(N/2) on grid (default `bounds_grid(sys)`).
+    Both are independent of the detuning.  Only the coefficients are
+    computed, at the rank `solver_rank` gives for rank: a values-only dense
+    SVD for the full spectrum, the truncated one for a rank below n - 1.
     """
-    dq = decompose(_one_sided_kernel(sys, grid), rank=rank, vectors=False)
+    grid = bounds_grid(sys) if grid is None else grid
+    dq = decompose(_one_sided_kernel(sys, grid), rank=solver_rank(grid.count, rank),
+                   vectors=False)
     if dq.coefficients.size == 0 or dq.coefficients[0] <= 0:
         raise ValueError("degenerate one-sided decomposition")
     e_inf = 2.0 / dq.coefficients[0] ** 2

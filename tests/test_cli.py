@@ -8,8 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tpaopt import (LevelSystem, choose_solver, decompose, default_grid, grids,
-                    optimal_state_kernel, schmidt, solver_rank)
+from tpaopt import (LevelSystem, auto_grid, choose_solver, decompose, default_grid, grids,
+                    optimal_state_kernel, optimal_state_operator, optimal_state_schmidt, schmidt,
+                    solver_rank)
 from tpaopt import cli
 from tpaopt.cli import main
 from tpaopt.schmidt import DEFAULT_RANK, DENSE_MAX_NODES
@@ -39,6 +40,15 @@ def test_schmidt_default_grid_echoed(tmp_path):
     assert main(["schmidt", "--delta", "5", "--dev", "-1.9", "--out", out]) == 0
     rep = read_report(out)
     assert rep["grid"] == {"min": -17.5, "max": 22.5, "step": 0.2, "points": 201}
+
+
+def test_step_override_keeps_both_lines_on_the_grid(tmp_path):
+    # a --step override keeps the large-detuning widening; [100, 900] would miss both lines
+    out = str(tmp_path)
+    assert main(["schmidt", "--delta", "1000", "--step", "1", "--rank", "8", "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["grid"]["min"] < 0.0 and rep["grid"]["max"] > 1000.0  # omega_e, omega_f - omega_e
+    assert rep["results"]["quantum_enhancement"] == pytest.approx(2.461, rel=0.02)
 
 
 def test_schmidt_rejects_bad_deviation(tmp_path):
@@ -294,11 +304,25 @@ def test_solver_policy(n, rank, vectors, expected):
 
 
 @pytest.mark.parametrize("vectors", [False, True])
-def test_solver_policy_crossover(vectors):
+def test_solver_policy_crossover(monkeypatch, vectors):
     assert solver_rank(DENSE_MAX_NODES) is None
     assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
     assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
     assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == "arpack"
+    # the system-level entry is the policy applied to Phi on auto_grid, on both sides of
+    # a crossover patched down to this 201-node grid
+    sys_ = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
+    grid = auto_grid(sys_)
+    monkeypatch.setattr(schmidt, "DEFAULT_RANK", 16)
+    for crossover, method in ((grid.count, "dense"), (grid.count - 1, "hankel_arpack")):
+        monkeypatch.setattr(schmidt, "DENSE_MAX_NODES", crossover)
+        d = optimal_state_schmidt(sys_, vectors=vectors)
+        ref = decompose(optimal_state_operator(sys_, grid), rank=solver_rank(grid.count),
+                        vectors=vectors)
+        assert d.method.startswith(method) and d.grid1 == grid
+        for a, b in ((d.coefficients, ref.coefficients), (d.modes_1, ref.modes_1),
+                     (d.modes_2, ref.modes_2), (d.residual, ref.residual)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):

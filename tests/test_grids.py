@@ -55,6 +55,11 @@ def test_auto_grid_covers_both_lines_at_large_detuning():
     sys = LevelSystem(delta_detuning=100.0, delta_deviation=-1.9)
     g = auto_grid(sys)
     assert g.min < sys.omega_e - 50 and g.max > sys.omega_f - sys.omega_e + 50
+    # a step override keeps the widening: the same range at the given step
+    far = LevelSystem(delta_detuning=1000.0)
+    g, ref = auto_grid(far, step=1.0), auto_grid(far)
+    assert g.min < far.omega_e - 50 and g.max > far.omega_f - far.omega_e + 50
+    assert (g.min, g.max, g.step, g.count) == pytest.approx((ref.min, ref.max, 1.0, 1801))
     # and coincides with the reference grid where that one suffices
     small = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     assert auto_grid(small) == default_grid(small)

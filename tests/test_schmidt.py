@@ -19,6 +19,7 @@ from tpaopt import (
     reconstruct,
     response_asymmetric,
     sample_kernel,
+    solver_rank,
 )
 from tpaopt import schmidt
 from tpaopt.schmidt import _one_sided_kernel
@@ -309,6 +310,10 @@ def test_values_only_bounds_match_full_decomposition():
     d = asymmetric_decomposition(sys, grid)
     assert d.method == "dense" and d.coefficients.size == grid.count
     e_inf, s_inf = asymptotic_bounds(sys, grid)
+    # the defaults: the library's bounds grid at the rank solver_rank gives
+    q_grid = schmidt.bounds_grid(sys)
+    assert asymptotic_bounds(sys) == asymptotic_bounds(sys, q_grid,
+                                                       rank=solver_rank(q_grid.count))
     assert e_inf == pytest.approx(2.0 / d.coefficients[0] ** 2, rel=1e-12)
     assert s_inf == pytest.approx(1.0 + entropy(d), abs=1e-9)
     # the real-arithmetic solve of Q against the complex SVD of its matrix

@@ -1,0 +1,149 @@
+"""Output gate: run a fixed list of CLI commands and record what each one writes.
+
+    python tools/output_gate.py OUT_DIR [--src SRC]   # run, write OUT_DIR/manifest.json
+    python tools/output_gate.py --compare A B         # list the differences of two manifests
+
+Each command runs in a fresh interpreter (``python -m tpaopt.cli``, the
+package taken from SRC, by default this checkout's ``src``) with
+OPENBLAS_NUM_THREADS=1 and TPAOPT_THREADS unset, inside its own output directory.
+The manifest holds, per command, the exit code, the stdout and the sha256 of
+every output file; ``report.json`` is hashed with its run-dependent
+``wall_time_ms`` and ``timing`` removed.  Run it on two checkouts and compare
+the manifests to show that a change leaves every output byte-identical.
+The whole list takes about a minute on one core of a 2-core x86-64 VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs the CLI with every SVD failing, to reach the solver-failure exit code 3.
+FAILING_SVD = """import sys
+import numpy as np
+def fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+np.linalg.svd = fail
+from tpaopt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+# name -> CLI argv (without --out); the "exit3" entry runs under FAILING_SVD.
+COMMANDS = {
+    "point_default": ["schmidt", "--delta", "5", "--dev", "-1.9"],
+    "point_default_1001": ["schmidt", "--delta", "3", "--dev", "-1.5"],
+    "point_rank8": ["schmidt", "--delta", "5", "--dev", "-1.5", "--rank", "8"],
+    "point_rank16": ["schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "16"],
+    "point_rank200": ["schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "200"],
+    "point_rank250": ["schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "250"],
+    "point_rank0": ["schmidt", "--delta", "2", "--dev", "-1.8", "--rank", "0"],
+    "delta0_default": ["schmidt", "--delta", "0", "--dev", "-1.9"],
+    "delta0_rank0": ["schmidt", "--delta", "0", "--dev", "-1.5", "--rank", "0"],
+    "delta0_rank8": ["schmidt", "--delta", "0", "--dev", "0", "--rank", "8"],
+    "dump_kernel": ["schmidt", "--delta", "1", "--dev", "-0.5", "--grid-half-width", "20",
+                    "--step", "0.5", "--dump-kernel"],
+    "dump_kernel_delta0": ["schmidt", "--delta", "0", "--dev", "-0.5", "--grid-half-width",
+                           "20", "--step", "0.5", "--dump-kernel"],
+    "modes4": ["schmidt", "--delta", "3", "--dev", "-1.8", "--modes", "4"],
+    "half_width": ["schmidt", "--delta", "5", "--dev", "-1.9", "--grid-half-width", "30"],
+    "step": ["schmidt", "--delta", "5", "--dev", "-1.9", "--step", "0.25"],
+    "center": ["schmidt", "--delta", "5", "--dev", "-1.9", "--grid-center", "3"],
+    "sweep_delta": ["schmidt", "--dev", "-1.8", "--sweep", "delta", "1", "5", "3"],
+    "sweep_dev": ["schmidt", "--delta", "4", "--sweep", "dev", "-1.9", "-1.7", "3"],
+    "fig2a": ["figure", "fig2a", "--points", "2", "--rank", "8"],
+    "fig2b": ["figure", "fig2b", "--points", "3"],
+    "fig2c": ["figure", "fig2c", "--points", "2"],
+    "fig5a": ["figure", "fig5a", "--points", "3"],
+    "fig6b": ["figure", "fig6b", "--points", "3"],
+    "fig7a": ["figure", "fig7a", "--points", "3"],
+    "fig7b": ["figure", "fig7b", "--points", "3"],
+    "fig8a": ["figure", "fig8a", "--points", "2", "--rank", "8"],
+    "fig8b": ["figure", "fig8b", "--points", "2", "--rank", "8"],
+    "fig8c": ["figure", "fig8c", "--points", "2", "--rank", "8"],
+    "shape_slm_auto": ["shape-slm", "--delta", "5", "--sigma", "auto"],
+    "shape_pump_auto": ["shape-pump", "--delta", "5", "--dev", "-1.9", "--phi", "1",
+                        "--sigma", "auto", "--zeta", "auto"],
+    "exit2": ["schmidt", "--dev", "-2"],
+    "exit3": ["schmidt", "--grid-half-width", "20", "--step", "0.5"],
+    "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
+}
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "report.json":
+        report = json.loads(data)
+        report.pop("wall_time_ms", None)
+        report.pop("timing", None)
+        data = json.dumps(report, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(out_dir, src):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("TPAOPT_THREADS", None)
+    manifest = {}
+    for name, argv in COMMANDS.items():
+        out = os.path.join(out_dir, name)
+        os.makedirs(out, exist_ok=True)
+        prog = ["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]
+        t0 = time.perf_counter()
+        # run inside the output directory so stdout names the same relative paths on any run
+        proc = subprocess.run([sys.executable, *prog, *argv, "--out", "."], cwd=out, env=env,
+                              capture_output=True, text=True)
+        files = {f: _digest(os.path.join(out, f)) for f in sorted(os.listdir(out))}
+        manifest[name] = {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
+                          "files": files}
+        print(f"{name}: exit {proc.returncode}, {len(files)} files, "
+              f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def compare(path_a, path_b):
+    """Print one line per difference of two manifests; return their count."""
+    with open(path_a, encoding="ascii") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="ascii") as fh:
+        b = json.load(fh)
+    diffs = [f"{name}: only in {path_a if name in a else path_b}"
+             for name in sorted(set(a) ^ set(b))]
+    for name in sorted(set(a) & set(b)):
+        ra, rb = a[name], b[name]
+        for key in ("argv", "exit", "stdout"):
+            if ra[key] != rb[key]:
+                diffs.append(f"{name}: {key} {ra[key]!r} -> {rb[key]!r}")
+        for f in sorted(set(ra["files"]) | set(rb["files"])):
+            if ra["files"].get(f) != rb["files"].get(f):
+                diffs.append(f"{name}: {f} differs" if f in ra["files"] and f in rb["files"]
+                             else f"{name}: {f} only in {path_a if f in ra['files'] else path_b}")
+    print("\n".join(diffs) if diffs else "manifests agree")
+    return len(diffs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="directory for the outputs and manifest.json")
+    parser.add_argument("--src", default=SRC, help="directory holding the tpaopt package")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two manifest.json files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    if args.out is None:
+        parser.error("an output directory is required")
+    run(args.out, os.path.abspath(args.src))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
