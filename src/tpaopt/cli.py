@@ -1,10 +1,13 @@
 """Command-line driver: single evaluations, parameter sweeps, figure tables.
 
-Subcommands: schmidt (Schmidt analysis of the optimal pair amplitude at one
-(Delta, delta) point or along a sweep), shape-slm (optimal identical
-modulators for a cw-SPDC pair), shape-pump (optimal pump shaper for
-chirped-pump down-conversion) and figure (CSV tables of the bundled presets
-fig2a..fig8c).
+Subcommands
+-----------
+schmidt     Schmidt analysis of the optimal pair amplitude for one (Delta,
+            delta) point or a parameter sweep.
+shape-slm   Optimal identical modulators for a cw-SPDC pair.
+shape-pump  Optimal pump shaper for chirped-pump down-conversion.
+figure      Deterministic CSV tables for the bundled sweep presets
+            (fig2a..fig8c).
 
 Outputs are CSV tables plus a JSON run report with a fixed schema
 {schema_version, command, params, grid, results, diagnostics, timing,
@@ -73,8 +76,7 @@ def _grid_dict(grid):
 class _StageClock:
     """Wall milliseconds per stage, summed over points; pool threads share one clock.
 
-    `with clock("solve"): ...` adds the block's duration to that stage, as
-    does `clock.run("solve", fn, *args, **kwargs)` for the call fn(...).
+    `with clock("solve"): ...` adds the block's duration to that stage.
     """
 
     def __init__(self):
@@ -90,10 +92,6 @@ class _StageClock:
             ms = (time.perf_counter() - t0) * 1000.0
             with self._lock:
                 self.ms[stage] = self.ms.get(stage, 0.0) + ms
-
-    def run(self, stage, fn, *args, **kwargs):
-        with self(stage):
-            return fn(*args, **kwargs)
 
 
 def _write_report(args, command, params, grid, results, diagnostics, t0):
@@ -120,7 +118,9 @@ def _map_points(fn, values):
 
 
 def _space(lo, hi, n, log=False):
-    return np.logspace(np.log10(lo), np.log10(hi), n) if log else np.linspace(lo, hi, n)
+    if log:
+        return np.logspace(np.log10(lo), np.log10(hi), n)
+    return np.linspace(lo, hi, n)
 
 
 def _sweep_values(args, sweepable):
@@ -147,7 +147,8 @@ def _resolve(value, auto, sys_):
 def _decompose_at(timed, delta, dev, rank, vectors=False, dump_path=None, **overrides):
     """(system, decomposition) of the optimal state at (delta, dev), on the overridden grid."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    d = timed.run("solve", optimal_state_schmidt, sys_, rank=rank, vectors=vectors, **overrides)
+    with timed("solve"):
+        d = optimal_state_schmidt(sys_, rank, vectors, **overrides)
     if dump_path is not None:
         with timed("write"):
             write_kernel_csv(optimal_state_kernel(sys_, d.grid1), dump_path)
@@ -163,7 +164,8 @@ def _schmidt_point(args, delta, dev):
     dump = os.path.join(args.out, "kernel.csv") if single and args.dump_kernel else None
     sys_, d = _decompose_at(args.timed, delta, dev, args.rank, single, dump,
                             half=args.grid_half_width, step=args.step, center=args.grid_center)
-    e_inf, s_inf = args.timed.run("bounds", asymptotic_bounds, sys_, rank=args.rank)
+    with args.timed("bounds"):
+        e_inf, s_inf = asymptotic_bounds(sys_, rank=args.rank)
     r1 = float(d.coefficients[0])
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
@@ -197,15 +199,17 @@ SHAPING_COLUMNS = ("e_opt", "p_shaped", "p_unshaped", "residual")
 
 
 def _shaping_row(sol, **resolved):
-    return dict(resolved, grid=_grid_dict(sol.grid),
-                **{k: getattr(sol, k) for k in SHAPING_COLUMNS}), sol
+    row = dict(resolved, grid=_grid_dict(sol.grid))
+    row.update((k, getattr(sol, k)) for k in SHAPING_COLUMNS)
+    return row, sol
 
 
 def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     state = CwSpdc(sigma=_resolve(sigma, auto_slm_sigma, sys_))
     grid = slm_grid(sys_, state, args.grid_half_width, args.step)
-    sol = args.timed.run("shape", optimal_slm, sys_, state, grid)
+    with args.timed("shape"):
+        sol = optimal_slm(sys_, state, grid)
     return _shaping_row(sol, sigma=state.sigma)
 
 
@@ -219,7 +223,8 @@ def _pump_point(args, delta, dev, sigma, phi, zeta):
         zeta = None
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
-    sol = args.timed.run("shape", optimal_pump_shaper, sys_, state, grid)
+    with args.timed("shape"):
+        sol = optimal_pump_shaper(sys_, state, grid)
     return _shaping_row(sol, sigma=sigma, zeta=zeta)
 
 
@@ -308,6 +313,12 @@ def _schmidt_values(timed, delta, dev, rank):
     return entropy(d), quantum_enhancement(d)
 
 
+def _bound_values(timed, dev, rank):
+    with timed("bounds"):
+        e_inf, s_inf = asymptotic_bounds(LevelSystem(delta_deviation=dev), rank=rank)
+    return s_inf, e_inf
+
+
 def _slm_gains(timed, delta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
     with timed("shape"):
@@ -316,7 +327,8 @@ def _slm_gains(timed, delta):
 
 def _matched_slm_populations(timed, delta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    sol = timed.run("shape", optimal_slm, sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
+    with timed("shape"):
+        sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
     return sol.p_shaped, sol.p_unshaped
 
 
@@ -334,7 +346,8 @@ def _fig8_ratio(column, point, rank, timed):
     if column == 0:
         return (1.0 / lam1,)
     state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
-    sol = timed.run("shape", optimal_pump_shaper, sys_, state)
+    with timed("shape"):
+        sol = optimal_pump_shaper(sys_, state)
     return ((sol.p_shaped, sol.p_unshaped)[column - 1] / lam1,)
 
 
@@ -346,8 +359,7 @@ FIGURES = {
     "fig2b": (("detuning", "entropy_bits", "quantum_enhancement"), _line(0.1, 100.0, 25, log=True),
               lambda p, rank, timed: _schmidt_values(timed, p[0], -1.9, rank)),
     "fig2c": (("delta_deviation", "entropy_limit_bits", "enhancement_limit"), _line(-1.9, 2.0, 24),
-              lambda p, rank, timed: timed.run("bounds", asymptotic_bounds,
-                                               LevelSystem(delta_deviation=p[0]), rank=rank)[::-1]),
+              lambda p, rank, timed: _bound_values(timed, p[0], rank)),
     "fig5a": (("detuning",) + SIGMA_COLUMNS, _line(0.1, 50.0, 21, log=True),
               lambda p, rank, timed: _slm_gains(timed, p[0])),
     "fig6b": (("detuning", "p_shaped_over_n", "p_unshaped_over_n"),

@@ -139,8 +139,12 @@ class HankelKernel:
         self._sw = np.sqrt(quadrature_weights(grid1))
         self._fft_size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
         self._hankel_fft = np.fft.fft(hankel, self._fft_size)
-        self.centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
-                                     and np.array_equal(self._sw, self._sw[::-1]))
+        self._centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
+                                      and np.array_equal(self._sw, self._sw[::-1]))
+
+    @property
+    def centro_hermitian(self) -> bool:
+        return self._centro_hermitian
 
     def _hankel_apply(self, u: np.ndarray) -> np.ndarray:
         """H @ u along axis 0: the tail of the convolution of hankel with reversed u."""
@@ -328,8 +332,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         raise ValueError("decompose requires a weight-embedded kernel")
     max_rank = min(kernel.shape)
     if rank is not None and rank > max_rank:
-        warnings.warn(f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
-                      RuntimeWarning)
+        warnings.warn(
+            f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
+            RuntimeWarning,
+        )
         rank = max_rank
 
     method = choose_solver(max_rank, rank, vectors)
@@ -364,24 +370,28 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
             raise ValueError("cannot renormalize an identically zero kernel")
         s = s / total
 
-    return SchmidtDecomposition(coefficients=s, modes_1=modes_1, modes_2=modes_2,
-                                grid1=kernel.grid1, grid2=kernel.grid2, truncation_rank=len(s),
-                                residual=residual, renormalized=renormalize, method=method)
+    return SchmidtDecomposition(
+        coefficients=s,
+        modes_1=modes_1,
+        modes_2=modes_2,
+        grid1=kernel.grid1,
+        grid2=kernel.grid2,
+        truncation_rank=len(s),
+        residual=residual,
+        renormalized=renormalize,
+        method=method,
+    )
 
 
-def optimal_state_schmidt(sys: LevelSystem, grid: FrequencyGrid | None = None,
-                          rank: int | None = None, vectors: bool = True, *,
+def optimal_state_schmidt(sys: LevelSystem, rank: int | None = None, vectors: bool = True, *,
                           half: float | None = None, step: float | None = None,
                           center: float | None = None) -> SchmidtDecomposition:
     """Schmidt decomposition of the optimal pair amplitude Phi by the library's policy.
 
-    grid defaults to `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and
+    The grid is `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and
     `decompose` runs on the matrix-free `optimal_state_operator`; vectors=False skips the modes.
     """
-    if grid is None:
-        grid = auto_grid(sys, half, step, center)
-    elif (half, step, center) != (None, None, None):
-        raise ValueError("half, step and center apply to the default grid only")
+    grid = auto_grid(sys, half, step, center)
     return decompose(optimal_state_operator(sys, grid), rank=solver_rank(grid.count, rank),
                      vectors=vectors)
 

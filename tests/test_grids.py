@@ -60,6 +60,12 @@ def test_auto_grid_covers_both_lines_at_large_detuning():
     g, ref = auto_grid(far, step=1.0), auto_grid(far)
     assert g.min < far.omega_e - 50 and g.max > far.omega_f - far.omega_e + 50
     assert (g.min, g.max, g.step, g.count) == pytest.approx((ref.min, ref.max, 1.0, 1801))
+    # so does a centre override: the lines are measured from the given centre
+    off = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
+    g = auto_grid(off, center=8.0)
+    assert g.min < off.omega_e - 50 and g.max > off.omega_f - off.omega_e + 50
+    assert (g.min, g.max, g.step, g.count) == pytest.approx((-100.0, 116.0, 0.2, 1081))
+    assert auto_grid(off, center=3.0) == default_grid(off, center=3.0)  # no widening needed
     # and coincides with the reference grid where that one suffices
     small = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     assert auto_grid(small) == default_grid(small)
