@@ -15,20 +15,21 @@ wall_time_ms}; timing holds the milliseconds spent per stage (solve, bounds,
 shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
-system parameters, a bad TPAOPT_THREADS and grids whose dense kernel exceeds
-physical memory among them), 3 solver failures (numpy.linalg.LinAlgError).
-TPAOPT_THREADS = N >= 1 (clamped to the CPU count) evaluates sweep points in
-a thread pool; results are gathered in parameter order, so output is
-unchanged.  Pair it with OPENBLAS_NUM_THREADS=1, or the BLAS threads
-oversubscribe the cores.
+system parameters, --points < 1, --modes < 0, a bad TPAOPT_THREADS on any run
+and grids whose dense kernel exceeds physical memory among them), 3 solver
+failures (numpy.linalg.LinAlgError).  TPAOPT_THREADS = N >= 1 (clamped to the
+CPU count) evaluates sweep points in a thread pool; results are gathered in
+parameter order, so output is unchanged.  Pair it with OPENBLAS_NUM_THREADS=1,
+or the BLAS threads oversubscribe the cores.
 
 A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
 the grid flags and --rank as they are: the library builds the grid
-(`grids.auto_grid`, the reference grid widened at large detuning unless
---grid-half-width is given) and picks the solver (`schmidt.solver_rank`), as
-`asymptotic_bounds` does on its own grid; the report's diagnostics and sweep
-rows name the solver that ran.  The Schmidt path supports one intermediate
-level only.
+(`grids.auto_grid`: the fixed `default_grid(sys)` with the grid flags,
+widened at large detuning unless --grid-half-width is given) and picks the
+solver (`schmidt.solver_rank`), as `asymptotic_bounds` does on its own grid,
+with the same --rank: so --rank also moves S_inf.  Diagnostics and sweep rows
+name the solver that ran; kernel.csv is written after the bounds.  The
+Schmidt path supports one intermediate level only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .grids import write_kernel_csv
+from .grids import CSV_FORMAT, write_csv, write_kernel_csv
 from .response import LevelSystem
 from .schmidt import (asymptotic_bounds, entropy, optimal_state_kernel, optimal_state_schmidt,
                       pairing_check, quantum_enhancement, solver_rank, solver_stats)
@@ -59,14 +60,7 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".9g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return CSV_FORMAT % float(x)
 
 
 def _grid_dict(grid):
@@ -74,12 +68,13 @@ def _grid_dict(grid):
 
 
 class _StageClock:
-    """Wall milliseconds per stage, summed over points; pool threads share one clock.
+    """The run's start time and wall milliseconds per stage, summed over points.
 
-    `with clock("solve"): ...` adds the block's duration to that stage.
+    `with clock("solve"): ...` adds the block's duration to that stage; threads share it.
     """
 
     def __init__(self):
+        self.start = time.perf_counter()
         self.ms = {}
         self._lock = threading.Lock()
 
@@ -94,23 +89,19 @@ class _StageClock:
                 self.ms[stage] = self.ms.get(stage, 0.0) + ms
 
 
-def _write_report(args, command, params, grid, results, diagnostics, t0):
+def _write_report(args, command, params, grid, results, diagnostics):
     report = {"schema_version": SCHEMA_VERSION, "command": command, "params": params,
               "grid": grid, "results": results, "diagnostics": diagnostics,
               "timing": {k: round(v, 3) for k, v in args.timed.ms.items()},
-              "wall_time_ms": int(round((time.perf_counter() - t0) * 1000))}
+              "wall_time_ms": int(round((time.perf_counter() - args.timed.start) * 1000))}
     if args.format in ("json", "both"):
         with open(os.path.join(args.out, "report.json"), "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _map_points(fn, values):
-    """Evaluate sweep points, optionally in a thread pool, keeping input order."""
-    raw = os.environ.get("TPAOPT_THREADS") or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"TPAOPT_THREADS must be an integer >= 1, got {raw!r}")
-    workers = min(int(raw), os.cpu_count() or 1)
+def _map_points(fn, values, workers):
+    """Evaluate sweep points, in a thread pool of `workers` if above 1, keeping input order."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, values))
@@ -144,14 +135,11 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(timed, delta, dev, rank, vectors=False, dump_path=None, **overrides):
+def _decompose_at(timed, delta, dev, rank, vectors=False, **overrides):
     """(system, decomposition) of the optimal state at (delta, dev), on the overridden grid."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     with timed("solve"):
         d = optimal_state_schmidt(sys_, rank, vectors, **overrides)
-    if dump_path is not None:
-        with timed("write"):
-            write_kernel_csv(optimal_state_kernel(sys_, d.grid1), dump_path)
     return sys_, d
 
 
@@ -160,9 +148,8 @@ def _decompose_at(timed, delta, dev, rank, vectors=False, dump_path=None, **over
 
 
 def _schmidt_point(args, delta, dev):
-    single = not args.sweep  # only a single point writes modes (and the kernel)
-    dump = os.path.join(args.out, "kernel.csv") if single and args.dump_kernel else None
-    sys_, d = _decompose_at(args.timed, delta, dev, args.rank, single, dump,
+    # only a single point needs the modes
+    sys_, d = _decompose_at(args.timed, delta, dev, args.rank, not args.sweep,
                             half=args.grid_half_width, step=args.step, center=args.grid_center)
     with args.timed("bounds"):
         e_inf, s_inf = asymptotic_bounds(sys_, rank=args.rank)
@@ -171,25 +158,28 @@ def _schmidt_point(args, delta, dev):
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
            "grid": _grid_dict(d.grid1), "rank": solver_rank(d.grid1.count, args.rank),
            **solver_stats(d)}
-    return row, d
+    return row, (sys_, d)
 
 
-def _schmidt_single(args, params, row, d):
+def _schmidt_single(args, params, row, state):
+    sys_, d = state
     r = d.coefficients
     results = {"r": [float(x) for x in r], "r_squared": [float(x) ** 2 for x in r],
                "pairing_gap": pairing_check(d),
                **{k: row[k] for k in ("entropy_bits", "quantum_enhancement", "e_inf", "s_inf")}}
-    diagnostics = {"rank": row["rank"], "dense": d.method.startswith("dense"),
-                   "truncation_residual": d.residual, "coefficient_norm_sq": float(np.sum(r**2)),
-                   **solver_stats(d)}
+    diagnostics = {"dense": d.method.startswith("dense"), "truncation_residual": d.residual,
+                   "coefficient_norm_sq": float(np.sum(r**2)),
+                   **{k: row[k] for k in ("rank", "method", "n", "k", "captured_norm")}}
     if args.format in ("csv", "both"):
-        _write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), ["k", "r", "r_squared"],
-                   [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
-        _write_csv(os.path.join(args.out, "schmidt_modes.csv"),
-                   ["k", "omega", "mode1_re", "mode1_im", "mode2_re", "mode2_im"],
-                   [(k + 1, *x) for k in range(min(args.modes, len(r)))
-                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
-                                 d.modes_2[k].real, d.modes_2[k].imag)])
+        write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), "k,r,r_squared",
+                  [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
+        write_csv(os.path.join(args.out, "schmidt_modes.csv"),
+                  "k,omega,mode1_re,mode1_im,mode2_re,mode2_im",
+                  [(k + 1, *x) for k in range(min(args.modes, len(r)))
+                   for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
+                                d.modes_2[k].real, d.modes_2[k].imag)])
+    if args.dump_kernel:
+        write_kernel_csv(optimal_state_kernel(sys_, d.grid1), os.path.join(args.out, "kernel.csv"))
     summary = (f"r1={_fmt(r[0])} r1^2={_fmt(r[0]**2)} S={_fmt(row['entropy_bits'])} "
                f"E_q={_fmt(row['quantum_enhancement'])}")
     return results, diagnostics, summary
@@ -231,8 +221,8 @@ def _pump_point(args, delta, dev, sigma, phi, zeta):
 def _shaping_single(csv_name, columns, args, params, row, sol):
     params.update((f"{k}_resolved", row[k]) for k in ("sigma", "zeta") if k in row)
     if args.format in ("csv", "both"):
-        _write_csv(os.path.join(args.out, csv_name), columns,
-                   zip(sol.grid.nodes, sol.phase_nodes, np.abs(sol.response_nodes)))
+        write_csv(os.path.join(args.out, csv_name), ",".join(columns),
+                  np.column_stack((sol.grid.nodes, sol.phase_nodes, np.abs(sol.response_nodes))))
     summary = (f"E_opt={_fmt(sol.e_opt)} p_shaped={_fmt(sol.p_shaped)} "
                f"p_unshaped={_fmt(sol.p_unshaped)} residual={_fmt(sol.residual)}")
     return {k: row[k] for k in SHAPING_COLUMNS}, {"nodes": sol.grid.count}, summary
@@ -262,7 +252,6 @@ COMMANDS = {
 
 
 def cmd_run(args) -> int:
-    t0 = time.perf_counter()
     echoed, sweepable, point, (csv_name, columns), single = COMMANDS[args.command]
     os.makedirs(args.out, exist_ok=True)
     params = {k: getattr(args, k) for k in echoed}
@@ -271,7 +260,7 @@ def cmd_run(args) -> int:
         row, state = point(args, **values)
         with args.timed("write"):
             results, diagnostics, summary = single(args, params, row, state)
-        _write_report(args, args.command, params, row["grid"], results, diagnostics, t0)
+        _write_report(args, args.command, params, row["grid"], results, diagnostics)
         print(summary)
         return 0
 
@@ -281,12 +270,12 @@ def cmd_run(args) -> int:
     def sweep_row(v):
         return {"value": float(v), **point(args, **{**values, name: v})[0]}
 
-    rows = _map_points(sweep_row, swept)
+    rows = _map_points(sweep_row, swept, args.threads)
     if args.format in ("csv", "both"):
         with args.timed("write"):
-            _write_csv(os.path.join(args.out, csv_name), (name,) + columns,
-                       ([r["value"]] + [r[c] for c in columns] for r in rows))
-    _write_report(args, args.command, params, None, {"rows": rows}, {"points": len(rows)}, t0)
+            write_csv(os.path.join(args.out, csv_name), ",".join((name,) + columns),
+                      [[r["value"]] + [r[c] for c in columns] for r in rows])
+    _write_report(args, args.command, params, None, {"rows": rows}, {"points": len(rows)})
     return 0
 
 
@@ -342,13 +331,12 @@ def _pump_gains(timed, dev, phi):
 def _fig8_ratio(column, point, rank, timed):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
     sys_, d = _decompose_at(timed, *point, 16 if rank is None else rank)
-    lam1 = float(d.coefficients[0] ** 2)
     if column == 0:
-        return (1.0 / lam1,)
+        return (quantum_enhancement(d),)
     state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
     with timed("shape"):
         sol = optimal_pump_shaper(sys_, state)
-    return ((sol.p_shaped, sol.p_unshaped)[column - 1] / lam1,)
+    return ((sol.p_shaped, sol.p_unshaped)[column - 1] / float(d.coefficients[0] ** 2),)
 
 
 # name -> (header, points(--points or None) -> leading columns of each row,
@@ -379,19 +367,18 @@ FIGURES = {
 
 
 def cmd_figure(args) -> int:
-    t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     header, make_points, values = FIGURES[args.name]
     points = make_points(args.points)
-    computed = _map_points(lambda p: values(p, args.rank, args.timed), points)
+    computed = _map_points(lambda p: values(p, args.rank, args.timed), points, args.threads)
     rows = [p + tuple(v) for p, v in zip(points, computed)]
     csv_path = os.path.join(args.out, f"{args.name}.csv")
     with args.timed("write"):
-        _write_csv(csv_path, header, rows)
+        write_csv(csv_path, ",".join(header), rows)
     _write_report(args, f"figure {args.name}",
                   {"name": args.name, "points": args.points, "rank": args.rank},
                   None, {"csv": os.path.basename(csv_path), "rows": len(rows)},
-                  {"columns": header}, t0)
+                  {"columns": header})
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
@@ -489,6 +476,14 @@ def main(argv=None) -> int:
             # config values come first so explicit flags take precedence
             args = parser.parse_args([argv[0]] + tokens + argv[1:])
         args.timed = _StageClock()
+        for flag, least in (("points", 1), ("modes", 0)):  # count flags of figure and schmidt
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{flag} must be >= {least}, got {value}")
+        raw = os.environ.get("TPAOPT_THREADS") or "1"  # checked even where no pool starts
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"TPAOPT_THREADS must be an integer >= 1, got {raw!r}")
+        args.threads = min(int(raw), os.cpu_count() or 1)
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -30,6 +30,11 @@ __all__ = [
     "write_kernel_csv",
 ]
 
+# Rows of a dense kernel built per block, to bound the temporaries of large grids.
+ROW_CHUNK = 512
+# Every CSV cell: 9 significant digits, so identical inputs give byte-identical tables.
+CSV_FORMAT = "%.9g"
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -126,7 +131,7 @@ def check_dense_fits(n1: int, n2: int) -> None:
 
 
 def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
-                  embed_weights: bool = True, row_chunk: int = 512) -> KernelMatrix:
+                  embed_weights: bool = True) -> KernelMatrix:
     """Sample a two-argument complex function on a tensor grid.
 
     Parameters
@@ -137,8 +142,6 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
         Node sets for the two arguments (grid2 defaults to grid1).
     embed_weights : bool
         Multiply entries by sqrt(w_i w_j) of the trapezoidal weights.
-    row_chunk : int
-        Rows evaluated per block, to bound temporary memory.
     """
     if grid2 is None:
         grid2 = grid1
@@ -149,8 +152,8 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
     if embed_weights:
         sw1 = np.sqrt(quadrature_weights(grid1))
         sw2 = np.sqrt(quadrature_weights(grid2))
-    for i0 in range(0, x1.size, row_chunk):
-        sl = slice(i0, min(i0 + row_chunk, x1.size))
+    for i0 in range(0, x1.size, ROW_CHUNK):
+        sl = slice(i0, min(i0 + ROW_CHUNK, x1.size))
         block = f(x1[sl][:, None], x2[None, :])
         if embed_weights:
             # single fused product keeps symmetric samples exactly symmetric
@@ -164,33 +167,28 @@ def _reference(sys: LevelSystem) -> tuple[float, float, float]:
     return sys.omega_f / 2.0, 200.0 * sys.gamma_f, sys.gamma_e / 5.0
 
 
-def default_grid(sys: LevelSystem, half: float | None = None, step: float | None = None,
-                 center: float | None = None) -> FrequencyGrid:
-    """Reference photon-frequency grid: +-200 gamma_f about omega_f / 2, step gamma_e / 5.
-
-    half, step and center, when given, replace the reference values.
-    """
-    ref_center, ref_half, ref_step = _reference(sys)
-    return make_grid(ref_center if center is None else center,
-                     ref_half if half is None else half,
-                     ref_step if step is None else step)
+def default_grid(sys: LevelSystem) -> FrequencyGrid:
+    """Reference photon-frequency grid: +-200 gamma_f about omega_f / 2, step gamma_e / 5."""
+    return make_grid(*_reference(sys))
 
 
 def auto_grid(sys: LevelSystem, half: float | None = None, step: float | None = None,
               center: float | None = None) -> FrequencyGrid:
-    """The grid of a Schmidt point: `default_grid` with the same overrides, widened if needed.
+    """The grid of a Schmidt point: `default_grid` with half, step and center, when
+    given, replacing its values, widened if needed.
 
     Unless half is given, the half-width widens once +-200 gamma_f cannot hold both
     single-photon lines (omega_e, omega_f - omega_e) with 15 gamma_e to spare, to the
     farther line's distance from the centre plus max(200 gamma_f, 100 gamma_e).
     """
+    ref_center, ref_half, ref_step = _reference(sys)
+    center = ref_center if center is None else center
     if half is None:
-        ref_center, ref_half, _ = _reference(sys)
-        c = ref_center if center is None else center
-        line_offset = max(abs(c - sys.omega_e), abs(sys.omega_f - sys.omega_e - c))
+        half = ref_half
+        line_offset = max(abs(center - sys.omega_e), abs(sys.omega_f - sys.omega_e - center))
         if ref_half < line_offset + 15.0 * sys.gamma_e:
             half = line_offset + max(ref_half, 100.0 * sys.gamma_e)
-    return default_grid(sys, half, step, center)
+    return make_grid(center, half, ref_step if step is None else step)
 
 
 def _plain_density(kernel: KernelMatrix):
@@ -242,16 +240,22 @@ def kernel_marginal_sum(kernel: KernelMatrix):
     return omega_plus, acc / g1.step
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line(s), then each row of numbers (a 2D array or equal-length
+    sequences) as one CSV line of CSV_FORMAT cells; lines end in a bare newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        if len(rows):
+            line = ",".join([CSV_FORMAT] * len(rows[0])) + "\n"
+            for row in rows:
+                fh.write(line % tuple(row.tolist() if isinstance(row, np.ndarray) else row))
+
+
 def write_kernel_csv(kernel: KernelMatrix, path) -> None:
     """Dump a kernel as CSV: header lines, then one row per grid1 node with re,im pairs."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# grid1 min,step,count = {:.17g},{:.17g},{}\n".format(
-            kernel.grid1.min, kernel.grid1.step, kernel.grid1.count))
-        fh.write("# grid2 min,step,count = {:.17g},{:.17g},{}\n".format(
-            kernel.grid2.min, kernel.grid2.step, kernel.grid2.count))
-        fh.write(f"# weight_embedded = {kernel.weight_embedded}\n")
-        # a complex row viewed as floats is its re,im pairs; '%.9g' % x == format(x, '.9g')
-        pairs = np.ascontiguousarray(kernel.entries, dtype=complex).view(np.float64)
-        line = ",".join(["%.9g"] * pairs.shape[1]) + "\n"
-        for row in pairs:
-            fh.write(line % tuple(row.tolist()))
+    g1, g2 = kernel.grid1, kernel.grid2
+    header = (f"# grid1 min,step,count = {g1.min:.17g},{g1.step:.17g},{g1.count}\n"
+              f"# grid2 min,step,count = {g2.min:.17g},{g2.step:.17g},{g2.count}\n"
+              f"# weight_embedded = {kernel.weight_embedded}")
+    # a complex row viewed as floats is its re,im pairs
+    write_csv(path, header, np.ascontiguousarray(kernel.entries, dtype=complex).view(np.float64))

@@ -17,8 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-from .grids import (FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits, make_grid,
-                    quadrature_weights, sample_kernel)
+from .grids import (ROW_CHUNK, FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits,
+                    make_grid, quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
 __all__ = [
@@ -189,13 +189,13 @@ class HankelKernel:
         return float(np.sum(np.abs(self.hankel) ** 2 * anti[: self.hankel.size]))
 
     def to_dense(self) -> KernelMatrix:
-        """The n x n weight-embedded matrix, built in blocks of 512 rows to bound temporaries."""
+        """The n x n weight-embedded matrix, built in blocks of ROW_CHUNK rows."""
         n = self.shape[0]
         h = sliding_window_view(self.hankel, n)  # h[i, j] = hankel[i + j], a view
         e, sw = self.diag, self._sw
         out = np.empty(self.shape, dtype=complex)
-        for i0 in range(0, n, 512):
-            sl = slice(i0, min(i0 + 512, n))
+        for i0 in range(0, n, ROW_CHUNK):
+            sl = slice(i0, min(i0 + ROW_CHUNK, n))
             lines = e[sl, None] + e[None, :] if self.symmetric else e[sl, None]
             out[sl] = lines * h[sl] * (sw[sl, None] * sw[None, :])
         return KernelMatrix(self.grid1, self.grid2, out, True)
@@ -445,8 +445,7 @@ def _one_sided_kernel(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
 
 
 def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
-                             rank: int | None = None,
-                             renormalize: bool = False) -> SchmidtDecomposition:
+                             rank: int | None = None) -> SchmidtDecomposition:
     """Schmidt data of the one-sided kernel Q/sqrt(N/2).
 
     The grid is read as offsets about each photon's own line center
@@ -455,7 +454,7 @@ def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
     of Delta merely translates the second axis.  The stored grids are the
     absolute ones.
     """
-    return decompose(_one_sided_kernel(sys, grid), rank=rank, renormalize=renormalize)
+    return decompose(_one_sided_kernel(sys, grid), rank=rank)
 
 
 def bounds_grid(sys: LevelSystem) -> FrequencyGrid:

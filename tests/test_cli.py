@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tpaopt import (LevelSystem, auto_grid, choose_solver, decompose, default_grid, grids,
+from tpaopt import (LevelSystem, auto_grid, choose_solver, decompose, grids, make_grid,
                     optimal_state_kernel, optimal_state_operator, optimal_state_schmidt, schmidt,
                     solver_rank)
 from tpaopt import cli
@@ -269,9 +269,22 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, fi
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
 def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("TPAOPT_THREADS", value)
-    assert main(["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3",
-                 "--out", str(tmp_path)]) == 2
-    assert "TPAOPT_THREADS" in capsys.readouterr().err
+    # checked before dispatch, so a single point, which starts no pool, fails as a sweep does
+    for argv in (["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"],
+                 ["shape-slm", "--delta", "4"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "TPAOPT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure", "fig7a", "--points", "0"], "--points"),
+    (["figure", "fig8a", "--points", "-2"], "--points"),
+    (["schmidt", "--modes", "-3"], "--modes"),
+])
+def test_bad_count_exits_2(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not os.listdir(tmp_path)  # rejected before anything is computed or written
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,7 +341,7 @@ def test_solver_policy_crossover(monkeypatch, vectors):
 def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):
     argv = ["schmidt", "--dev", "0", "--step", "0.1", "--rank", "16", "--format", "json"]
     sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=0.0)
-    grid = default_grid(sys_, step=0.1)
+    grid = make_grid(sys_.omega_f / 2.0, 200.0 * sys_.gamma_f, 0.1)
     assert grid.count == 8001
 
     def refuse(*args, **kwargs):

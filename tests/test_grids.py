@@ -16,6 +16,7 @@ from tpaopt import (
     sample_kernel,
     write_kernel_csv,
 )
+from tpaopt.grids import write_csv
 
 
 def test_make_grid_node_counts():
@@ -65,7 +66,8 @@ def test_auto_grid_covers_both_lines_at_large_detuning():
     g = auto_grid(off, center=8.0)
     assert g.min < off.omega_e - 50 and g.max > off.omega_f - off.omega_e + 50
     assert (g.min, g.max, g.step, g.count) == pytest.approx((-100.0, 116.0, 0.2, 1081))
-    assert auto_grid(off, center=3.0) == default_grid(off, center=3.0)  # no widening needed
+    # no widening needed: the reference half-width and step about the given centre
+    assert auto_grid(off, center=3.0) == make_grid(3.0, 200.0 * off.gamma_f, off.gamma_e / 5.0)
     # and coincides with the reference grid where that one suffices
     small = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     assert auto_grid(small) == default_grid(small)
@@ -208,3 +210,20 @@ def test_kernel_csv_rows_match_per_element_formatting(tmp_path):
     rows = path.read_text().splitlines()[3:]
     expected = [",".join(f"{z.real:.9g},{z.imag:.9g}" for z in row) for row in k.entries]
     assert rows == expected
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    # reference: the per-cell format(float(v), ".9g") join the shared row template replaced
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 1, 12, 123456789012, np.float64(0.1), np.float64(-5e-324), 1e20,
+               float("inf"), float("nan")]
+    rows = [tuple(special[i : i + 5]) for i in (0, 5)]
+    rows += [(k + 1, *(rng.standard_normal(4) * 10.0 ** rng.integers(-20, 21, 4)))
+             for k in range(20)]
+    expected = ["k,a,b,c,d"] + [",".join(format(float(v), ".9g") for v in row) for row in rows]
+    for table in (rows, np.array(rows, dtype=float)):
+        path = tmp_path / "table.csv"
+        write_csv(path, "k,a,b,c,d", table)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+    write_csv(path, "k,a", [])  # no rows: the header alone
+    assert path.read_bytes() == b"k,a\n"

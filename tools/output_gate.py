@@ -5,12 +5,16 @@
 
 Each command runs in a fresh interpreter (``python -m tpaopt.cli``, the
 package taken from SRC, by default this checkout's ``src``) with
-OPENBLAS_NUM_THREADS=1 and TPAOPT_THREADS unset, inside its own output directory.
+OPENBLAS_NUM_THREADS=1 and TPAOPT_THREADS unset unless ENV sets it, inside
+its own output directory, after the CONFIGS file it reads is written there.
 The manifest holds, per command, the exit code, the stdout and the sha256 of
-every output file; ``report.json`` is hashed with its run-dependent
-``wall_time_ms`` and ``timing`` removed.  Run it on two checkouts and compare
-the manifests to show that a change leaves every output byte-identical.
-The whole list takes about a minute on one core of a 2-core x86-64 VM.
+every file in that directory; ``report.json`` is hashed with its
+run-dependent ``wall_time_ms`` and ``timing`` removed.  Run it on two
+checkouts and compare the manifests to show that a change leaves every
+output byte-identical; the comparison also checks, within each manifest,
+that every command in SAME_AS wrote the files of its serial twin.
+The whole list takes about a minute and a half on one core of a 2-core
+x86-64 VM.
 """
 
 from __future__ import annotations
@@ -73,7 +77,40 @@ COMMANDS = {
     "exit2": ["schmidt", "--dev", "-2"],
     "exit3": ["schmidt", "--grid-half-width", "20", "--step", "0.5"],
     "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
+    "config_bool": ["shape-pump", "--config", "run.cfg", "--phi", "1"],
+    "sweep_delta_threads2": ["schmidt", "--dev", "-1.8", "--sweep", "delta", "1", "5", "3"],
+    "format_csv": ["schmidt", "--delta", "5", "--dev", "-1.9", "--format", "csv"],
+    "format_json": ["shape-pump", "--delta", "5", "--zeta", "auto", "--format", "json"],
+    "figure_json": ["figure", "fig7b", "--points", "3", "--format", "json"],
+    "slm_sweep_log": ["shape-slm", "--delta", "5", "--sweep", "sigma", "0.05", "50", "6",
+                      "--log"],
+    "slm_sweep_delta": ["shape-slm", "--sigma", "auto", "--sweep", "delta", "0.1", "10", "4"],
+    "pump_sweep_phi": ["shape-pump", "--delta", "3", "--sigma", "0.5", "--zeta", "2",
+                       "--sweep", "phi", "0", "2", "4"],
+    "pump_sweep_infinite_pm": ["shape-pump", "--sigma", "1", "--infinite-pm", "--sweep",
+                               "dev", "-1.5", "1", "4"],
+    "pump_sweep_zeta_log": ["shape-pump", "--delta", "2", "--sigma", "auto", "--sweep",
+                            "zeta", "0.5", "50", "4", "--log"],
+    "exit2_threads_sweep": ["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"],
+    "exit2_threads_single": ["shape-slm", "--delta", "4"],
+    "exit2_points": ["figure", "fig7a", "--points", "0"],
+    "exit2_modes": ["schmidt", "--delta", "5", "--dev", "-1.9", "--modes", "-3"],
 }
+
+# name -> environment variables set for that command only
+ENV = {
+    "sweep_delta_threads2": {"TPAOPT_THREADS": "2"},
+    "exit2_threads_sweep": {"TPAOPT_THREADS": "abc"},
+    "exit2_threads_single": {"TPAOPT_THREADS": "abc"},
+}
+
+# name -> text of the run.cfg file written into that command's directory
+CONFIGS = {
+    "config_bool": "delta = 3\ndev = -1.5\nsigma = 0.5\ninfinite_pm = yes  # a boolean key\n",
+}
+
+# name -> the command whose files it must reproduce byte for byte
+SAME_AS = {"sweep_delta_threads2": "sweep_delta"}
 
 
 def _digest(path):
@@ -95,14 +132,17 @@ def run(out_dir, src):
     for name, argv in COMMANDS.items():
         out = os.path.join(out_dir, name)
         os.makedirs(out, exist_ok=True)
+        if name in CONFIGS:
+            with open(os.path.join(out, "run.cfg"), "w", encoding="ascii") as fh:
+                fh.write(CONFIGS[name])
         prog = ["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]
         t0 = time.perf_counter()
         # run inside the output directory so stdout names the same relative paths on any run
-        proc = subprocess.run([sys.executable, *prog, *argv, "--out", "."], cwd=out, env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *prog, *argv, "--out", "."], cwd=out,
+                              env=dict(env, **ENV.get(name, {})), capture_output=True, text=True)
         files = {f: _digest(os.path.join(out, f)) for f in sorted(os.listdir(out))}
-        manifest[name] = {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
-                          "files": files}
+        manifest[name] = {"argv": argv, "env": ENV.get(name, {}), "exit": proc.returncode,
+                          "stdout": proc.stdout, "files": files}
         print(f"{name}: exit {proc.returncode}, {len(files)} files, "
               f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
@@ -118,11 +158,14 @@ def compare(path_a, path_b):
         b = json.load(fh)
     diffs = [f"{name}: only in {path_a if name in a else path_b}"
              for name in sorted(set(a) ^ set(b))]
+    for path, m in ((path_a, a), (path_b, b)):
+        diffs += [f"{name}: files differ from {twin} in {path}" for name, twin in SAME_AS.items()
+                  if name in m and twin in m and m[name]["files"] != m[twin]["files"]]
     for name in sorted(set(a) & set(b)):
         ra, rb = a[name], b[name]
-        for key in ("argv", "exit", "stdout"):
-            if ra[key] != rb[key]:
-                diffs.append(f"{name}: {key} {ra[key]!r} -> {rb[key]!r}")
+        for key in ("argv", "env", "exit", "stdout"):
+            if ra.get(key) != rb.get(key):
+                diffs.append(f"{name}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
             if ra["files"].get(f) != rb["files"].get(f):
                 diffs.append(f"{name}: {f} differs" if f in ra["files"] and f in rb["files"]
