@@ -372,14 +372,17 @@ def cmd_figure(args) -> int:
     points = make_points(args.points)
     computed = _map_points(lambda p: values(p, args.rank, args.timed), points, args.threads)
     rows = [p + tuple(v) for p, v in zip(points, computed)]
-    csv_path = os.path.join(args.out, f"{args.name}.csv")
-    with args.timed("write"):
-        write_csv(csv_path, ",".join(header), rows)
+    path = os.path.join(args.out, f"{args.name}.csv")
+    results = {"csv": os.path.basename(path), "rows": len(rows)}
+    if args.format == "json":  # the rows, each in header order, go into the report instead
+        path, results = os.path.join(args.out, "report.json"), {"rows": [list(r) for r in rows]}
+    else:
+        with args.timed("write"):
+            write_csv(path, ",".join(header), rows)
     _write_report(args, f"figure {args.name}",
                   {"name": args.name, "points": args.points, "rank": args.rank},
-                  None, {"csv": os.path.basename(csv_path), "rows": len(rows)},
-                  {"columns": header})
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+                  None, results, {"columns": header})
+    print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
 from .grids import (ROW_CHUNK, FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits,
                     make_grid, quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
+
+if TYPE_CHECKING:  # scipy.sparse.linalg and scipy.fft load on the first truncated solve
+    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "SchmidtDecomposition",
@@ -100,6 +103,8 @@ def _operator(shape, apply, apply_transpose) -> LinearOperator:
 
     The adjoint is A^H v = conj(A^T conj(v)), so no conjugated copy of A is made.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     def adjoint(v):
         return np.conj(apply_transpose(np.conj(v)))
 
@@ -117,9 +122,14 @@ class HankelKernel:
 
     On a uniform n-node grid D = diag(sqrt(w)) holds the trapezoidal
     weights, E = diag(diag) and H[i, j] = hankel[i + j] (2n - 1 values).
-    Products with the matrix and its adjoint cost O(n log n) by zero-padded
-    FFT and O(n) memory; `to_dense` gathers the matrix for the dense SVD.
-    grid2 is grid1 up to a shift, so both axes have the same weights.
+    Products with the matrix and its adjoint cost O(n log n) and O(n)
+    memory: H u is the tail of a circular convolution, by scipy.fft, whose
+    length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
+    nothing into the rows kept); the symmetric kernel transforms u and E u
+    together.  The transform of hankel, and scipy.fft itself, load on the
+    first product or `frobenius_norm2`, so a kernel solved densely never
+    transforms.  `to_dense` gathers the matrix for the dense SVD.  grid2 is
+    grid1 up to a shift, so both axes have the same weights.
 
     `centro_hermitian` tells whether J A J = conj(A), J reversing the node
     order: diag and hankel are conjugated by reversal (to CENTRO_HERMITIAN_RTOL
@@ -137,8 +147,6 @@ class HankelKernel:
         self.grid1, self.grid2, self.shape = grid1, grid2, (n, n)
         self.diag, self.hankel, self.symmetric = diag, hankel, symmetric
         self._sw = np.sqrt(quadrature_weights(grid1))
-        self._fft_size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
-        self._hankel_fft = np.fft.fft(hankel, self._fft_size)
         self._centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
                                       and np.array_equal(self._sw, self._sw[::-1]))
 
@@ -146,25 +154,39 @@ class HankelKernel:
     def centro_hermitian(self) -> bool:
         return self._centro_hermitian
 
-    def _hankel_apply(self, u: np.ndarray) -> np.ndarray:
-        """H @ u along axis 0: the tail of the convolution of hankel with reversed u."""
+    @cached_property
+    def _fft_size(self) -> int:
+        from scipy.fft import next_fast_len
+
+        return next_fast_len(2 * self.shape[0] - 1, real=True)  # real=True: 5-smooth
+
+    @cached_property
+    def _hankel_fft(self) -> np.ndarray:
+        from scipy.fft import fft
+
+        return fft(self.hankel, self._fft_size)
+
+    def _hankel_apply(self, x: np.ndarray) -> np.ndarray:
+        """H @ x along the last axis: the tail of the convolution of hankel with reversed x."""
+        from scipy.fft import fft, ifft
+
         n = self.shape[0]
-        h = self._hankel_fft if u.ndim == 1 else self._hankel_fft[:, None]
-        conv = np.fft.ifft(h * np.fft.fft(u[::-1], self._fft_size, axis=0), axis=0)
-        return conv[n - 1 : 2 * n - 1]
+        c = fft(x[..., ::-1], self._fft_size, axis=-1)
+        c *= self._hankel_fft
+        return ifft(c, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
 
     def _apply(self, v: np.ndarray, transpose: bool) -> np.ndarray:
         """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m)."""
-        col = (slice(None),) + (None,) * (v.ndim - 1)
-        sw, e = self._sw[col], self.diag[col]
-        u = sw * v
+        e, sw = self.diag, self._sw
+        u = sw * v.T  # nodes on the last axis, the one transformed
         if self.symmetric:
-            y = e * self._hankel_apply(u) + self._hankel_apply(e * u)
+            hu, heu = self._hankel_apply(np.stack((u, e * u)))  # one transform pair for both
+            y = e * hu + heu
         elif transpose:
             y = self._hankel_apply(e * u)
         else:
             y = e * self._hankel_apply(u)
-        return sw * y
+        return (sw * y).T
 
     def as_operator(self) -> LinearOperator:
         return _operator(self.shape, partial(self._apply, transpose=False),
@@ -176,11 +198,13 @@ class HankelKernel:
         The anti-diagonal i + j = m holds |hankel[m]|^2 times the sum of
         w_i w_j |e_i + e_j|^2 (one-sided: w_i w_j |e_i|^2), a convolution.
         """
+        from scipy.fft import fft, ifft
+
         w = self._sw**2
         we2 = w * np.abs(self.diag) ** 2
 
         def conv(a, b):
-            return np.fft.ifft(np.fft.fft(a, self._fft_size) * np.fft.fft(b, self._fft_size))
+            return ifft(fft(a, self._fft_size) * fft(b, self._fft_size))
 
         if self.symmetric:
             anti = 2.0 * (conv(we2, w) + conv(w * self.diag, w * np.conj(self.diag))).real
@@ -257,6 +281,8 @@ def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
 
 def _arpack(a: LinearOperator, k: int, vectors: bool):
     """k leading singular triplets (u, s, vh; u and vh None without vectors), descending."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, svds
+
     v0 = np.ones(min(a.shape))  # fixed start vector: deterministic output
     try:
         out = svds(a, k=k, v0=v0, return_singular_vectors=vectors)

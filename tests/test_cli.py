@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -231,6 +232,42 @@ def test_csv_format_only(tmp_path):
                  "--out", out]) == 0
     assert (tmp_path / "slm_phase.csv").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+def test_figure_json_format_writes_rows_to_report(tmp_path):
+    # --format json writes no CSV; the report holds the CSV's rows in header order
+    base = ["figure", "fig7b", "--points", "3", "--out"]
+    assert main(base + [str(tmp_path / "csv"), "--format", "csv"]) == 0
+    assert main(base + [str(tmp_path / "json"), "--format", "json"]) == 0
+    assert os.listdir(tmp_path / "json") == ["report.json"]
+    rep = read_report(tmp_path / "json")
+    lines = (tmp_path / "csv" / "fig7b.csv").read_text().splitlines()
+    assert lines[0] == ",".join(rep["diagnostics"]["columns"])
+    assert [",".join(grids.CSV_FORMAT % x for x in row)
+            for row in rep["results"]["rows"]] == lines[1:]
+
+
+def test_truncated_solver_modules_load_on_first_use(tmp_path):
+    # in a fresh interpreter: the import and a dense point load neither module, --rank 8 both
+    script = f"""
+import sys
+from tpaopt.cli import main
+def loaded():
+    return [m for m in ("scipy.sparse.linalg", "scipy.fft") if m in sys.modules]
+steps = [loaded()]
+point = ["schmidt", "--delta", "5", "--dev", "-1.9", "--format", "json", "--out", {str(tmp_path)!r}]
+assert main(point) == 0
+steps.append(loaded())
+assert main(point + ["--rank", "8"]) == 0
+steps.append(loaded())
+print(steps)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == str([[], [], ["scipy.sparse.linalg", "scipy.fft"]])
 
 
 @pytest.mark.parametrize("argv, grid", [

@@ -286,6 +286,27 @@ def test_structured_kernel_matches_sampled_oracle(one_sided):
         assert _max_mode_gap(d_op.modes_2[lead], d_oracle.modes_2[lead]) < 1e-12
 
 
+@pytest.mark.parametrize("n", [13, 41, 63, 241])
+@pytest.mark.parametrize("one_sided", [False, True], ids=["phi", "q"])
+def test_products_match_own_matrix(one_sided, n):
+    # at n = 13, 41 and 63, 2n - 1 is 5-smooth: the transform has no padding
+    # that could hide a wrap-around into the rows kept (n = 241 pads 481 to 486)
+    sys = LevelSystem(delta_detuning=3.0, delta_deviation=-1.2)
+    half = 0.25 * (n - 1) / 2.0
+    op = (_one_sided_kernel(sys, make_grid(0.0, half, 0.25)) if one_sided
+          else optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, half, 0.25)))
+    assert op.shape == (n, n)
+    assert op._fft_size == (486 if n == 241 else 2 * n - 1)
+    a, lin = op.to_dense().entries, op.as_operator()
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    assert np.max(np.abs(lin.matvec(v[:, 0]) - a @ v[:, 0])) < 1e-12
+    assert np.max(np.abs(lin.matmat(v) - a @ v)) < 1e-12
+    assert np.max(np.abs(lin.rmatvec(v[:, 1]) - np.conj(a.T) @ v[:, 1])) < 1e-12
+    assert np.max(np.abs(lin.rmatmat(v) - np.conj(a.T) @ v)) < 1e-12
+    assert op.frobenius_norm2() == pytest.approx(np.sum(np.abs(a) ** 2), abs=1e-12)
+
+
 def test_values_only_decomposition_has_no_modes():
     op, _ = _structured_and_oracle(False)
     d = decompose(op, rank=8, vectors=False)

@@ -12,7 +12,10 @@ every file in that directory; ``report.json`` is hashed with its
 run-dependent ``wall_time_ms`` and ``timing`` removed.  Run it on two
 checkouts and compare the manifests to show that a change leaves every
 output byte-identical; the comparison also checks, within each manifest,
-that every command in SAME_AS wrote the files of its serial twin.
+that every command in SAME_AS wrote the files of its serial twin.  For a
+CSV or ``report.json`` that differs and is on both sides, it names the cell
+or key with the largest absolute difference, relative to the file's largest
+magnitude: roundoff drift shows as about 1e-16, a real change as more.
 The whole list takes about a minute and a half on one core of a 2-core
 x86-64 VM.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,14 +117,16 @@ CONFIGS = {
 SAME_AS = {"sweep_delta_threads2": "sweep_delta"}
 
 
+def _deterministic(report):
+    """report.json without its run-dependent wall_time_ms and timing."""
+    return {k: v for k, v in report.items() if k not in ("wall_time_ms", "timing")}
+
+
 def _digest(path):
     with open(path, "rb") as fh:
         data = fh.read()
     if os.path.basename(path) == "report.json":
-        report = json.loads(data)
-        report.pop("wall_time_ms", None)
-        report.pop("timing", None)
-        data = json.dumps(report, indent=2, sort_keys=True).encode()
+        data = json.dumps(_deterministic(json.loads(data)), indent=2, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -150,6 +156,53 @@ def run(out_dir, src):
         fh.write("\n")
 
 
+def _numbers(path):
+    """label -> value of each number in a CSV, or in report.json without its timings."""
+    with open(path, encoding="ascii") as fh:
+        if os.path.basename(path) == "report.json":
+            out, todo = {}, [("", _deterministic(json.load(fh)))]
+            while todo:
+                key, x = todo.pop()
+                if isinstance(x, dict):
+                    todo += [(f"{key}.{k}" if key else k, v) for k, v in x.items()]
+                elif isinstance(x, list):
+                    todo += [(f"{key}[{i}]", v) for i, v in enumerate(x)]
+                elif isinstance(x, (int, float)) and not isinstance(x, bool):
+                    out[key] = float(x)
+            return out
+        lines = [line.split(",") for line in fh.read().splitlines()]
+    out = {}
+    for i, cells in enumerate(lines):
+        for j, cell in enumerate(cells):
+            try:
+                out[f"line {i + 1}, {lines[0][j] if j < len(lines[0]) else j + 1}"] = float(cell)
+            except ValueError:
+                pass
+    return out
+
+
+def _largest_difference(file_a, file_b):
+    """Where two CSV or report.json files differ most, relative to their largest magnitude."""
+    if not (file_a.endswith((".csv", "report.json")) and os.path.exists(file_a)
+            and os.path.exists(file_b)):
+        return ""
+    a, b = _numbers(file_a), _numbers(file_b)
+
+    def gap(k):
+        x, y = a[k], b[k]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            return 0.0
+        return abs(x - y) if math.isfinite(x - y) else math.inf
+
+    note = f"; {len(set(a) ^ set(b))} numbers on one side only" if set(a) != set(b) else ""
+    k = max(sorted(set(a) & set(b)), key=gap, default=None)  # sorted: ties resolve alike
+    if k is None or gap(k) == 0:
+        return note or "; no number differs"
+    scale = max((abs(x) for x in (*a.values(), *b.values()) if math.isfinite(x)), default=0.0)
+    return (f"; largest at {k}: {a[k]!r} -> {b[k]!r}, {gap(k) / (scale or 1.0):.3g} of the "
+            f"largest magnitude {scale:.9g}{note}")
+
+
 def compare(path_a, path_b):
     """Print one line per difference of two manifests; return their count."""
     with open(path_a, encoding="ascii") as fh:
@@ -167,9 +220,13 @@ def compare(path_a, path_b):
             if ra.get(key) != rb.get(key):
                 diffs.append(f"{name}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
-            if ra["files"].get(f) != rb["files"].get(f):
-                diffs.append(f"{name}: {f} differs" if f in ra["files"] and f in rb["files"]
-                             else f"{name}: {f} only in {path_a if f in ra['files'] else path_b}")
+            if ra["files"].get(f) == rb["files"].get(f):
+                continue
+            if f in ra["files"] and f in rb["files"]:
+                diffs.append(f"{name}: {f} differs" + _largest_difference(
+                    *(os.path.join(os.path.dirname(p), name, f) for p in (path_a, path_b))))
+            else:
+                diffs.append(f"{name}: {f} only in {path_a if f in ra['files'] else path_b}")
     print("\n".join(diffs) if diffs else "manifests agree")
     return len(diffs)
 
