@@ -18,9 +18,9 @@ byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
 system parameters, --points < 1, --modes < 0, a bad TPAOPT_THREADS on any run
 and grids whose dense kernel exceeds physical memory among them), 3 solver
 failures (numpy.linalg.LinAlgError).  TPAOPT_THREADS = N >= 1 (clamped to the
-CPU count) evaluates sweep points in a thread pool; results are gathered in
-parameter order, so output is unchanged.  Pair it with OPENBLAS_NUM_THREADS=1,
-or the BLAS threads oversubscribe the cores.
+CPUs this process may run on) evaluates sweep points in a thread pool; results
+are gathered in parameter order, so output is unchanged.  Pair it with
+OPENBLAS_NUM_THREADS=1, or the BLAS threads oversubscribe the cores.
 
 A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
 the grid flags and --rank as they are: the library builds the grid
@@ -437,7 +437,8 @@ def build_parser():
     p = sub.add_parser("figure", help="emit a bundled figure preset as CSV")
     p.add_argument("name", choices=FIGURES)
     p.add_argument("--points", type=int, default=None, help="sweep density override")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=int, default=None,
+                   help="Schmidt coefficients per point, read by fig2a-c and fig8a-c")
     _add_common(p)
     p.set_defaults(func=cmd_figure)
 
@@ -445,7 +446,7 @@ def build_parser():
 
 
 def _load_config_tokens(path, subparser):
-    """Read key=value lines and convert to CLI tokens for the given subcommand."""
+    """Read key=value lines as CLI tokens for the given subcommand, each value split on spaces."""
     actions = subparser._option_string_actions
     tokens = []
     with open(path, encoding="utf-8") as fh:
@@ -465,7 +466,7 @@ def _load_config_tokens(path, subparser):
                 elif value.lower() not in ("0", "false", "no", "off"):
                     raise ValueError(f"{path}:{lineno}: boolean value expected for {key!r}")
             else:
-                tokens.extend([opt, value])
+                tokens.extend([opt, *value.split()])
     return tokens
 
 
@@ -486,7 +487,8 @@ def main(argv=None) -> int:
         raw = os.environ.get("TPAOPT_THREADS") or "1"  # checked even where no pool starts
         if not raw.isdecimal() or int(raw) < 1:
             raise ValueError(f"TPAOPT_THREADS must be an integer >= 1, got {raw!r}")
-        args.threads = min(int(raw), os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        args.threads = min(int(raw), cpus or 1)
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,11 +205,8 @@ def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
     tau = opts.t_minus_t0
     w1 = np.asarray(omega1, dtype=complex)
     w2 = np.asarray(omega2, dtype=complex)
-    gf, wf, cf = sys.gamma_f, sys.omega_f, sys.coupling_f
-    decay_f = np.exp(-1j * (wf - 1j * gf) * tau)
-
-    def lf(w):
-        return 1j * cf / (w - wf + 1j * gf)
+    decay_f = np.exp(-1j * (sys.omega_f - 1j * sys.gamma_f) * tau)
+    lf = partial(lineshape, sys, "f")
 
     def one_sided(a, b):
         out = 0j

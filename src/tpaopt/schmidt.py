@@ -340,10 +340,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         on the Gram operator) with a fixed start vector, on a `HankelKernel`
         without forming its matrix (see `choose_solver`; `solver_rank` gives
         the default rank for a grid size).  Ranks beyond the matrix
-        dimension are clipped with a warning.  The dense SVD of a
-        centro-Hermitian `HankelKernel` runs on an equivalent real matrix
-        of the same size; its coefficients and modes are those of the
-        complex SVD up to roundoff.
+        dimension are clipped with a warning; a rank below 1 is an error.
+        The dense SVD of a centro-Hermitian `HankelKernel` runs on an
+        equivalent real matrix of the same size; its coefficients and modes
+        are those of the complex SVD up to roundoff.
     renormalize : bool
         Rescale the retained coefficients so their squares sum to 1.
     vectors : bool
@@ -351,11 +351,15 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
 
     Raises
     ------
+    ValueError
+        If the kernel is not weight-embedded or rank is below 1.
     numpy.linalg.LinAlgError
         If the dense or iterative SVD fails to converge.
     """
     if not kernel.weight_embedded:
         raise ValueError("decompose requires a weight-embedded kernel")
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be >= 1 (or None for the full spectrum), got {rank}")
     max_rank = min(kernel.shape)
     if rank is not None and rank > max_rank:
         warnings.warn(

@@ -303,14 +303,19 @@ def complex_normal_cdf(z):
     return out if out.ndim else complex(out)
 
 
-def _populations(weights, values, n_norm):
-    p_shaped = float(np.sum(weights * np.abs(values)) ** 2 / n_norm)
-    p_unshaped = float(np.abs(np.sum(weights * values)) ** 2 / n_norm)
+def _solution(kind, sys, state, grid, response, phase) -> ShapingSolution:
+    """The solution whose shaper cancels `phase`: populations in units of N, ratio, residual."""
+    weights = quadrature_weights(grid)
+    n_norm = normalization(sys)
+    p_shaped = float(np.sum(weights * np.abs(response)) ** 2 / n_norm)
+    p_unshaped = float(np.abs(np.sum(weights * response)) ** 2 / n_norm)
     if p_unshaped == 0.0:
         warnings.warn("unshaped population vanishes; optimization ratio reported as inf",
                       RuntimeWarning)
-        return p_shaped, p_unshaped, np.inf
-    return p_shaped, p_unshaped, p_shaped / p_unshaped
+    e_opt = p_shaped / p_unshaped if p_unshaped else np.inf
+    sol = ShapingSolution(kind, grid, response, phase, p_shaped, p_unshaped, e_opt)
+    sol.residual = stationarity_residual(sys, state, sol)
+    return sol
 
 
 def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = None) -> ShapingSolution:
@@ -334,20 +339,7 @@ def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = No
         raise ValueError("the cw-SPDC profile must be symmetric about zero offset")
 
     w_resp = effective_response(sys, state, om)
-    phase = np.angle(w_resp)
-    weights = quadrature_weights(grid)
-    p_s, p_u, e_opt = _populations(weights, w_resp, normalization(sys))
-    sol = ShapingSolution(
-        kind="slm",
-        grid=grid,
-        response_nodes=w_resp,
-        phase_nodes=0.5 * phase,
-        p_shaped=p_s,
-        p_unshaped=p_u,
-        e_opt=e_opt,
-    )
-    sol.residual = stationarity_residual(sys, state, sol)
-    return sol
+    return _solution("slm", sys, state, grid, w_resp, 0.5 * np.angle(w_resp))
 
 
 def optimal_pump_shaper(sys: LevelSystem, state: PumpShaped,
@@ -375,19 +367,7 @@ def optimal_pump_shaper(sys: LevelSystem, state: PumpShaped,
     else:
         xi = alpha * eta_gaussian_pm(sys, wp, state.zeta)
 
-    weights = quadrature_weights(grid_plus)
-    p_s, p_u, e_opt = _populations(weights, xi, normalization(sys))
-    sol = ShapingSolution(
-        kind="pump",
-        grid=grid_plus,
-        response_nodes=xi,
-        phase_nodes=np.angle(xi),
-        p_shaped=p_s,
-        p_unshaped=p_u,
-        e_opt=e_opt,
-    )
-    sol.residual = stationarity_residual(sys, state, sol)
-    return sol
+    return _solution("pump", sys, state, grid_plus, xi, np.angle(xi))
 
 
 def _check_unit_modulus(m) -> np.ndarray:
@@ -449,16 +429,15 @@ def stationarity_residual(sys: LevelSystem, state, solution: ShapingSolution) ->
     if solution.kind == "slm":
         if not isinstance(state, CwSpdc):
             raise ValueError("slm solution requires a CwSpdc state")
-        m_ref = m[::-1]
-        integral = np.sum(w * resp * m * m_ref)
-        rhs = sqrt_n * np.conj(resp) * np.conj(m_ref) * integral
+        partner = m[::-1]  # photon 2 sits at the mirrored offset
     elif solution.kind == "pump":
         if not isinstance(state, PumpShaped):
             raise ValueError("pump solution requires a PumpShaped state")
-        integral = np.sum(w * resp * m)
-        rhs = sqrt_n * np.conj(resp) * integral
+        partner = 1.0  # the difference-frequency arm is unshaped
     else:
         raise ValueError(f"unknown solution kind {solution.kind!r}")
+    integral = np.sum(w * resp * m * partner)
+    rhs = sqrt_n * np.conj(resp) * np.conj(partner) * integral
     lhs = psi2 * m
     keep = psi2 >= PSI_FLOOR * np.max(psi2)
     return float(np.max(np.abs(lhs[keep] - rhs[keep]) / np.abs(lhs[keep])))

@@ -226,6 +226,35 @@ def test_thread_pool_does_not_change_output(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_config_sweep_matches_flags(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("delta = 4\nsweep = sigma 0.5 8 3\nlog = yes\n")
+    out1, out2 = str(tmp_path / "flags"), str(tmp_path / "config")
+    assert main(["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3", "--log",
+                 "--out", out1]) == 0
+    assert main(["shape-slm", "--config", str(cfg), "--out", out2]) == 0
+    a = open(os.path.join(out1, "slm_sweep.csv"), "rb").read()
+    b = open(os.path.join(out2, "slm_sweep.csv"), "rb").read()
+    assert a == b
+
+
+def test_thread_count_clamped_to_affinity_mask(tmp_path, monkeypatch):
+    args = ["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"]
+    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "pinned")
+    assert main(args + ["--out", out1]) == 0
+    workers = []
+    map_points = cli._map_points
+    monkeypatch.setattr(cli, "_map_points",
+                        lambda fn, values, n: workers.append(n) or map_points(fn, values, n))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setenv("TPAOPT_THREADS", "4")
+    assert main(args + ["--out", out2]) == 0
+    assert workers == [1]
+    a = open(os.path.join(out1, "slm_sweep.csv"), "rb").read()
+    b = open(os.path.join(out2, "slm_sweep.csv"), "rb").read()
+    assert a == b
+
+
 def test_csv_format_only(tmp_path):
     out = str(tmp_path)
     assert main(["shape-slm", "--delta", "2", "--sigma", "1", "--format", "csv",

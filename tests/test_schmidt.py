@@ -60,6 +60,17 @@ def test_requires_weight_embedded_kernel():
         decompose(k)
 
 
+@pytest.mark.parametrize("rank", [0, -3])
+def test_rank_below_one_rejected(rank):
+    sys = LevelSystem(delta_detuning=2.0, delta_deviation=-1.0)
+    grid = make_grid(sys.omega_f / 2.0, 20.0, 0.5)
+    for kernel in (optimal_state_operator(sys, grid), optimal_state_kernel(sys, grid)):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            decompose(kernel, rank=rank)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        asymmetric_decomposition(sys, make_grid(0.0, 20.0, 0.5), rank=rank)
+
+
 def test_rank_clipping_warns():
     g = make_grid(0.0, 2.0, 0.5)
     k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g)

@@ -306,6 +306,23 @@ def test_pump_custom_beta_quadrature_path_matches_closed_form():
     assert numeric.p_shaped == pytest.approx(closed.p_shaped, rel=1e-6)
 
 
+def zeros(w):
+    return np.zeros(np.shape(w))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda sys: optimal_pump_shaper(sys, PumpShaped(sigma=1.0, infinite_pm=True, alpha=zeros)),
+    lambda sys: optimal_slm(sys, CwSpdc(sigma=1.0, profile=zeros)),
+], ids=["pump", "slm"])
+def test_vanishing_amplitude_reports_infinite_ratio(solve):
+    # the residual is 0/0 here, so neither it nor numpy's invalid-value warning is checked
+    vanishes = pytest.warns(RuntimeWarning, match="unshaped population vanishes")
+    with np.errstate(invalid="ignore"), vanishes:
+        sol = solve(LevelSystem(delta_detuning=2.0))
+    assert sol.p_shaped == sol.p_unshaped == 0.0
+    assert sol.e_opt == np.inf
+
+
 # ---------------------------------------------------------------------------
 # stationarity
 

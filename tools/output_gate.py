@@ -82,6 +82,7 @@ COMMANDS = {
     "exit3": ["schmidt", "--grid-half-width", "20", "--step", "0.5"],
     "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
     "config_bool": ["shape-pump", "--config", "run.cfg", "--phi", "1"],
+    "config_sweep": ["shape-slm", "--config", "run.cfg"],
     "sweep_delta_threads2": ["schmidt", "--dev", "-1.8", "--sweep", "delta", "1", "5", "3"],
     "format_csv": ["schmidt", "--delta", "5", "--dev", "-1.9", "--format", "csv"],
     "format_json": ["shape-pump", "--delta", "5", "--zeta", "auto", "--format", "json"],
@@ -111,6 +112,7 @@ ENV = {
 # name -> text of the run.cfg file written into that command's directory
 CONFIGS = {
     "config_bool": "delta = 3\ndev = -1.5\nsigma = 0.5\ninfinite_pm = yes  # a boolean key\n",
+    "config_sweep": "delta = 4\nsweep = sigma 0.5 8 3  # a key taking several values\nlog = yes\n",
 }
 
 # name -> the command whose files it must reproduce byte for byte
