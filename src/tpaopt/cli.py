@@ -15,9 +15,10 @@ wall_time_ms}; timing holds the milliseconds spent per stage (solve, bounds,
 shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
-system parameters, --points < 1, --modes < 0, a bad TPAOPT_THREADS on any run
-and grids whose dense kernel exceeds physical memory among them), 3 solver
-failures (numpy.linalg.LinAlgError).  TPAOPT_THREADS = N >= 1 (clamped to the
+system, grid or shaping values, --points < 1, --modes < 0, a bad
+TPAOPT_THREADS on any run, grids whose dense kernel exceeds physical memory
+and allocations that fail among them), 3 solver failures
+(numpy.linalg.LinAlgError).  TPAOPT_THREADS = N >= 1 (clamped to the
 CPUs this process may run on) evaluates sweep points in a thread pool; results
 are gathered in parameter order, so output is unchanged.  Pair it with
 OPENBLAS_NUM_THREADS=1, or the BLAS threads oversubscribe the cores.
@@ -48,8 +49,9 @@ import numpy as np
 
 from .grids import CSV_FORMAT, write_csv, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (asymptotic_bounds, entropy, optimal_state_kernel, optimal_state_schmidt,
-                      pairing_check, quantum_enhancement, solver_rank, solver_stats)
+from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, entropy, optimal_state_kernel,
+                      optimal_state_schmidt, pairing_check, quantum_enhancement, solver_rank,
+                      solver_stats)
 from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
@@ -173,9 +175,11 @@ def _schmidt_single(args, params, row, state):
     if args.format in ("csv", "both"):
         write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), "k,r,r_squared",
                   [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
+        # modes of coefficients at the floor are roundoff, not part of the amplitude
+        n_modes = min(args.modes, np.count_nonzero(r > COEFFICIENT_FLOOR))
         write_csv(os.path.join(args.out, "schmidt_modes.csv"),
                   "k,omega,mode1_re,mode1_im,mode2_re,mode2_im",
-                  [(k + 1, *x) for k in range(min(args.modes, len(r)))
+                  [(k + 1, *x) for k in range(n_modes)
                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
                                 d.modes_2[k].real, d.modes_2[k].imag)])
     if args.dump_kernel:
@@ -204,13 +208,9 @@ def _slm_point(args, delta, dev, sigma):
 
 
 def _pump_point(args, delta, dev, sigma, phi, zeta):
-    if zeta is None and not args.infinite_pm:
-        raise ValueError("shape-pump needs --zeta (or --infinite-pm)")
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     sigma = _resolve(sigma, auto_pump_sigma, sys_)
-    zeta = _resolve(zeta, auto_pump_zeta, sys_)
-    if args.infinite_pm:
-        zeta = None
+    zeta = None if args.infinite_pm else _resolve(zeta, auto_pump_zeta, sys_)
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
     with args.timed("shape"):
@@ -420,7 +420,8 @@ def build_parser():
     p.add_argument("--rank", type=int, default=None,
                    help="coefficients to compute (default: the full spectrum on small "
                    "grids, 300 on large ones; 0: the full spectrum at any size)")
-    p.add_argument("--modes", type=int, default=2, help="mode pairs written to CSV")
+    p.add_argument("--modes", type=int, default=2,
+                   help="mode pairs written to CSV, at most one per coefficient above 1e-12")
     p.add_argument("--dump-kernel", action="store_true",
                    help="also write the sampled kernel matrix (large!) to kernel.csv")
 
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an impossible allocation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -71,14 +71,20 @@ def make_grid(center: float, half_width: float, step: float) -> FrequencyGrid:
     """Symmetric grid about `center` with odd node count, covering +- half_width.
 
     Examples: make_grid(0, 500, 0.25) has 4001 nodes; make_grid(0, 1, 1)
-    has the 3 nodes {-1, 0, 1}.
+    has the 3 nodes {-1, 0, 1}.  A non-finite center or node count is a
+    ValueError.
     """
     if not half_width > 0:
         raise ValueError(f"half_width must be > 0, got {half_width}")
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
+    if not isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
     if step > half_width:
         raise ValueError(f"step must be <= half_width, got step={step}, half_width={half_width}")
+    if not isfinite(2.0 * half_width / step):  # the node count, 2 n_side + 1 below
+        raise ValueError(f"the node count 2 half_width / step must be finite, got "
+                         f"half_width={half_width}, step={step}")
     n_side = int(ceil(half_width / step - 1e-9))
     return FrequencyGrid(center - n_side * step, step, 2 * n_side + 1)
 
@@ -93,16 +99,15 @@ def quadrature_weights(grid: FrequencyGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discretized two-photon amplitude on grid1 x grid2.
+    """Discretized two-photon amplitude on grid1 x grid2, weights embedded.
 
-    When weight_embedded, entries[i, j] = f(w_i, v_j) * sqrt(w_i * w_j), so
-    the squared Frobenius norm approximates the double integral of |f|^2.
+    entries[i, j] = f(w_i, v_j) * sqrt(w_i * w_j), so the squared Frobenius
+    norm approximates the double integral of |f|^2.
     """
 
     grid1: FrequencyGrid
     grid2: FrequencyGrid
     entries: np.ndarray
-    weight_embedded: bool
 
     def __post_init__(self):
         if self.entries.shape != (self.grid1.count, self.grid2.count):
@@ -123,16 +128,15 @@ class KernelMatrix:
 
 def check_dense_fits(n1: int, n2: int) -> None:
     """Raise ValueError, before any allocation, if a dense n1 x n2 complex matrix exceeds RAM."""
-    need = 16 * n1 * n2
+    need = 16.0 * n1 * n2  # a float: inf, not an overflow, for absurd node counts
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(f"a dense {n1} x {n2} kernel needs {need / 2**30:.3g} GiB, more than "
                          f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
 
 
-def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
-                  embed_weights: bool = True) -> KernelMatrix:
-    """Sample a two-argument complex function on a tensor grid.
+def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None) -> KernelMatrix:
+    """Sample a two-argument complex function on a tensor grid, times sqrt(w_i w_j).
 
     Parameters
     ----------
@@ -140,8 +144,6 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
         Vectorized function of two broadcastable frequency arrays.
     grid1, grid2 : FrequencyGrid
         Node sets for the two arguments (grid2 defaults to grid1).
-    embed_weights : bool
-        Multiply entries by sqrt(w_i w_j) of the trapezoidal weights.
     """
     if grid2 is None:
         grid2 = grid1
@@ -149,17 +151,13 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None,
     x1 = grid1.nodes
     x2 = grid2.nodes
     out = np.empty((x1.size, x2.size), dtype=complex)
-    if embed_weights:
-        sw1 = np.sqrt(quadrature_weights(grid1))
-        sw2 = np.sqrt(quadrature_weights(grid2))
+    sw1 = np.sqrt(quadrature_weights(grid1))
+    sw2 = np.sqrt(quadrature_weights(grid2))
     for i0 in range(0, x1.size, ROW_CHUNK):
         sl = slice(i0, min(i0 + ROW_CHUNK, x1.size))
-        block = f(x1[sl][:, None], x2[None, :])
-        if embed_weights:
-            # single fused product keeps symmetric samples exactly symmetric
-            block = block * (sw1[sl][:, None] * sw2[None, :])
-        out[sl] = block
-    return KernelMatrix(grid1, grid2, out, embed_weights)
+        # single fused product keeps symmetric samples exactly symmetric
+        out[sl] = f(x1[sl][:, None], x2[None, :]) * (sw1[sl][:, None] * sw2[None, :])
+    return KernelMatrix(grid1, grid2, out)
 
 
 def _reference(sys: LevelSystem) -> tuple[float, float, float]:
@@ -191,29 +189,15 @@ def auto_grid(sys: LevelSystem, half: float | None = None, step: float | None = 
     return make_grid(center, half, ref_step if step is None else step)
 
 
-def _plain_density(kernel: KernelMatrix):
-    """|f(w_i, v_j)|^2 with quadrature weights stripped if embedded."""
-    p = np.abs(kernel.entries) ** 2
-    if kernel.weight_embedded:
-        w1 = quadrature_weights(kernel.grid1)
-        w2 = quadrature_weights(kernel.grid2)
-        p = p / (w1[:, None] * w2[None, :])
-    return p
+def kernel_marginal_single(kernel: KernelMatrix):
+    """Marginal density of |f|^2 over the second photon's frequency.
 
-
-def kernel_marginal_single(kernel: KernelMatrix, axis: int = 0):
-    """Marginal density of |f|^2 over the other photon's frequency.
-
-    Returns (nodes, density) where density[i] = sum_j w_j |f(w_i, v_j)|^2.
+    Returns (grid1 nodes, density) where density[i] = sum_j w_j |f(w_i, v_j)|^2.
     """
-    p = _plain_density(kernel)
-    if axis == 0:
-        w = quadrature_weights(kernel.grid2)
-        return kernel.grid1.nodes, p @ w
-    if axis == 1:
-        w = quadrature_weights(kernel.grid1)
-        return kernel.grid2.nodes, w @ p
-    raise ValueError(f"axis must be 0 or 1, got {axis}")
+    w1 = quadrature_weights(kernel.grid1)
+    w2 = quadrature_weights(kernel.grid2)
+    p = np.abs(kernel.entries) ** 2 / (w1[:, None] * w2[None, :])  # the weights stripped
+    return kernel.grid1.nodes, p @ w2
 
 
 def kernel_marginal_sum(kernel: KernelMatrix):
@@ -228,10 +212,6 @@ def kernel_marginal_sum(kernel: KernelMatrix):
     if abs(g1.step - g2.step) > 1e-12 * g1.step:
         raise ValueError("kernel_marginal_sum requires equal grid steps")
     p = np.abs(kernel.entries) ** 2
-    if not kernel.weight_embedded:
-        w1 = quadrature_weights(g1)
-        w2 = quadrature_weights(g2)
-        p = p * (w1[:, None] * w2[None, :])
     n1, n2 = p.shape
     # bin i + j collects row i's term in increasing i, as a row-by-row sum would
     acc = np.bincount(np.add.outer(np.arange(n1), np.arange(n2)).ravel(), weights=p.ravel(),
@@ -256,6 +236,6 @@ def write_kernel_csv(kernel: KernelMatrix, path) -> None:
     g1, g2 = kernel.grid1, kernel.grid2
     header = (f"# grid1 min,step,count = {g1.min:.17g},{g1.step:.17g},{g1.count}\n"
               f"# grid2 min,step,count = {g2.min:.17g},{g2.step:.17g},{g2.count}\n"
-              f"# weight_embedded = {kernel.weight_embedded}")
+              "# weight_embedded = True")
     # a complex row viewed as floats is its re,im pairs
     write_csv(path, header, np.ascontiguousarray(kernel.entries, dtype=complex).view(np.float64))

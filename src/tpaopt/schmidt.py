@@ -87,15 +87,14 @@ AsymmetricSchmidt = SchmidtDecomposition
 
 
 def optimal_state_kernel(sys: LevelSystem, grid1: FrequencyGrid,
-                         grid2: FrequencyGrid | None = None,
-                         embed_weights: bool = True) -> KernelMatrix:
+                         grid2: FrequencyGrid | None = None) -> KernelMatrix:
     """Sample the normalized optimal pair amplitude Phi = conj(T)/sqrt(N)."""
     scale = 1.0 / np.sqrt(normalization(sys))
 
     def phi(w1, w2):
         return np.conj(response_infinite(sys, w1, w2)) * scale
 
-    return sample_kernel(phi, grid1, grid2, embed_weights=embed_weights)
+    return sample_kernel(phi, grid1, grid2)
 
 
 def _operator(shape, apply, apply_transpose) -> LinearOperator:
@@ -138,8 +137,6 @@ class HankelKernel:
     detuning, since both Lorentzian lines obey L(-x) = conj L(x) about their
     centres; the dense SVD of such a kernel runs in real arithmetic.
     """
-
-    weight_embedded = True
 
     def __init__(self, grid1: FrequencyGrid, grid2: FrequencyGrid, diag: np.ndarray,
                  hankel: np.ndarray, symmetric: bool):
@@ -222,7 +219,7 @@ class HankelKernel:
             sl = slice(i0, min(i0 + ROW_CHUNK, n))
             lines = e[sl, None] + e[None, :] if self.symmetric else e[sl, None]
             out[sl] = lines * h[sl] * (sw[sl, None] * sw[None, :])
-        return KernelMatrix(self.grid1, self.grid2, out, True)
+        return KernelMatrix(self.grid1, self.grid2, out)
 
 
 def optimal_state_operator(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
@@ -332,8 +329,8 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     Parameters
     ----------
     kernel : KernelMatrix or HankelKernel
-        Must have weight_embedded set; the singular values of the embedded
-        matrix are the Schmidt coefficients.
+        The singular values of its weight-embedded matrix are the Schmidt
+        coefficients.
     rank : int or None
         Number of leading coefficients to compute.  None runs the dense
         reference SVD; a rank below n - 1 uses the iterative solver (ARPACK
@@ -352,12 +349,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     Raises
     ------
     ValueError
-        If the kernel is not weight-embedded or rank is below 1.
+        If rank is below 1.
     numpy.linalg.LinAlgError
         If the dense or iterative SVD fails to converge.
     """
-    if not kernel.weight_embedded:
-        raise ValueError("decompose requires a weight-embedded kernel")
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1 (or None for the full spectrum), got {rank}")
     max_rank = min(kernel.shape)
@@ -513,11 +508,7 @@ def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid | None = None,
     grid = bounds_grid(sys) if grid is None else grid
     dq = decompose(_one_sided_kernel(sys, grid), rank=solver_rank(grid.count, rank),
                    vectors=False)
-    if dq.coefficients.size == 0 or dq.coefficients[0] <= 0:
-        raise ValueError("degenerate one-sided decomposition")
-    e_inf = 2.0 / dq.coefficients[0] ** 2
-    s_inf = 1.0 + entropy(dq)
-    return float(e_inf), float(s_inf)
+    return 2.0 * quantum_enhancement(dq), 1.0 + entropy(dq)
 
 
 def pairing_check(d: SchmidtDecomposition) -> float:

@@ -16,6 +16,7 @@ ideal optimal pair.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -76,19 +77,18 @@ def chirped_pump_profile(sigma: float, phi: float, center: float) -> Callable:
 class CwSpdc:
     """Degenerate photon pair from a cw pump, shaped by identical modulators.
 
-    The pump line pins the frequency sum, so the pair amplitude reduces to a
-    real symmetric single-photon profile of the offset from pump_frequency/2
-    (a normalized Gaussian of bandwidth sigma unless `profile` overrides it).
-    pump_frequency defaults to the two-photon resonance of the driven system.
+    The pump line, at the two-photon resonance omega_f of the driven system,
+    pins the frequency sum, so the pair amplitude reduces to a real symmetric
+    single-photon profile of the offset from omega_f / 2 (a normalized
+    Gaussian of bandwidth sigma unless `profile` overrides it).
     """
 
     sigma: float
-    pump_frequency: float | None = None
     profile: Callable | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
     def resolved_profile(self) -> Callable:
         return self.profile if self.profile is not None else gaussian_profile(self.sigma)
@@ -114,8 +114,12 @@ class PumpShaped:
     beta: Callable | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        for name in ("phi", "zeta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta is None and not self.infinite_pm:
             if self.zeta is None or not self.zeta > 0:
                 raise ValueError(
@@ -166,9 +170,8 @@ def effective_response(sys: LevelSystem, state, at):
         if isinstance(at, tuple):
             raise ValueError("CwSpdc takes a single offset Omega, not a pair")
         om = np.asarray(at)
-        wp = sys.omega_f if state.pump_frequency is None else state.pump_frequency
         g = state.resolved_profile()(om)
-        return g * response_infinite(sys, wp / 2.0 + om, wp / 2.0 - om)
+        return g * response_infinite(sys, sys.omega_f / 2.0 + om, sys.omega_f / 2.0 - om)
     if isinstance(state, PumpShaped):
         if not (isinstance(at, tuple) and len(at) == 2):
             raise ValueError("PumpShaped takes a (w_plus, w_minus) pair")
@@ -208,11 +211,10 @@ def slm_grid(sys: LevelSystem, state: CwSpdc, half: float | None = None,
     """Default offset grid for the reduced cw-SPDC problem.
 
     Covers the Gaussian profile and the two single-photon poles at
-    +-(pump/2 - omega_e) with a margin of 30 gamma_e, at step
+    +-(omega_f/2 - omega_e) with a margin of 30 gamma_e, at step
     min(gamma_e, sigma) / 25; half and step, when given, replace these.
     """
-    wp = sys.omega_f if state.pump_frequency is None else state.pump_frequency
-    pole = abs(wp / 2.0 - sys.omega_e)
+    pole = abs(sys.omega_f / 2.0 - sys.omega_e)
     half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e) if half is None else half
     step = min(sys.gamma_e / 25.0, state.sigma / 25.0) if step is None else step
     return make_grid(0.0, half, step)
@@ -386,12 +388,8 @@ def shaped_population(sys: LevelSystem, kernel: KernelMatrix, m1, m2) -> float:
     """
     m1 = _check_unit_modulus(m1)
     m2 = _check_unit_modulus(m2)
-    w1 = quadrature_weights(kernel.grid1)
-    w2 = quadrature_weights(kernel.grid2)
-    if kernel.weight_embedded:
-        left, right = np.sqrt(w1) * m1, np.sqrt(w2) * m2
-    else:
-        left, right = w1 * m1, w2 * m2
+    left = np.sqrt(quadrature_weights(kernel.grid1)) * m1
+    right = np.sqrt(quadrature_weights(kernel.grid2)) * m2
     amp = left @ kernel.entries @ right
     return float(np.abs(amp) ** 2 / normalization(sys))
 
@@ -418,7 +416,8 @@ def stationarity_residual(sys: LevelSystem, state, solution: ShapingSolution) ->
     effective response times its integrated modulus); nodes where |psi|^2
     falls below 1e-12 of its maximum are excluded.  The optimal phase makes
     the residual vanish to roundoff; perturbing the phase at any relevant
-    node raises it to the size of the perturbation.
+    node raises it to the size of the perturbation.  Where the effective
+    response vanishes at every node, both sides vanish and the residual is 0.
     """
     grid = solution.grid
     w = quadrature_weights(grid)
@@ -436,8 +435,11 @@ def stationarity_residual(sys: LevelSystem, state, solution: ShapingSolution) ->
         partner = 1.0  # the difference-frequency arm is unshaped
     else:
         raise ValueError(f"unknown solution kind {solution.kind!r}")
+    peak = np.max(psi2)
+    if peak == 0.0:
+        return 0.0
     integral = np.sum(w * resp * m * partner)
     rhs = sqrt_n * np.conj(resp) * np.conj(partner) * integral
     lhs = psi2 * m
-    keep = psi2 >= PSI_FLOOR * np.max(psi2)
+    keep = psi2 >= PSI_FLOOR * peak
     return float(np.max(np.abs(lhs[keep] - rhs[keep]) / np.abs(lhs[keep])))

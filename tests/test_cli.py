@@ -25,7 +25,8 @@ def read_report(out_dir):
 def test_schmidt_separable_point(tmp_path):
     out = str(tmp_path)
     assert main(["schmidt", "--delta", "0", "--dev", "0", "--out", out, "--rank", "8",
-                 "--grid-half-width", "200", "--step", "0.5", "--grid-center", "0"]) == 0
+                 "--grid-half-width", "200", "--step", "0.5", "--grid-center", "0",
+                 "--modes", "4"]) == 0
     rep = read_report(out)
     assert rep["schema_version"] == 2
     assert set(rep["timing"]) == {"solve", "bounds", "write"}
@@ -33,7 +34,9 @@ def test_schmidt_separable_point(tmp_path):
     assert rep["results"]["quantum_enhancement"] <= 1.01
     assert rep["grid"]["points"] == 801
     assert (tmp_path / "schmidt_coefficients.csv").exists()
-    assert (tmp_path / "schmidt_modes.csv").exists()
+    # Phi has rank 1 here: the modes of the roundoff coefficients are not written
+    rows = (tmp_path / "schmidt_modes.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"1"}
 
 
 def test_schmidt_default_grid_echoed(tmp_path):
@@ -325,10 +328,25 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--delta", "nan", "delta_detuning"),
     ("--dev", "inf", "delta_deviation"),
+    ("--grid-half-width", "inf", "half_width"),
+    ("--step", "1e-310", "half_width"),
+    ("--delta", "1e308", "half_width"),  # the grid holding both lines overflows
 ])
 @pytest.mark.parametrize("command", [["schmidt", "--rank", "4"], ["shape-slm", "--sigma", "1"]])
 def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, field):
     assert main(command + [flag, value, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["schmidt", "--grid-center", "nan"], "center"),
+    (["shape-slm", "--sigma", "inf"], "sigma"),
+    (["shape-pump", "--sigma", "inf", "--infinite-pm"], "sigma"),
+    (["shape-pump", "--sigma", "1", "--zeta", "inf"], "zeta"),
+    (["shape-pump", "--phi", "nan", "--zeta", "1"], "phi"),
+])
+def test_non_finite_grid_and_shaping_values_exit_2(tmp_path, capsys, argv, field):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
 
 
@@ -354,14 +372,20 @@ def test_bad_count_exits_2(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--step", "1e-4"],        # 8,000,001-node point grid
-    ["--dev", "-1.9999999"],   # 1,600,000,001-node bounds grid
+    ["schmidt", "--rank", "4", "--step", "1e-4"],       # 8,000,001-node point grid
+    ["schmidt", "--rank", "4", "--dev", "-1.9999999"],  # 1,600,000,001-node bounds grid
+    ["schmidt", "--grid-half-width", "1e300"],  # a node count whose byte count overflows
+    # 8 PB of sweep values, beyond any address space: numpy's MemoryError, nothing allocated
+    ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
 ])
 def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     t0 = time.perf_counter()
-    assert main(["schmidt", "--rank", "4", "--out", str(tmp_path)] + argv) == 2
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     assert time.perf_counter() - t0 < 5.0
-    assert "physical memory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # a dense grid is refused before any allocation; numpy refuses the 8 PB sweep itself
+    assert ("Unable to allocate" if "--sweep" in argv else "physical memory") in err
 
 
 @pytest.mark.parametrize("n, rank, vectors, expected", [

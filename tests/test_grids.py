@@ -107,7 +107,7 @@ def test_nodes_bit_exact_from_min_step_index():
 
 def test_sample_symmetric_kernel_equals_transpose():
     g = make_grid(0.0, 5.0, 0.1)
-    k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g, embed_weights=True)
+    k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g)
     assert np.all(k.entries == k.entries.T)
 
 
@@ -159,7 +159,7 @@ def test_norm_capture_on_default_grid():
 def test_kernel_shape_validation():
     g = make_grid(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        KernelMatrix(g, g, np.zeros((2, 2), dtype=complex), True)
+        KernelMatrix(g, g, np.zeros((2, 2), dtype=complex))
 
 
 def test_marginal_sum_requires_matching_steps():
@@ -179,14 +179,11 @@ def test_kernel_csv_dump(tmp_path):
     assert len(first) == 2 * g.count  # re,im pairs
 
 
-@pytest.mark.parametrize("embed", [True, False])
-def test_marginal_sum_matches_row_by_row_sum_bitwise(embed):
+def test_marginal_sum_matches_row_by_row_sum_bitwise():
     sys = LevelSystem(delta_detuning=3.0, delta_deviation=-1.2)
     g1, g2 = make_grid(1.5, 12.0, 0.25), make_grid(2.0, 8.0, 0.25)
-    k = optimal_state_kernel(sys, g1, g2, embed_weights=embed)
+    k = optimal_state_kernel(sys, g1, g2)
     p = np.abs(k.entries) ** 2
-    if not embed:
-        p = p * np.outer(quadrature_weights(g1), quadrature_weights(g2))
     acc = np.zeros(g1.count + g2.count - 1)
     for i, row in enumerate(p):
         acc[i : i + g2.count] += row
@@ -204,7 +201,7 @@ def test_kernel_csv_rows_match_per_element_formatting(tmp_path):
     scales = 10.0 ** rng.integers(-20, 21, n - len(special))
     values = np.concatenate([special, rng.standard_normal(n - len(special)) * scales])
     entries = (values[0::2] + 1j * values[1::2]).reshape(g1.count, g2.count)
-    k = KernelMatrix(g1, g2, entries, True)
+    k = KernelMatrix(g1, g2, entries)
     path = tmp_path / "kernel.csv"
     write_kernel_csv(k, path)
     rows = path.read_text().splitlines()[3:]

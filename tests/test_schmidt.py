@@ -53,13 +53,6 @@ def test_enhancement_trivial_spectra():
         quantum_enhancement(synthetic_decomposition([0.0]))
 
 
-def test_requires_weight_embedded_kernel():
-    g = make_grid(0.0, 5.0, 0.5)
-    k = sample_kernel(lambda a, b: a * b + 0j, g, embed_weights=False)
-    with pytest.raises(ValueError):
-        decompose(k)
-
-
 @pytest.mark.parametrize("rank", [0, -3])
 def test_rank_below_one_rejected(rank):
     sys = LevelSystem(delta_detuning=2.0, delta_deviation=-1.0)
@@ -130,7 +123,7 @@ def test_spectrum_invariant_under_transpose():
     from tpaopt import KernelMatrix
 
     _, k = small_kernel(half=30.0, step=0.5)
-    kt = KernelMatrix(k.grid2, k.grid1, np.ascontiguousarray(k.entries.T), True)
+    kt = KernelMatrix(k.grid2, k.grid1, np.ascontiguousarray(k.entries.T))
     s = decompose(k, rank=12).coefficients
     st = decompose(kt, rank=12).coefficients
     np.testing.assert_allclose(s, st, atol=1e-10)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -315,12 +316,14 @@ def zeros(w):
     lambda sys: optimal_slm(sys, CwSpdc(sigma=1.0, profile=zeros)),
 ], ids=["pump", "slm"])
 def test_vanishing_amplitude_reports_infinite_ratio(solve):
-    # the residual is 0/0 here, so neither it nor numpy's invalid-value warning is checked
-    vanishes = pytest.warns(RuntimeWarning, match="unshaped population vanishes")
-    with np.errstate(invalid="ignore"), vanishes:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sol = solve(LevelSystem(delta_detuning=2.0))
+    assert [str(w.message) for w in caught] == [
+        "unshaped population vanishes; optimization ratio reported as inf"]
     assert sol.p_shaped == sol.p_unshaped == 0.0
     assert sol.e_opt == np.inf
+    assert sol.residual == 0.0  # both sides of the fixed-point equation vanish
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ COMMANDS = {
     "exit2_threads_single": ["shape-slm", "--delta", "4"],
     "exit2_points": ["figure", "fig7a", "--points", "0"],
     "exit2_modes": ["schmidt", "--delta", "5", "--dev", "-1.9", "--modes", "-3"],
+    "exit2_step_overflow": ["schmidt", "--step", "1e-310"],
+    "exit2_center_nan": ["schmidt", "--grid-center", "nan"],
+    "exit2_sigma_inf": ["shape-slm", "--sigma", "inf"],
+    "exit2_zeta_inf": ["shape-pump", "--sigma", "1", "--zeta", "inf"],
+    "exit2_phi_nan": ["shape-pump", "--phi", "nan", "--zeta", "1"],
+    # 8 PB of sweep values: beyond any address space, so nothing is allocated
+    "exit2_sweep_size": ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
+    "exit2_pump_no_zeta": ["shape-pump"],
 }
 
 # name -> environment variables set for that command only
