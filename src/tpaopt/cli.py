@@ -29,8 +29,7 @@ the grid flags and --rank as they are: the library builds the grid
 widened at large detuning unless --grid-half-width is given) and picks the
 solver (`schmidt.solver_rank`), as `asymptotic_bounds` does on its own grid,
 with the same --rank: so --rank also moves S_inf.  Diagnostics and sweep rows
-name the solver that ran; kernel.csv is written after the bounds.  The
-Schmidt path supports one intermediate level only.
+name the solver that ran; kernel.csv is written after the bounds.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .grids import CSV_FORMAT, write_csv, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, entropy, optimal_state_kernel,
+from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, entropy, optimal_state_operator,
                       optimal_state_schmidt, pairing_check, quantum_enhancement, solver_rank,
                       solver_stats)
 from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
@@ -183,7 +182,8 @@ def _schmidt_single(args, params, row, state):
                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
                                 d.modes_2[k].real, d.modes_2[k].imag)])
     if args.dump_kernel:
-        write_kernel_csv(optimal_state_kernel(sys_, d.grid1), os.path.join(args.out, "kernel.csv"))
+        write_kernel_csv(optimal_state_operator(sys_, d.grid1).to_dense(),  # the matrix solved
+                         os.path.join(args.out, "kernel.csv"))
     summary = (f"r1={_fmt(r[0])} r1^2={_fmt(r[0]**2)} S={_fmt(row['entropy_bits'])} "
                f"E_q={_fmt(row['quantum_enhancement'])}")
     return results, diagnostics, summary
@@ -423,7 +423,7 @@ def build_parser():
     p.add_argument("--modes", type=int, default=2,
                    help="mode pairs written to CSV, at most one per coefficient above 1e-12")
     p.add_argument("--dump-kernel", action="store_true",
-                   help="also write the sampled kernel matrix (large!) to kernel.csv")
+                   help="also write the kernel matrix solved (large!) to kernel.csv")
 
     sub.choices["shape-slm"].add_argument(
         "--sigma", default="1", help="photon bandwidth, or 'auto' for sigma = Delta")

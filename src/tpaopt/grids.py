@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil, isfinite, prod
 
 import numpy as np
 
@@ -126,13 +126,20 @@ class KernelMatrix:
         return float(np.sum(p))
 
 
-def check_dense_fits(n1: int, n2: int) -> None:
-    """Raise ValueError, before any allocation, if a dense n1 x n2 complex matrix exceeds RAM."""
-    need = 16.0 * n1 * n2  # a float: inf, not an overflow, for absurd node counts
+def check_fits(what: str, bytes_per_node: float, *counts: int) -> None:
+    """Raise ValueError, before any allocation, if an array of bytes_per_node times the node
+    counts exceeds physical memory; `what` names it, with {} for the counts."""
+    need = prod(counts, start=float(bytes_per_node))  # a float: inf, not an overflow
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(f"a dense {n1} x {n2} kernel needs {need / 2**30:.3g} GiB, more than "
-                         f"the {have / 2**30:.3g} GiB of physical memory; use a coarser grid")
+    if need > have:  # counts beyond 12 digits are written to 3 significant ones
+        shape = " x ".join(str(n) if n < 10**12 else f"{n:.3g}" for n in counts)
+        raise ValueError(f"{what.format(shape)} needs {need / 2**30:.3g} GiB, more than the "
+                         f"{have / 2**30:.3g} GiB of physical memory; use a coarser grid")
+
+
+def check_dense_fits(n1: int, n2: int) -> None:
+    """`check_fits` for a dense n1 x n2 complex matrix, 16 bytes per entry."""
+    check_fits("a dense {} kernel", 16, n1, n2)
 
 
 def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None) -> KernelMatrix:

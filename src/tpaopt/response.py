@@ -48,10 +48,6 @@ class LevelSystem:
         delta = -2 (a pole on the real axis) is rejected.
     omega_e : float
         Frequency of the intermediate level (origin of the frequency axis).
-    intermediate_levels : tuple of (omega, gamma, weight) or None
-        Optional replacement set of intermediate levels for the additive
-        multi-level kernel.  Weights multiply the line shapes linearly and
-        default to 1 when unknown.
     prefactor : float
         Combined coupling constant kappa > 0.  Only the product of the two
         line-shape strengths is physical; both carry sqrt(kappa).
@@ -61,7 +57,6 @@ class LevelSystem:
     delta_detuning: float = 0.0
     delta_deviation: float = 0.0
     omega_e: float = 0.0
-    intermediate_levels: tuple[tuple[float, float, float], ...] | None = None
     prefactor: float = 1.0
 
     def __post_init__(self):
@@ -77,14 +72,6 @@ class LevelSystem:
         for name in ("gamma_e", "delta_detuning", "delta_deviation", "omega_e", "prefactor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.intermediate_levels is not None:
-            levels = tuple(tuple(float(x) for x in lv) for lv in self.intermediate_levels)
-            if not levels:
-                raise ValueError("intermediate_levels may not be an empty sequence")
-            for _, g, _ in levels:
-                if not g > 0:
-                    raise ValueError(f"intermediate level decay rates must be > 0, got {g}")
-            object.__setattr__(self, "intermediate_levels", levels)
 
     @property
     def gamma_f(self) -> float:
@@ -105,16 +92,6 @@ class LevelSystem:
     def coupling_f(self) -> float:
         """Line-shape strength c_f = sqrt(kappa) of the e -> f transition."""
         return float(np.sqrt(self.prefactor))
-
-    def effective_intermediate_levels(self) -> tuple[tuple[float, float, float], ...]:
-        """The (omega, gamma, weight) set entering the additive kernel sum."""
-        if self.intermediate_levels is None:
-            return ((self.omega_e, self.gamma_e, 1.0),)
-        return self.intermediate_levels
-
-    @property
-    def is_single_level(self) -> bool:
-        return self.intermediate_levels is None
 
 
 @dataclass(frozen=True)
@@ -145,8 +122,6 @@ def lineshape(sys: LevelSystem, level: str, omega):
     ----------
     sys : LevelSystem
     level : {"e", "f"}
-        For "e" with several intermediate levels the weighted sum over the
-        level set is returned.
     omega : array_like
         Frequency argument(s).
 
@@ -158,11 +133,7 @@ def lineshape(sys: LevelSystem, level: str, omega):
     if level == "f":
         return 1j * sys.coupling_f / (omega - sys.omega_f + 1j * sys.gamma_f)
     if level == "e":
-        c = sys.coupling_e
-        out = 0j
-        for w0, g, wt in sys.effective_intermediate_levels():
-            out = out + wt * 1j * c / (omega - w0 + 1j * g)
-        return out
+        return 1j * sys.coupling_e / (omega - sys.omega_e + 1j * sys.gamma_e)
     raise ValueError(f"level must be 'e' or 'f', got {level!r}")
 
 
@@ -206,16 +177,13 @@ def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
     w1 = np.asarray(omega1, dtype=complex)
     w2 = np.asarray(omega2, dtype=complex)
     decay_f = np.exp(-1j * (sys.omega_f - 1j * sys.gamma_f) * tau)
-    lf = partial(lineshape, sys, "f")
+    w0, g = sys.omega_e, sys.gamma_e
+    le, lf = partial(lineshape, sys, "e"), partial(lineshape, sys, "f")
 
     def one_sided(a, b):
-        out = 0j
-        for w0, g, wt in sys.effective_intermediate_levels():
-            le_a = wt * 1j * sys.coupling_e / (a - w0 + 1j * g)
-            phase_ab = np.exp(-1j * (a + b) * tau)
-            decay_e = np.exp(-1j * (b + w0 - 1j * g) * tau)
-            out = out + le_a * ((phase_ab - decay_f) * lf(a + b) - (decay_e - decay_f) * lf(b + w0))
-        return out
+        phase_ab = np.exp(-1j * (a + b) * tau)
+        decay_e = np.exp(-1j * (b + w0 - 1j * g) * tau)
+        return le(a) * ((phase_ab - decay_f) * lf(a + b) - (decay_e - decay_f) * lf(b + w0))
 
     total = one_sided(w1, w2) + one_sided(w2, w1)
     if opts.drop_global_phase:
@@ -230,14 +198,8 @@ def normalization(sys: LevelSystem) -> float:
     amplitude Phi = conj(T)/sqrt(N).  The reduced constant follows from the
     line-shape convention of `lineshape` (per-line factor 1/sqrt(2 pi) folded
     into kappa) and is validated by quadrature in the test suite; it is
-    independent of the detuning.  Only the single-intermediate-level closed
-    form exists; multi-level systems must be integrated numerically.
+    independent of the detuning.
     """
-    if not sys.is_single_level:
-        raise NotImplementedError(
-            "closed form unavailable for multiple intermediate levels; "
-            "integrate |response_infinite|^2 numerically instead"
-        )
     kappa = sys.coupling_e * sys.coupling_f
     return 2.0 * np.pi**2 * kappa**2 / (sys.gamma_e * sys.gamma_f)
 
@@ -250,17 +212,12 @@ def marginal_sum(sys: LevelSystem, omega_plus):
 
 
 def marginal_single(sys: LevelSystem, omega):
-    """Single-photon density of |Phi|^2 (closed form, single intermediate level).
+    """Single-photon density of |Phi|^2 (closed form).
 
     Two peaks sit near omega_e and omega_f - omega_e with widths gamma_e and
     gamma_e + gamma_f; at Delta = delta = 0 the expression collapses to a
     single Lorentzian of width gamma_e.
     """
-    if not sys.is_single_level:
-        raise NotImplementedError(
-            "closed form unavailable for multiple intermediate levels; "
-            "marginalize |response_infinite|^2 numerically instead"
-        )
     w = np.asarray(omega)
     ge, gf = sys.gamma_e, sys.gamma_f
     we, wf = sys.omega_e, sys.omega_f

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc, wofz
 
-from .grids import FrequencyGrid, KernelMatrix, make_grid, quadrature_weights
+from .grids import FrequencyGrid, KernelMatrix, check_fits, make_grid, quadrature_weights
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
 __all__ = [
@@ -49,6 +49,9 @@ __all__ = [
 
 PSI_FLOOR = 1e-12      # nodes with |psi|^2 below this fraction of its max are excluded
 UNIT_MODULUS_TOL = 1e-9
+# slm_grid and pump_plus_grid refuse a grid if this many bytes per node exceed physical memory:
+# tracemalloc peaks, at 2e5 and 8e5 nodes, of optimal_slm (125) and optimal_pump_shaper (133).
+SHAPING_BYTES_PER_NODE = 133
 
 
 def gaussian_profile(sigma: float) -> Callable:
@@ -217,7 +220,9 @@ def slm_grid(sys: LevelSystem, state: CwSpdc, half: float | None = None,
     pole = abs(sys.omega_f / 2.0 - sys.omega_e)
     half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e) if half is None else half
     step = min(sys.gamma_e / 25.0, state.sigma / 25.0) if step is None else step
-    return make_grid(0.0, half, step)
+    grid = make_grid(0.0, half, step)
+    check_fits("the {}-node cw-SPDC offset grid", SHAPING_BYTES_PER_NODE, grid.count)
+    return grid
 
 
 def pump_plus_grid(sys: LevelSystem, state: PumpShaped, half: float | None = None,
@@ -228,7 +233,9 @@ def pump_plus_grid(sys: LevelSystem, state: PumpShaped, half: float | None = Non
     """
     half = max(10.0 * state.sigma, 10.0 * sys.gamma_f) if half is None else half
     step = min(state.sigma, sys.gamma_f) / 25.0 if step is None else step
-    return make_grid(sys.omega_f, half, step)
+    grid = make_grid(sys.omega_f, half, step)
+    check_fits("the {}-node pump sum-frequency grid", SHAPING_BYTES_PER_NODE, grid.count)
+    return grid
 
 
 def pump_minus_grid(sys: LevelSystem, state: PumpShaped) -> FrequencyGrid:
@@ -249,21 +256,17 @@ def eta_infinite_pm(sys: LevelSystem, omega_plus):
     """Integrated kernel (1/2) int T dw- for flat phase matching.
 
     Equals 2 pi c_e L_f(w+): a Lorentzian line at the two-photon resonance.
-    Each intermediate line integrates to the same constant, so only the sum
-    of the dipole weights enters.
     """
-    wt_sum = sum(wt for _, _, wt in sys.effective_intermediate_levels())
-    return 2.0 * np.pi * sys.coupling_e * wt_sum * lineshape(sys, "f", omega_plus)
+    return 2.0 * np.pi * sys.coupling_e * lineshape(sys, "f", omega_plus)
 
 
 def eta_gaussian_pm(sys: LevelSystem, omega_plus, zeta: float, peak_normalized: bool = False):
     """Integrated kernel (1/2) int beta(w-) T dw- for Gaussian phase matching.
 
-    Per intermediate line the integral evaluates to the flat-phase-matching
-    result times the Faddeeva function w(chi / (sqrt(2) zeta)) with
-    chi = w+ - 2 (omega_line - i gamma_line); equivalently the product of
-    the Gaussian at complex argument chi with the analytically continued
-    normal distribution function of i chi / zeta.  With peak_normalized the
+    The integral is the flat-phase-matching result times the Faddeeva function
+    w(chi / (sqrt(2) zeta)), chi = w+ - 2 (omega_e - i gamma_e); equivalently the
+    product of the Gaussian at complex argument chi with the analytically
+    continued normal distribution function of i chi / zeta.  With peak_normalized the
     phase-matching profile is taken as exp(-w-^2 / (2 zeta^2)) (value 1 at
     zero), in which case the result tends to the flat result for large
     zeta; otherwise the L2-normalized profile is used, contributing its
@@ -273,11 +276,8 @@ def eta_gaussian_pm(sys: LevelSystem, omega_plus, zeta: float, peak_normalized: 
         raise ValueError(f"zeta must be > 0, got {zeta}")
     w = np.asarray(omega_plus)
     lf = lineshape(sys, "f", w)
-    acc = 0j
-    for w0, g0, wt in sys.effective_intermediate_levels():
-        chi = w - 2.0 * (w0 - 1j * g0)
-        acc = acc + wt * wofz(chi / (np.sqrt(2.0) * zeta))
-    out = 2.0 * np.pi * sys.coupling_e * lf * acc
+    chi = w - 2.0 * (sys.omega_e - 1j * sys.gamma_e)
+    out = 2.0 * np.pi * sys.coupling_e * lf * wofz(chi / (np.sqrt(2.0) * zeta))
     if not peak_normalized:
         out = out / (np.pi * zeta**2) ** 0.25
     return out

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -377,6 +378,10 @@ def test_bad_count_exits_2(tmp_path, capsys, argv, flag):
     ["schmidt", "--grid-half-width", "1e300"],  # a node count whose byte count overflows
     # 8 PB of sweep values, beyond any address space: numpy's MemoryError, nothing allocated
     ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
+    # shaping grids of 6e13 and 4e13 nodes (hundreds of TiB), and of 5e301 nodes
+    ["shape-slm", "--step", "1e-12"],
+    ["shape-pump", "--sigma", "1", "--infinite-pm", "--step", "1e-12"],
+    ["shape-slm", "--grid-half-width", "1e300"],
 ])
 def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     t0 = time.perf_counter()
@@ -384,8 +389,22 @@ def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    # a dense grid is refused before any allocation; numpy refuses the 8 PB sweep itself
+    # a grid is refused before any allocation; numpy refuses the 8 PB sweep itself
     assert ("Unable to allocate" if "--sweep" in argv else "physical memory") in err
+    assert not re.search(r"\d{20}", err)  # huge node counts to 3 significant digits
+
+
+def test_dump_kernel_writes_the_matrix_solved(tmp_path):
+    # at delta = 0 the sampled kernel has exact zeros where the solved one has roundoff
+    argv = ["schmidt", "--delta", "0", "--dev", "1", "--grid-half-width", "60", "--step", "0.25",
+            "--format", "csv", "--dump-kernel", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=1.0)
+    grid = auto_grid(sys_, half=60.0, step=0.25)
+    assert grid.count == 481
+    dense = optimal_state_operator(sys_, grid).to_dense().entries.view(np.float64)
+    rows = (tmp_path / "kernel.csv").read_text().splitlines()[3:]
+    assert rows == [",".join("%.9g" % x for x in row) for row in dense]
 
 
 @pytest.mark.parametrize("n, rank, vectors, expected", [

@@ -190,30 +190,6 @@ def test_normalization_recovered_by_quadrature():
             assert norm2 >= 0.99, (delta, dev, norm2)
 
 
-def test_multi_level_normalization_unavailable():
-    sys = LevelSystem(intermediate_levels=((0.0, 1.0, 1.0), (3.0, 0.5, 0.7)))
-    with pytest.raises(NotImplementedError):
-        normalization(sys)
-    with pytest.raises(NotImplementedError):
-        marginal_single(sys, 0.0)
-
-
-def test_multi_level_sum_is_additive():
-    # two copies of the same intermediate line double the kernel
-    single = LevelSystem()
-    doubled = LevelSystem(intermediate_levels=((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)))
-    a, b = 0.4, -1.2
-    assert response_infinite(doubled, a, b) == pytest.approx(
-        2.0 * response_infinite(single, a, b), rel=1e-14)
-
-
-def test_multi_level_weights_scale_linearly():
-    weighted = LevelSystem(intermediate_levels=((0.0, 1.0, 0.25),))
-    single = LevelSystem()
-    assert lineshape(weighted, "e", 1.3) == pytest.approx(
-        0.25 * lineshape(single, "e", 1.3), rel=1e-14)
-
-
 def test_marginal_sum_normalized_and_peaked():
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     val, _ = integrate.quad(lambda w: marginal_sum(sys, w), -np.inf, np.inf)

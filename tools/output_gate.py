@@ -7,17 +7,19 @@ Each command runs in a fresh interpreter (``python -m tpaopt.cli``, the
 package taken from SRC, by default this checkout's ``src``) with
 OPENBLAS_NUM_THREADS=1 and TPAOPT_THREADS unset unless ENV sets it, inside
 its own output directory, after the CONFIGS file it reads is written there.
-The manifest holds, per command, the exit code, the stdout and the sha256 of
-every file in that directory; ``report.json`` is hashed with its
-run-dependent ``wall_time_ms`` and ``timing`` removed.  Run it on two
+The manifest holds, per command, the exit code, the stdout, the stderr of a
+command that fails (its error message) and the sha256 of every file in that
+directory; ``report.json`` is hashed with its run-dependent ``wall_time_ms``
+and ``timing`` removed.  The demo scripts beside SRC (``../demos``) run the
+same way, and the manifest holds the sha256 of their stdout.  Run it on two
 checkouts and compare the manifests to show that a change leaves every
 output byte-identical; the comparison also checks, within each manifest,
 that every command in SAME_AS wrote the files of its serial twin.  For a
 CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
-The whole list takes about a minute and a half on one core of a 2-core
-x86-64 VM.
+The whole list takes about two minutes on one core of a 2-core x86-64 VM,
+35-45 s of it in the demos (nearly all in ``schmidt_entanglement.py``).
 """
 
 from __future__ import annotations
@@ -108,7 +110,16 @@ COMMANDS = {
     # 8 PB of sweep values: beyond any address space, so nothing is allocated
     "exit2_sweep_size": ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
     "exit2_pump_no_zeta": ["shape-pump"],
+    # shaping grids of 6e13, 4e13 and 5e301 nodes: refused before any node array exists
+    "exit2_slm_step_tiny": ["shape-slm", "--step", "1e-12"],
+    "exit2_pump_step_tiny": ["shape-pump", "--sigma", "1", "--infinite-pm", "--step", "1e-12"],
+    "exit2_slm_half_width_huge": ["shape-slm", "--grid-half-width", "1e300"],
+    "dump_kernel_delta0_481": ["schmidt", "--delta", "0", "--dev", "1", "--grid-half-width",
+                               "60", "--step", "0.25", "--dump-kernel"],
 }
+
+DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
+         "schmidt_entanglement.py")
 
 # name -> environment variables set for that command only
 ENV = {
@@ -144,21 +155,31 @@ def run(out_dir, src):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("TPAOPT_THREADS", None)
+    demos = os.path.join(os.path.dirname(src), "demos")
+    # name -> (argv as recorded, the interpreter's arguments)
+    jobs = {name: (argv, [*(["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]),
+                          *argv, "--out", "."]) for name, argv in COMMANDS.items()}
+    jobs.update((f"demo_{demo[:-3]}", ([f"demos/{demo}"], [os.path.join(demos, demo)]))
+                for demo in DEMOS)
     manifest = {}
-    for name, argv in COMMANDS.items():
+    for name, (argv, args) in jobs.items():
         out = os.path.join(out_dir, name)
         os.makedirs(out, exist_ok=True)
         if name in CONFIGS:
             with open(os.path.join(out, "run.cfg"), "w", encoding="ascii") as fh:
                 fh.write(CONFIGS[name])
-        prog = ["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]
         t0 = time.perf_counter()
         # run inside the output directory so stdout names the same relative paths on any run
-        proc = subprocess.run([sys.executable, *prog, *argv, "--out", "."], cwd=out,
+        proc = subprocess.run([sys.executable, *args], cwd=out,
                               env=dict(env, **ENV.get(name, {})), capture_output=True, text=True)
         files = {f: _digest(os.path.join(out, f)) for f in sorted(os.listdir(out))}
+        stdout = proc.stdout
+        if name.startswith("demo_"):
+            stdout = hashlib.sha256(stdout.encode()).hexdigest()
         manifest[name] = {"argv": argv, "env": ENV.get(name, {}), "exit": proc.returncode,
-                          "stdout": proc.stdout, "files": files}
+                          "stdout": stdout, "files": files}
+        if proc.returncode:
+            manifest[name]["stderr"] = proc.stderr
         print(f"{name}: exit {proc.returncode}, {len(files)} files, "
               f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
@@ -226,7 +247,7 @@ def compare(path_a, path_b):
                   if name in m and twin in m and m[name]["files"] != m[twin]["files"]]
     for name in sorted(set(a) & set(b)):
         ra, rb = a[name], b[name]
-        for key in ("argv", "env", "exit", "stdout"):
+        for key in ("argv", "env", "exit", "stdout", "stderr"):
             if ra.get(key) != rb.get(key):
                 diffs.append(f"{name}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
