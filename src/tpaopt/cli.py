@@ -43,6 +43,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -126,6 +127,10 @@ def _sweep_values(args, sweepable):
         raise ValueError("log-spaced sweep requires a positive start")
     if name not in sweepable:
         raise ValueError(f"cannot sweep {name!r} for {args.command}; choose from {sweepable}")
+    if name == "zeta" and args.infinite_pm:
+        raise ValueError("--sweep zeta has no effect with --infinite-pm (flat phase matching)")
+    if getattr(args, "dump_kernel", False):
+        raise ValueError("--dump-kernel writes a single point's kernel; it cannot go with --sweep")
     return name, _space(lo, hi, points, args.log)
 
 
@@ -136,12 +141,19 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(timed, delta, dev, rank, vectors=False, **overrides):
-    """(system, decomposition) of the optimal state at (delta, dev), on the overridden grid."""
+def _decompose_at(args, delta, dev, rank, vectors=False):
+    """(system, decomposition) of the optimal state at (delta, dev), on the grid of the flags."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    with timed("solve"):
-        d = optimal_state_schmidt(sys_, rank, vectors, **overrides)
+    with args.timed("solve"):
+        d = optimal_state_schmidt(sys_, rank, vectors, half=args.grid_half_width,
+                                  step=args.step, center=args.grid_center)
     return sys_, d
+
+
+def _bounds_at(args, dev):
+    """(E_inf, S_inf) at deviation dev, solved at Delta = 0: the bounds are detuning-free."""
+    with args.timed("bounds"):
+        return asymptotic_bounds(LevelSystem(delta_deviation=dev), rank=args.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +161,8 @@ def _decompose_at(timed, delta, dev, rank, vectors=False, **overrides):
 
 
 def _schmidt_point(args, delta, dev):
-    # only a single point needs the modes
-    sys_, d = _decompose_at(args.timed, delta, dev, args.rank, not args.sweep,
-                            half=args.grid_half_width, step=args.step, center=args.grid_center)
-    with args.timed("bounds"):
-        e_inf, s_inf = asymptotic_bounds(sys_, rank=args.rank)
+    sys_, d = _decompose_at(args, delta, dev, args.rank, not args.sweep)  # modes: single only
+    e_inf, s_inf = _bounds_at(args, dev)
     r1 = float(d.coefficients[0])
     row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
            "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
@@ -297,66 +306,45 @@ def _fig8_points(n):
             for d in np.linspace(-1.9, 0.0, max(2, nd - 1))]
 
 
-def _schmidt_values(timed, delta, dev, rank):
-    d = _decompose_at(timed, delta, dev, rank)[1]
+def _schmidt_values(args, delta, dev):
+    d = _decompose_at(args, delta, dev, args.rank)[1]
     return entropy(d), quantum_enhancement(d)
 
 
-def _bound_values(timed, dev, rank):
-    with timed("bounds"):
-        e_inf, s_inf = asymptotic_bounds(LevelSystem(delta_deviation=dev), rank=rank)
-    return s_inf, e_inf
+def _flat_pump_gains(phi):
+    """E_opt at Delta = 0 under flat phase matching, per sigma in SIGMAS, at deviation p[0]."""
+    def values(args, p):
+        flat = argparse.Namespace(**{**vars(args), "infinite_pm": True})
+        return tuple(_pump_point(flat, 0.0, p[0], s, phi, None)[0]["e_opt"] for s in SIGMAS)
+    return values
 
 
-def _slm_gains(timed, delta):
-    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    with timed("shape"):
-        return tuple(optimal_slm(sys_, CwSpdc(sigma=s)).e_opt for s in SIGMAS)
-
-
-def _matched_slm_populations(timed, delta):
-    sys_ = LevelSystem(delta_detuning=delta, delta_deviation=-1.0)
-    with timed("shape"):
-        sol = optimal_slm(sys_, CwSpdc(sigma=auto_slm_sigma(sys_)))
-    return sol.p_shaped, sol.p_unshaped
-
-
-def _pump_gains(timed, dev, phi):
-    sys_ = LevelSystem(delta_detuning=0.0, delta_deviation=dev)
-    states = [PumpShaped(sigma=s, phi=phi, infinite_pm=True) for s in SIGMAS]
-    with timed("shape"):
-        return tuple(optimal_pump_shaper(sys_, state).e_opt for state in states)
-
-
-def _fig8_ratio(column, point, rank, timed):
+def _fig8_ratio(column, args, point):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
-    sys_, d = _decompose_at(timed, *point, 16 if rank is None else rank)
+    d = _decompose_at(args, *point, 16 if args.rank is None else args.rank)[1]
     if column == 0:
         return (quantum_enhancement(d),)
-    state = PumpShaped(sigma=auto_pump_sigma(sys_), phi=1.0, zeta=auto_pump_zeta(sys_))
-    with timed("shape"):
-        sol = optimal_pump_shaper(sys_, state)
-    return ((sol.p_shaped, sol.p_unshaped)[column - 1] / float(d.coefficients[0] ** 2),)
+    row = _pump_point(args, *point, "auto", 1.0, "auto")[0]
+    return (row[("p_shaped", "p_unshaped")[column - 1]] / float(d.coefficients[0] ** 2),)
 
 
 # name -> (header, points(--points or None) -> leading columns of each row,
-#          values(point, rank, stage clock) -> the remaining columns)
+#          values(args, point) -> the remaining columns, from the commands' point functions)
 FIGURES = {
     "fig2a": (("delta_deviation", "entropy_bits", "quantum_enhancement"), _line(-1.9, 2.0, 24),
-              lambda p, rank, timed: _schmidt_values(timed, 5.0, p[0], rank)),
+              lambda args, p: _schmidt_values(args, 5.0, p[0])),
     "fig2b": (("detuning", "entropy_bits", "quantum_enhancement"), _line(0.1, 100.0, 25, log=True),
-              lambda p, rank, timed: _schmidt_values(timed, p[0], -1.9, rank)),
+              lambda args, p: _schmidt_values(args, p[0], -1.9)),
     "fig2c": (("delta_deviation", "entropy_limit_bits", "enhancement_limit"), _line(-1.9, 2.0, 24),
-              lambda p, rank, timed: _bound_values(timed, p[0], rank)),
+              lambda args, p: _bounds_at(args, p[0])[::-1]),
     "fig5a": (("detuning",) + SIGMA_COLUMNS, _line(0.1, 50.0, 21, log=True),
-              lambda p, rank, timed: _slm_gains(timed, p[0])),
+              lambda args, p: tuple(_slm_point(args, p[0], -1.0, s)[0]["e_opt"] for s in SIGMAS)),
     "fig6b": (("detuning", "p_shaped_over_n", "p_unshaped_over_n"),
               _line(0.1, 100.0, 25, log=True),
-              lambda p, rank, timed: _matched_slm_populations(timed, p[0])),
-    "fig7a": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
-              lambda p, rank, timed: _pump_gains(timed, p[0], 0.0)),
-    "fig7b": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40),
-              lambda p, rank, timed: _pump_gains(timed, p[0], 1.0)),
+              lambda args, p: itemgetter("p_shaped", "p_unshaped")(
+                  _slm_point(args, p[0], -1.0, "auto")[0])),
+    "fig7a": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40), _flat_pump_gains(0.0)),
+    "fig7b": (("delta_deviation",) + SIGMA_COLUMNS, _line(-1.9, 2.0, 40), _flat_pump_gains(1.0)),
     "fig8a": (("detuning", "delta_deviation", "quantum_enhancement"), _fig8_points,
               partial(_fig8_ratio, 0)),
     "fig8b": (("detuning", "delta_deviation", "e_q_shaped"), _fig8_points,
@@ -370,7 +358,7 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header, make_points, values = FIGURES[args.name]
     points = make_points(args.points)
-    computed = _map_points(lambda p: values(p, args.rank, args.timed), points, args.threads)
+    computed = _map_points(partial(values, args), points, args.threads)
     rows = [p + tuple(v) for p, v in zip(points, computed)]
     path = os.path.join(args.out, f"{args.name}.csv")
     results = {"csv": os.path.basename(path), "rows": len(rows)}
@@ -418,8 +406,9 @@ def build_parser():
     p.add_argument("--grid-center", type=float, default=None,
                    help="grid centre (default: omega_f / 2)")
     p.add_argument("--rank", type=int, default=None,
-                   help="coefficients to compute (default: the full spectrum on small "
-                   "grids, 300 on large ones; 0: the full spectrum at any size)")
+                   help="coefficients to compute, also for the large-detuning bounds (default: "
+                   "the full spectrum on small grids, 300 on large ones; 0: the full spectrum "
+                   "at any size)")
     p.add_argument("--modes", type=int, default=2,
                    help="mode pairs written to CSV, at most one per coefficient above 1e-12")
     p.add_argument("--dump-kernel", action="store_true",
@@ -441,7 +430,8 @@ def build_parser():
     p.add_argument("--rank", type=int, default=None,
                    help="Schmidt coefficients per point, read by fig2a-c and fig8a-c")
     _add_common(p)
-    p.set_defaults(func=cmd_figure)
+    p.set_defaults(func=cmd_figure, grid_half_width=None, step=None, grid_center=None,
+                   infinite_pm=False)  # the presets run the commands' points at their defaults
 
     return parser, sub.choices
 

@@ -484,3 +484,46 @@ def test_solver_stats_reported(tmp_path):
     assert diag["captured_norm"] == pytest.approx(
         kept / (kept + diag["truncation_residual"] ** 2), rel=1e-12)
     assert not diag["dense"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["shape-pump", "--infinite-pm", "--sweep", "zeta", "1", "5", "3"],
+     ("--infinite-pm", "--sweep zeta")),
+    (["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
+     ("--dump-kernel", "--sweep")),
+])
+def test_sweep_with_a_flag_it_would_ignore_exits_2(tmp_path, capsys, argv, flags):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(flag in err for flag in flags)
+    assert not os.listdir(tmp_path)
+
+
+def test_presets_equal_the_commands_at_their_points(tmp_path):
+    def nine(values):
+        return [grids.CSV_FORMAT % x for x in values]
+
+    def figure_rows(name):
+        out = tmp_path / name
+        assert main(["figure", name, "--points", "2", "--format", "json", "--out", str(out)]) == 0
+        return read_report(out)["results"]["rows"]
+
+    def command(argv, keys):
+        out = tmp_path / "command"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        return [read_report(out)["results"][k] for k in keys]
+
+    for delta, *populations in figure_rows("fig6b"):
+        assert nine(populations) == nine(command(
+            ["shape-slm", "--delta", repr(delta), "--dev", "-1", "--sigma", "auto"],
+            ("p_shaped", "p_unshaped")))
+    for dev, *gains in figure_rows("fig7a"):
+        assert nine(gains) == nine(
+            command(["shape-pump", "--delta", "0", "--phi", "0", "--dev", repr(dev),
+                     "--infinite-pm", "--sigma", repr(sigma)], ("e_opt",))[0]
+            for sigma in cli.SIGMAS)
+    # the bounds ignore the detuning and the point's grid; a small grid keeps the solve cheap
+    for dev, s_inf, e_inf in figure_rows("fig2c"):
+        assert nine((e_inf, s_inf)) == nine(command(
+            ["schmidt", "--delta", "3", "--dev", repr(dev), "--grid-half-width", "20", "--step",
+             "0.5"], ("e_inf", "s_inf")))

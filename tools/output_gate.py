@@ -116,6 +116,9 @@ COMMANDS = {
     "exit2_slm_half_width_huge": ["shape-slm", "--grid-half-width", "1e300"],
     "dump_kernel_delta0_481": ["schmidt", "--delta", "0", "--dev", "1", "--grid-half-width",
                                "60", "--step", "0.25", "--dump-kernel"],
+    "exit2_sweep_zeta_flat": ["shape-pump", "--infinite-pm", "--sweep", "zeta", "1", "5", "3"],
+    "exit2_sweep_dump_kernel": ["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
+    "fig7a_threads2": ["figure", "fig7a", "--points", "3"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
@@ -126,6 +129,7 @@ ENV = {
     "sweep_delta_threads2": {"TPAOPT_THREADS": "2"},
     "exit2_threads_sweep": {"TPAOPT_THREADS": "abc"},
     "exit2_threads_single": {"TPAOPT_THREADS": "abc"},
+    "fig7a_threads2": {"TPAOPT_THREADS": "2"},
 }
 
 # name -> text of the run.cfg file written into that command's directory
@@ -135,7 +139,7 @@ CONFIGS = {
 }
 
 # name -> the command whose files it must reproduce byte for byte
-SAME_AS = {"sweep_delta_threads2": "sweep_delta"}
+SAME_AS = {"sweep_delta_threads2": "sweep_delta", "fig7a_threads2": "fig7a"}
 
 
 def _deterministic(report):
@@ -187,8 +191,19 @@ def run(out_dir, src):
         fh.write("\n")
 
 
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _numbers(path):
-    """label -> value of each number in a CSV, or in report.json without its timings."""
+    """label -> value of each number in a CSV, or in report.json without its timings.
+
+    CSV lines starting with '#' (kernel.csv's grid header) are comments; a first row
+    holding text is the header row that labels the columns, else columns go by number.
+    """
     with open(path, encoding="ascii") as fh:
         if os.path.basename(path) == "report.json":
             out, todo = {}, [("", _deterministic(json.load(fh)))]
@@ -201,15 +216,11 @@ def _numbers(path):
                 elif isinstance(x, (int, float)) and not isinstance(x, bool):
                     out[key] = float(x)
             return out
-        lines = [line.split(",") for line in fh.read().splitlines()]
-    out = {}
-    for i, cells in enumerate(lines):
-        for j, cell in enumerate(cells):
-            try:
-                out[f"line {i + 1}, {lines[0][j] if j < len(lines[0]) else j + 1}"] = float(cell)
-            except ValueError:
-                pass
-    return out
+        rows = [(i, line.split(",")) for i, line in enumerate(fh.read().splitlines(), 1)
+                if not line.startswith("#")]
+    labels = rows[0][1] if rows and None in map(_float, rows[0][1]) else []
+    return {f"line {i}, {labels[j] if j < len(labels) else j + 1}": x
+            for i, cells in rows for j, x in enumerate(map(_float, cells)) if x is not None}
 
 
 def _largest_difference(file_a, file_b):
