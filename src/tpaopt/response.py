@@ -96,23 +96,13 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class ResponseOptions:
-    """Evaluation options for the response kernels.
-
-    t_minus_t0 is the elapsed interaction time (finite-time kernel only).
-    drop_global_phase removes the separable phase exp(-i (w1+w2) (t-t0)),
-    which carries no physical significance; for the finite-time kernel the
-    remaining time dependence is kept because it is not separable.
-    """
+    """Evaluation options of `response_finite`: the elapsed interaction time t_minus_t0."""
 
     t_minus_t0: float = 0.0
-    drop_global_phase: bool = True
 
     def __post_init__(self):
         if self.t_minus_t0 < 0:
             raise ValueError(f"t_minus_t0 must be >= 0, got {self.t_minus_t0}")
-
-
-_DEFAULT_OPTS = ResponseOptions()
 
 
 def lineshape(sys: LevelSystem, level: str, omega):
@@ -137,30 +127,23 @@ def lineshape(sys: LevelSystem, level: str, omega):
     raise ValueError(f"level must be 'e' or 'f', got {level!r}")
 
 
-def _global_phase(sys, opts, w1, w2):
-    if opts.drop_global_phase:
-        return 1.0
-    return np.exp(-1j * (np.asarray(w1) + np.asarray(w2)) * opts.t_minus_t0)
-
-
-def response_asymmetric(sys: LevelSystem, omega1, omega2, opts: ResponseOptions = _DEFAULT_OPTS):
+def response_asymmetric(sys: LevelSystem, omega1, omega2):
     """One-sided kernel Q(w1, w2) = L_e(w1) L_f(w1 + w2).
 
     Photon 1 opens the transition, photon 2 completes it.  The symmetrized
     identity Q(a, b) + Q(b, a) == response_infinite(a, b) holds exactly.
     """
     w1 = np.asarray(omega1)
-    w2 = np.asarray(omega2)
-    return _global_phase(sys, opts, w1, w2) * lineshape(sys, "e", w1) * lineshape(sys, "f", w1 + w2)
+    return lineshape(sys, "e", w1) * lineshape(sys, "f", w1 + np.asarray(omega2))
 
 
-def response_infinite(sys: LevelSystem, omega1, omega2, opts: ResponseOptions = _DEFAULT_OPTS):
+def response_infinite(sys: LevelSystem, omega1, omega2):
     """Infinite-interaction-time kernel [L_e(w1) + L_e(w2)] L_f(w1 + w2).
 
     Built as Q(w1, w2) + Q(w2, w1) so both the exchange symmetry and the
     composition identity with `response_asymmetric` are bit-exact.
     """
-    return response_asymmetric(sys, omega1, omega2, opts) + response_asymmetric(sys, omega2, omega1, opts)
+    return response_asymmetric(sys, omega1, omega2) + response_asymmetric(sys, omega2, omega1)
 
 
 def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
@@ -168,10 +151,9 @@ def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
 
     Evaluates the two-term bracket plus its (w1 <-> w2) image; vanishes
     identically at t = t0 and converges to `response_infinite` once
-    gamma_e (t - t0) and gamma_f (t - t0) are large.  When
-    opts.drop_global_phase is set, the separable phase exp(-i (w1+w2) tau)
-    is removed so the large-tau limit matches the phase-dropped
-    infinite-time kernel.
+    gamma_e (t - t0) and gamma_f (t - t0) are large.  The separable phase
+    exp(-i (w1+w2) tau), which has no physical meaning, is removed; the
+    remaining time dependence is kept because it is not separable.
     """
     tau = opts.t_minus_t0
     w1 = np.asarray(omega1, dtype=complex)
@@ -185,10 +167,7 @@ def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
         decay_e = np.exp(-1j * (b + w0 - 1j * g) * tau)
         return le(a) * ((phase_ab - decay_f) * lf(a + b) - (decay_e - decay_f) * lf(b + w0))
 
-    total = one_sided(w1, w2) + one_sided(w2, w1)
-    if opts.drop_global_phase:
-        total = total * np.exp(1j * (w1 + w2) * tau)
-    return total
+    return (one_sided(w1, w2) + one_sided(w2, w1)) * np.exp(1j * (w1 + w2) * tau)
 
 
 def normalization(sys: LevelSystem) -> float:

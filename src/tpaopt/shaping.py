@@ -81,20 +81,15 @@ class CwSpdc:
     """Degenerate photon pair from a cw pump, shaped by identical modulators.
 
     The pump line, at the two-photon resonance omega_f of the driven system,
-    pins the frequency sum, so the pair amplitude reduces to a real symmetric
-    single-photon profile of the offset from omega_f / 2 (a normalized
-    Gaussian of bandwidth sigma unless `profile` overrides it).
+    pins the frequency sum, so the pair amplitude reduces to a normalized
+    Gaussian of bandwidth sigma in the offset from omega_f / 2.
     """
 
     sigma: float
-    profile: Callable | None = None
 
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-
-    def resolved_profile(self) -> Callable:
-        return self.profile if self.profile is not None else gaussian_profile(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def effective_response(sys: LevelSystem, state, at):
         if isinstance(at, tuple):
             raise ValueError("CwSpdc takes a single offset Omega, not a pair")
         om = np.asarray(at)
-        g = state.resolved_profile()(om)
+        g = gaussian_profile(state.sigma)(om)
         return g * response_infinite(sys, sys.omega_f / 2.0 + om, sys.omega_f / 2.0 - om)
     if isinstance(state, PumpShaped):
         if not (isinstance(at, tuple) and len(at) == 2):
@@ -331,16 +326,7 @@ def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = No
     if grid is None:
         grid = slm_grid(sys, state)
     _require_symmetric_grid(grid)
-    om = grid.nodes
-    g = np.asarray(state.resolved_profile()(om))
-    if np.iscomplexobj(g) and np.max(np.abs(g.imag)) > 1e-12 * max(np.max(np.abs(g)), 1e-300):
-        raise ValueError("the cw-SPDC profile must be real")
-    gr = g.real
-    scale = max(np.max(np.abs(gr)), 1e-300)
-    if np.max(np.abs(gr - gr[::-1])) > 1e-8 * scale:
-        raise ValueError("the cw-SPDC profile must be symmetric about zero offset")
-
-    w_resp = effective_response(sys, state, om)
+    w_resp = effective_response(sys, state, grid.nodes)
     return _solution("slm", sys, state, grid, w_resp, 0.5 * np.angle(w_resp))
 
 

@@ -82,6 +82,5 @@ def synthetic_decomposition(coefficients):
     empty = np.zeros((r.size, 2), dtype=complex)
     return SchmidtDecomposition(
         coefficients=r, modes_1=empty, modes_2=empty,
-        grid1=grid, grid2=grid, truncation_rank=r.size,
-        residual=0.0, renormalized=False,
+        grid1=grid, grid2=grid, residual=0.0,
     )

@@ -135,22 +135,12 @@ def test_finite_time_reaches_infinite_limit():
 
 def test_finite_time_symmetry():
     sys = LevelSystem(delta_detuning=1.7, delta_deviation=0.4)
-    opts = ResponseOptions(t_minus_t0=0.8, drop_global_phase=False)
+    opts = ResponseOptions(t_minus_t0=0.8)
     rng = np.random.default_rng(13)
     a = rng.uniform(-5, 5, 50)
     b = rng.uniform(-5, 5, 50)
     np.testing.assert_allclose(response_finite(sys, opts, a, b),
                                response_finite(sys, opts, b, a), rtol=1e-13, atol=1e-18)
-
-
-def test_global_phase_flag():
-    sys = LevelSystem(delta_detuning=1.0)
-    opts = ResponseOptions(t_minus_t0=2.0, drop_global_phase=False)
-    kept = response_infinite(sys, 0.7, 1.1, opts)
-    dropped = response_infinite(sys, 0.7, 1.1)
-    phase = np.exp(-1j * (0.7 + 1.1) * 2.0)
-    assert kept == pytest.approx(dropped * phase, rel=1e-14)
-    assert abs(kept) == pytest.approx(abs(dropped), rel=1e-14)
 
 
 def test_prefactor_invariance():

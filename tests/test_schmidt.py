@@ -20,6 +20,7 @@ from tpaopt import (
     response_asymmetric,
     sample_kernel,
     solver_rank,
+    solver_stats,
 )
 from tpaopt import schmidt
 from tpaopt.schmidt import _one_sided_kernel
@@ -69,7 +70,7 @@ def test_rank_clipping_warns():
     k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g)
     with pytest.warns(RuntimeWarning):
         d = decompose(k, rank=99)
-    assert d.truncation_rank == k.grid1.count
+    assert d.coefficients.size == k.grid1.count
 
 
 def test_modes_orthonormal_under_quadrature():
@@ -117,6 +118,12 @@ def test_truncation_residual_and_soundness():
         r1_values.append(dm.coefficients[0])
     assert np.all(np.diff(r1_values) >= -1e-10)
     np.testing.assert_allclose(r1_values, full.coefficients[0], rtol=1e-9)
+
+
+def test_solver_stats_zero_kernel_captures_everything():
+    d = decompose(sample_kernel(lambda a, b: 0 * a * b + 0j, make_grid(0.0, 2.0, 0.5)))
+    assert d.residual == 0.0 and not np.any(d.coefficients)
+    assert solver_stats(d)["captured_norm"] == 1.0  # nothing kept, nothing discarded
 
 
 def test_spectrum_invariant_under_transpose():
