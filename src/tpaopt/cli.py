@@ -219,7 +219,7 @@ def _slm_point(args, delta, dev, sigma):
 def _pump_point(args, delta, dev, sigma, phi, zeta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     sigma = _resolve(sigma, auto_pump_sigma, sys_)
-    zeta = None if args.infinite_pm else _resolve(zeta, auto_pump_zeta, sys_)
+    zeta = _resolve(zeta, auto_pump_zeta, sys_)
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
     with args.timed("shape"):
@@ -428,7 +428,8 @@ def build_parser():
     p.add_argument("name", choices=FIGURES)
     p.add_argument("--points", type=int, default=None, help="sweep density override")
     p.add_argument("--rank", type=int, default=None,
-                   help="Schmidt coefficients per point, read by fig2a-c and fig8a-c")
+                   help="Schmidt coefficients per point, read by fig2a-c and fig8a-c "
+                   "(default: the schmidt default; 16 for fig8a-c)")
     _add_common(p)
     p.set_defaults(func=cmd_figure, grid_half_width=None, step=None, grid_center=None,
                    infinite_pm=False)  # the presets run the commands' points at their defaults
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
             # config values come first so explicit flags take precedence
             args = parser.parse_args([argv[0]] + tokens + argv[1:])
         args.timed = _StageClock()
-        for flag, least in (("points", 1), ("modes", 0)):  # count flags of figure and schmidt
+        for flag, least in (("points", 1), ("modes", 0), ("rank", 0)):  # figure and schmidt counts
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ValueError(f"--{flag} must be >= {least}, got {value}")

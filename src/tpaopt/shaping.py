@@ -96,20 +96,17 @@ class CwSpdc:
 class PumpShaped:
     """Finite-bandwidth pump shaped before type-I down-conversion.
 
-    The pair amplitude factorizes into alpha(w1 + w2) * beta(w1 - w2).  By
-    default alpha is a chirped Gaussian of bandwidth sigma and quadratic
-    phase phi centred on the two-photon resonance, and beta is either flat
+    The pair amplitude factorizes into alpha(w1 + w2) * beta(w1 - w2).
+    alpha is a chirped Gaussian of bandwidth sigma and quadratic phase phi
+    centred on the two-photon resonance, and beta is either flat
     (infinite_pm) or a normalized Gaussian phase-matching profile of width
-    zeta.  Callables `alpha` and `beta` override the defaults; a custom
-    beta forces numerical integration over the difference frequency.
+    zeta.
     """
 
     sigma: float
     phi: float = 0.0
     zeta: float | None = None
     infinite_pm: bool = False
-    alpha: Callable | None = None
-    beta: Callable | None = None
 
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
@@ -118,16 +115,10 @@ class PumpShaped:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.beta is None and not self.infinite_pm:
-            if self.zeta is None or not self.zeta > 0:
-                raise ValueError(
-                    "finite phase matching requires zeta > 0 (or set infinite_pm)"
-                )
-
-    def resolved_alpha(self, sys: LevelSystem) -> Callable:
-        if self.alpha is not None:
-            return self.alpha
-        return chirped_pump_profile(self.sigma, self.phi, sys.omega_f)
+        if self.infinite_pm and self.zeta is not None:
+            raise ValueError("zeta has no effect with infinite_pm (flat phase matching)")
+        if not self.infinite_pm and (self.zeta is None or not self.zeta > 0):
+            raise ValueError("finite phase matching requires zeta > 0 (or set infinite_pm)")
 
 
 @dataclass
@@ -175,10 +166,8 @@ def effective_response(sys: LevelSystem, state, at):
             raise ValueError("PumpShaped takes a (w_plus, w_minus) pair")
         w_plus = np.asarray(at[0])
         w_minus = np.asarray(at[1])
-        alpha = state.resolved_alpha(sys)(w_plus)
-        if state.beta is not None:
-            beta = state.beta(w_minus)
-        elif state.infinite_pm:
+        alpha = chirped_pump_profile(state.sigma, state.phi, sys.omega_f)(w_plus)
+        if state.infinite_pm:
             beta = np.ones_like(w_minus, dtype=float)
         else:
             beta = gaussian_profile(state.zeta)(w_minus)
@@ -234,7 +223,7 @@ def pump_plus_grid(sys: LevelSystem, state: PumpShaped, half: float | None = Non
 
 
 def pump_minus_grid(sys: LevelSystem, state: PumpShaped) -> FrequencyGrid:
-    """Default difference-frequency grid, used when beta must be integrated numerically."""
+    """Default difference-frequency grid, for sampling the 2D pump effective response."""
     zeta = state.zeta if state.zeta is not None else sys.gamma_e
     half = max(10.0 * zeta, 20.0 * sys.gamma_e * (2.0 + sys.delta_detuning))
     step = min(sys.gamma_e, zeta) / 10.0
@@ -270,9 +259,8 @@ def eta_gaussian_pm(sys: LevelSystem, omega_plus, zeta: float, peak_normalized: 
     if not zeta > 0:
         raise ValueError(f"zeta must be > 0, got {zeta}")
     w = np.asarray(omega_plus)
-    lf = lineshape(sys, "f", w)
     chi = w - 2.0 * (sys.omega_e - 1j * sys.gamma_e)
-    out = 2.0 * np.pi * sys.coupling_e * lf * wofz(chi / (np.sqrt(2.0) * zeta))
+    out = eta_infinite_pm(sys, w) * wofz(chi / (np.sqrt(2.0) * zeta))
     if not peak_normalized:
         out = out / (np.pi * zeta**2) ** 0.25
     return out
@@ -300,7 +288,7 @@ def complex_normal_cdf(z):
     return out if out.ndim else complex(out)
 
 
-def _solution(kind, sys, state, grid, response, phase) -> ShapingSolution:
+def _solution(kind, sys, grid, response, phase) -> ShapingSolution:
     """The solution whose shaper cancels `phase`: populations in units of N, ratio, residual."""
     weights = quadrature_weights(grid)
     n_norm = normalization(sys)
@@ -311,7 +299,7 @@ def _solution(kind, sys, state, grid, response, phase) -> ShapingSolution:
                       RuntimeWarning)
     e_opt = p_shaped / p_unshaped if p_unshaped else np.inf
     sol = ShapingSolution(kind, grid, response, phase, p_shaped, p_unshaped, e_opt)
-    sol.residual = stationarity_residual(sys, state, sol)
+    sol.residual = stationarity_residual(sys, sol)
     return sol
 
 
@@ -327,35 +315,29 @@ def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = No
         grid = slm_grid(sys, state)
     _require_symmetric_grid(grid)
     w_resp = effective_response(sys, state, grid.nodes)
-    return _solution("slm", sys, state, grid, w_resp, 0.5 * np.angle(w_resp))
+    return _solution("slm", sys, grid, w_resp, 0.5 * np.angle(w_resp))
 
 
 def optimal_pump_shaper(sys: LevelSystem, state: PumpShaped,
-                        grid_plus: FrequencyGrid | None = None,
-                        grid_minus: FrequencyGrid | None = None) -> ShapingSolution:
+                        grid_plus: FrequencyGrid | None = None) -> ShapingSolution:
     """Optimal pump-only shaper (the difference-frequency arm is untouched).
 
     The shaper phase is the phase of xi(w+), the effective response
-    integrated over the difference frequency; xi is assembled from closed
-    forms for the default (flat or Gaussian) phase matching and by
-    quadrature over grid_minus for a custom beta.
+    integrated over the difference frequency: the pump amplitude times the
+    closed form eta_infinite_pm (flat phase matching) or eta_gaussian_pm
+    (Gaussian phase matching of width zeta).
     """
     if grid_plus is None:
         grid_plus = pump_plus_grid(sys, state)
     wp = grid_plus.nodes
-    alpha = np.asarray(state.resolved_alpha(sys)(wp), dtype=complex)
-    if state.beta is not None:
-        if grid_minus is None:
-            grid_minus = pump_minus_grid(sys, state)
-        wm = grid_minus.nodes
-        w_mat = effective_response(sys, state, (wp[:, None], wm[None, :]))
-        xi = w_mat @ quadrature_weights(grid_minus)
-    elif state.infinite_pm:
+    alpha = np.asarray(chirped_pump_profile(state.sigma, state.phi, sys.omega_f)(wp),
+                       dtype=complex)
+    if state.infinite_pm:
         xi = alpha * eta_infinite_pm(sys, wp)
     else:
         xi = alpha * eta_gaussian_pm(sys, wp, state.zeta)
 
-    return _solution("pump", sys, state, grid_plus, xi, np.angle(xi))
+    return _solution("pump", sys, grid_plus, xi, np.angle(xi))
 
 
 def _check_unit_modulus(m) -> np.ndarray:
@@ -394,7 +376,7 @@ def slm_shaped_population(sys: LevelSystem, response_nodes, grid: FrequencyGrid,
     return float(np.abs(amp) ** 2 / normalization(sys))
 
 
-def stationarity_residual(sys: LevelSystem, state, solution: ShapingSolution) -> float:
+def stationarity_residual(sys: LevelSystem, solution: ShapingSolution) -> float:
     """Largest relative pointwise mismatch of the variational fixed-point equation.
 
     Both sides are evaluated with the solution's shaper samples and the
@@ -412,12 +394,8 @@ def stationarity_residual(sys: LevelSystem, state, solution: ShapingSolution) ->
     sqrt_n = np.sqrt(normalization(sys))
     psi2 = sqrt_n * np.abs(resp) * np.sum(w * np.abs(resp))
     if solution.kind == "slm":
-        if not isinstance(state, CwSpdc):
-            raise ValueError("slm solution requires a CwSpdc state")
         partner = m[::-1]  # photon 2 sits at the mirrored offset
     elif solution.kind == "pump":
-        if not isinstance(state, PumpShaped):
-            raise ValueError("pump solution requires a PumpShaped state")
         partner = 1.0  # the difference-frequency arm is unshaped
     else:
         raise ValueError(f"unknown solution kind {solution.kind!r}")

@@ -365,6 +365,8 @@ def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
     (["figure", "fig7a", "--points", "0"], "--points"),
     (["figure", "fig8a", "--points", "-2"], "--points"),
     (["schmidt", "--modes", "-3"], "--modes"),
+    (["schmidt", "--rank", "-3", "--grid-half-width", "10", "--step", "0.5"], "--rank"),
+    (["figure", "fig8a", "--rank", "-1"], "--rank"),
 ])
 def test_bad_count_exits_2(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -489,6 +491,7 @@ def test_solver_stats_reported(tmp_path):
 @pytest.mark.parametrize("argv, flags", [
     (["shape-pump", "--infinite-pm", "--sweep", "zeta", "1", "5", "3"],
      ("--infinite-pm", "--sweep zeta")),
+    (["shape-pump", "--infinite-pm", "--zeta", "5"], ("zeta", "infinite_pm")),
     (["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
      ("--dump-kernel", "--sweep")),
 ])

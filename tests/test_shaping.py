@@ -10,6 +10,7 @@ from tpaopt import (
     CwSpdc,
     LevelSystem,
     PumpShaped,
+    chirped_pump_profile,
     complex_normal_cdf,
     effective_response,
     eta_gaussian_pm,
@@ -55,12 +56,12 @@ def test_cw_response_symmetric():
 
 def test_pump_response_reduces_to_half_kernel():
     sys = LevelSystem(delta_detuning=1.0, delta_deviation=-0.3)
-    state = PumpShaped(sigma=1.0, infinite_pm=True,
-                       alpha=lambda w: np.ones_like(np.asarray(w, dtype=float)))
+    state = PumpShaped(sigma=1.0, infinite_pm=True)
     wp, wm = 2.3, -0.9
     w = effective_response(sys, state, (wp, wm))
     t = response_infinite(sys, (wp + wm) / 2.0, (wp - wm) / 2.0)
-    assert w == pytest.approx(0.5 * t, rel=1e-14)
+    assert w == pytest.approx(0.5 * t * chirped_pump_profile(1.0, 0.0, sys.omega_f)(wp),
+                              rel=1e-14)
 
 
 def test_effective_response_argument_validation():
@@ -80,6 +81,8 @@ def test_input_state_validation():
         PumpShaped(sigma=1.0)  # no zeta, no infinite_pm
     with pytest.raises(ValueError):
         PumpShaped(sigma=1.0, zeta=-2.0)
+    with pytest.raises(ValueError, match="zeta has no effect with infinite_pm"):
+        PumpShaped(sigma=1.0, zeta=5.0, infinite_pm=True)
 
 
 def test_slm_rejects_off_centre_grid():
@@ -175,13 +178,13 @@ def test_shaped_population_2d_consistent_with_reduced_pump_form():
     state = PumpShaped(sigma=2.0, phi=1.0, zeta=3.0)
     sol = optimal_pump_shaper(sys, state)
     grid_plus = sol.grid
-    grid_minus = make_grid(0.0, 60.0, 0.05)
+    grid_diff = make_grid(0.0, 60.0, 0.05)
     kernel = sample_kernel(
         lambda wp, wm: effective_response(sys, state, (wp, wm)),
-        grid_plus, grid_minus,
+        grid_plus, grid_diff,
     )
     m1 = sol.shaper()
-    ones = np.ones(grid_minus.count)
+    ones = np.ones(grid_diff.count)
     p2d = shaped_population(sys, kernel, m1, ones)
     assert p2d == pytest.approx(sol.p_shaped, rel=1e-6)
     p2d_flat = shaped_population(sys, kernel, np.ones(grid_plus.count), ones)
@@ -278,34 +281,10 @@ def test_pump_chirp_pays_off_at_large_bandwidth():
     assert wide.e_opt > narrow.e_opt > 1.0
 
 
-def test_pump_ratio_invariant_under_global_phase_rotation():
-    sys = LevelSystem(delta_detuning=1.0, delta_deviation=-1.0)
-    base = PumpShaped(sigma=2.0, phi=0.7, infinite_pm=True)
-    alpha0 = base.resolved_alpha(sys)
-    rotated = PumpShaped(sigma=2.0, phi=0.7, infinite_pm=True,
-                         alpha=lambda w: np.exp(1.23j) * alpha0(w))
-    g = make_grid(sys.omega_f, 25.0, 0.01)
-    a = optimal_pump_shaper(sys, base, g)
-    b = optimal_pump_shaper(sys, rotated, g)
-    assert a.e_opt == pytest.approx(b.e_opt, rel=1e-12)
-
-
-def test_pump_custom_beta_quadrature_path_matches_closed_form():
-    sys = LevelSystem(delta_detuning=1.5, delta_deviation=-0.4)
-    zeta = 3.0
-    closed = optimal_pump_shaper(sys, PumpShaped(sigma=2.0, phi=1.0, zeta=zeta))
-    custom = PumpShaped(sigma=2.0, phi=1.0, zeta=zeta, beta=gaussian_profile(zeta))
-    numeric = optimal_pump_shaper(sys, custom, closed.grid, make_grid(0.0, 80.0, 0.05))
-    assert numeric.e_opt == pytest.approx(closed.e_opt, rel=1e-6)
-    assert numeric.p_shaped == pytest.approx(closed.p_shaped, rel=1e-6)
-
-
-def zeros(w):
-    return np.zeros(np.shape(w))
-
-
 @pytest.mark.parametrize("solve", [
-    lambda sys: optimal_pump_shaper(sys, PumpShaped(sigma=1.0, infinite_pm=True, alpha=zeros)),
+    # a pump grid 200 pump widths off resonance, where the Gaussian amplitude underflows to 0
+    lambda sys: optimal_pump_shaper(sys, PumpShaped(sigma=1.0, infinite_pm=True),
+                                    make_grid(sys.omega_f + 200.0, 1.0, 0.5)),
 ], ids=["pump"])
 def test_vanishing_amplitude_reports_infinite_ratio(solve):
     with warnings.catch_warnings(record=True) as caught:
@@ -338,7 +317,7 @@ def test_residual_detects_perturbation():
     phases = sol.phase_nodes.copy()
     phases[np.argmax(np.abs(sol.response_nodes))] += 0.3
     poked = dataclasses.replace(sol, phase_nodes=phases)
-    assert stationarity_residual(sys, state, poked) > 1e-3
+    assert stationarity_residual(sys, poked) > 1e-3
 
 
 def test_residual_detects_pump_perturbation():
@@ -348,11 +327,4 @@ def test_residual_detects_pump_perturbation():
     phases = sol.phase_nodes.copy()
     phases[np.argmax(np.abs(sol.response_nodes))] += 0.3
     poked = dataclasses.replace(sol, phase_nodes=phases)
-    assert stationarity_residual(sys, state, poked) > 1e-3
-
-
-def test_residual_requires_matching_state():
-    sys = LevelSystem(delta_detuning=2.0)
-    sol = optimal_slm(sys, CwSpdc(sigma=1.0))
-    with pytest.raises(ValueError):
-        stationarity_residual(sys, PumpShaped(sigma=1.0, infinite_pm=True), sol)
+    assert stationarity_residual(sys, poked) > 1e-3

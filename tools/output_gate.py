@@ -49,6 +49,8 @@ sys.exit(main(sys.argv[1:]))
 COMMANDS = {
     "point_default": ["schmidt", "--delta", "5", "--dev", "-1.9"],
     "point_default_1001": ["schmidt", "--delta", "3", "--dev", "-1.5"],
+    # Delta = 0 (a centro-Hermitian kernel) on 2201 nodes: the default-rank truncated solve
+    "point_default_2201": ["schmidt", "--dev", "-0.9"],
     "point_rank8": ["schmidt", "--delta", "5", "--dev", "-1.5", "--rank", "8"],
     "point_rank16": ["schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "16"],
     "point_rank200": ["schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "200"],
@@ -118,6 +120,8 @@ COMMANDS = {
                                "60", "--step", "0.25", "--dump-kernel"],
     "exit2_sweep_zeta_flat": ["shape-pump", "--infinite-pm", "--sweep", "zeta", "1", "5", "3"],
     "exit2_sweep_dump_kernel": ["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
+    "exit2_zeta_flat": ["shape-pump", "--infinite-pm", "--zeta", "5"],
+    "exit2_rank_negative": ["schmidt", "--rank", "-3", "--grid-half-width", "10", "--step", "0.5"],
     "fig7a_threads2": ["figure", "fig7a", "--points", "3"],
 }
 
