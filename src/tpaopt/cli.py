@@ -15,13 +15,10 @@ wall_time_ms}; timing holds the milliseconds spent per stage (solve, bounds,
 shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
-system, grid or shaping values, --points < 1, --modes < 0, a bad
-TPAOPT_THREADS on any run, grids whose dense kernel exceeds physical memory
-and allocations that fail among them), 3 solver failures
-(numpy.linalg.LinAlgError).  TPAOPT_THREADS = N >= 1 (clamped to the
-CPUs this process may run on) evaluates sweep points in a thread pool; results
-are gathered in parameter order, so output is unchanged.  Pair it with
-OPENBLAS_NUM_THREADS=1, or the BLAS threads oversubscribe the cores.
+system, grid or shaping values, --points < 1, --modes < 0, grids whose dense
+kernel exceeds physical memory and allocations that fail among them), 3 solver
+failures (numpy.linalg.LinAlgError).  Sweep and figure points run one after
+another, in parameter order.
 
 A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
 the grid flags and --rank as they are: the library builds the grid
@@ -38,9 +35,7 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
@@ -72,13 +67,12 @@ def _grid_dict(grid):
 class _StageClock:
     """The run's start time and wall milliseconds per stage, summed over points.
 
-    `with clock("solve"): ...` adds the block's duration to that stage; threads share it.
+    `with clock("solve"): ...` adds the block's duration to that stage.
     """
 
     def __init__(self):
         self.start = time.perf_counter()
         self.ms = {}
-        self._lock = threading.Lock()
 
     @contextmanager
     def __call__(self, stage):
@@ -86,9 +80,7 @@ class _StageClock:
         try:
             yield
         finally:
-            ms = (time.perf_counter() - t0) * 1000.0
-            with self._lock:
-                self.ms[stage] = self.ms.get(stage, 0.0) + ms
+            self.ms[stage] = self.ms.get(stage, 0.0) + (time.perf_counter() - t0) * 1000.0
 
 
 def _write_report(args, command, params, grid, results, diagnostics):
@@ -100,14 +92,6 @@ def _write_report(args, command, params, grid, results, diagnostics):
         with open(os.path.join(args.out, "report.json"), "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _map_points(fn, values, workers):
-    """Evaluate sweep points, in a thread pool of `workers` if above 1, keeping input order."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
 
 
 def _space(lo, hi, n, log=False):
@@ -276,10 +260,7 @@ def cmd_run(args) -> int:
     name, swept = _sweep_values(args, sweepable)
     params["sweep"] = {"param": name, "values": [float(v) for v in swept]}
 
-    def sweep_row(v):
-        return {"value": float(v), **point(args, **{**values, name: v})[0]}
-
-    rows = _map_points(sweep_row, swept, args.threads)
+    rows = [{"value": float(v), **point(args, **{**values, name: v})[0]} for v in swept]
     if args.format in ("csv", "both"):
         with args.timed("write"):
             write_csv(os.path.join(args.out, csv_name), ",".join((name,) + columns),
@@ -358,8 +339,7 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header, make_points, values = FIGURES[args.name]
     points = make_points(args.points)
-    computed = _map_points(partial(values, args), points, args.threads)
-    rows = [p + tuple(v) for p, v in zip(points, computed)]
+    rows = [p + tuple(values(args, p)) for p in points]
     path = os.path.join(args.out, f"{args.name}.csv")
     results = {"csv": os.path.basename(path), "rows": len(rows)}
     if args.format == "json":  # the rows, each in header order, go into the report instead
@@ -476,11 +456,6 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ValueError(f"--{flag} must be >= {least}, got {value}")
-        raw = os.environ.get("TPAOPT_THREADS") or "1"  # checked even where no pool starts
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ValueError(f"TPAOPT_THREADS must be an integer >= 1, got {raw!r}")
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        args.threads = min(int(raw), cpus or 1)
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -223,7 +223,11 @@ def pump_plus_grid(sys: LevelSystem, state: PumpShaped, half: float | None = Non
 
 
 def pump_minus_grid(sys: LevelSystem, state: PumpShaped) -> FrequencyGrid:
-    """Default difference-frequency grid, for sampling the 2D pump effective response."""
+    """Default difference-frequency grid, for sampling the 2D pump effective response.
+
+    Centred at 0, it reaches max(10 zeta, 20 gamma_e (2 + Delta)) at a step of
+    min(gamma_e, zeta) / 10; flat phase matching (no zeta) takes gamma_e for zeta.
+    """
     zeta = state.zeta if state.zeta is not None else sys.gamma_e
     half = max(10.0 * zeta, 20.0 * sys.gamma_e * (2.0 + sys.delta_detuning))
     step = min(sys.gamma_e, zeta) / 10.0

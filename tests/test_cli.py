@@ -3,9 +3,7 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,30 +99,21 @@ def test_report_schema_keys(tmp_path):
     assert all(ms >= 0.0 for ms in rep["timing"].values())
 
 
-def test_stage_clock_keeps_every_update_under_threads(monkeypatch):
-    # each thread's clock advances 0.5 s per reading, so every block lasts exactly 500 ms
-    local = threading.local()
-
-    def fake_perf_counter():
-        local.t = getattr(local, "t", -0.5) + 0.5
-        return local.t
-
-    monkeypatch.setattr(cli.time, "perf_counter", fake_perf_counter)
+def test_stage_clock_sums_each_stage(monkeypatch):
+    # the clock advances 0.25 s per reading, so a block spans 250 ms, or more if it reads
+    # the clock inside; blocks of one stage add up
+    ticks = iter(np.arange(100) * 0.25)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
     clock = cli._StageClock()
-
-    def work(_):
-        for _ in range(500):
-            with clock("solve"):
-                pass
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(work, range(8), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert clock.ms == {"solve": 8 * 500 * 500.0}
+    assert clock.start == 0.0
+    for stage in ("solve", "write", "solve"):
+        with clock(stage):
+            pass
+    with clock("solve"):
+        cli.time.perf_counter()  # one extra reading: this block lasts 500 ms
+    with clock("write"):
+        pass
+    assert clock.ms == {"solve": 250.0 + 250.0 + 500.0, "write": 250.0 + 250.0}
 
 
 def test_figure_fig2c_enhancement_limit_decreases_with_final_width(tmp_path):
@@ -219,17 +208,6 @@ def test_config_unknown_key(tmp_path):
     assert main(["shape-slm", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-def test_thread_pool_does_not_change_output(tmp_path, monkeypatch):
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "pool")
-    args = ["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "5"]
-    assert main(args + ["--out", out1]) == 0
-    monkeypatch.setenv("TPAOPT_THREADS", "3")
-    assert main(args + ["--out", out2]) == 0
-    a = open(os.path.join(out1, "slm_sweep.csv"), "rb").read()
-    b = open(os.path.join(out2, "slm_sweep.csv"), "rb").read()
-    assert a == b
-
-
 def test_config_sweep_matches_flags(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("delta = 4\nsweep = sigma 0.5 8 3\nlog = yes\n")
@@ -237,23 +215,6 @@ def test_config_sweep_matches_flags(tmp_path):
     assert main(["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3", "--log",
                  "--out", out1]) == 0
     assert main(["shape-slm", "--config", str(cfg), "--out", out2]) == 0
-    a = open(os.path.join(out1, "slm_sweep.csv"), "rb").read()
-    b = open(os.path.join(out2, "slm_sweep.csv"), "rb").read()
-    assert a == b
-
-
-def test_thread_count_clamped_to_affinity_mask(tmp_path, monkeypatch):
-    args = ["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"]
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "pinned")
-    assert main(args + ["--out", out1]) == 0
-    workers = []
-    map_points = cli._map_points
-    monkeypatch.setattr(cli, "_map_points",
-                        lambda fn, values, n: workers.append(n) or map_points(fn, values, n))
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setenv("TPAOPT_THREADS", "4")
-    assert main(args + ["--out", out2]) == 0
-    assert workers == [1]
     a = open(os.path.join(out1, "slm_sweep.csv"), "rb").read()
     b = open(os.path.join(out2, "slm_sweep.csv"), "rb").read()
     assert a == b
@@ -349,16 +310,6 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value, fi
 def test_non_finite_grid_and_shaping_values_exit_2(tmp_path, capsys, argv, field):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("TPAOPT_THREADS", value)
-    # checked before dispatch, so a single point, which starts no pool, fails as a sweep does
-    for argv in (["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"],
-                 ["shape-slm", "--delta", "4"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert "TPAOPT_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -38,3 +39,22 @@ def test_kernel_dump_difference_is_relative_to_the_largest_entry(tmp_path):
     note = load_gate()._largest_difference(str(a), str(b))
     assert note == (f"; largest at line {4 + row}, {col + 1}: {old!r} -> {new!r}, "
                     f"{abs(old - new) / largest:.3g} of the largest magnitude {largest:.9g}")
+
+
+def test_compare_reads_the_manifests_of_two_run_directories(tmp_path, capsys):
+    entry = {"argv": ["schmidt"], "exit": 0, "stdout": "E_q = 2\n", "files": {"report.json": "1"}}
+    runs = {"a": {"point": entry, "exit2": {**entry, "exit": 2, "files": {}}},
+            "b": {"point": {**entry, "stdout": "E_q = 3\n"}}}
+    for run, manifest in runs.items():
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "manifest.json").write_text(json.dumps(manifest))
+    gate = load_gate()
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert gate.main(["--compare", a, b]) == 1
+    by_directory = capsys.readouterr().out
+    assert by_directory.splitlines() == [
+        f"exit2: only in {os.path.join(a, 'manifest.json')}",
+        "point: stdout 'E_q = 2\\n' -> 'E_q = 3\\n'"]
+    # manifest paths give the same lines
+    assert gate.compare(os.path.join(a, "manifest.json"), os.path.join(b, "manifest.json")) == 2
+    assert capsys.readouterr().out == by_directory

@@ -17,14 +17,12 @@ from tpaopt import (
     eta_infinite_pm,
     gaussian_profile,
     make_grid,
-    normalization,
     optimal_pump_shaper,
     optimal_slm,
-    quadrature_weights,
+    pump_minus_grid,
     response_infinite,
     sample_kernel,
     shaped_population,
-    slm_grid,
     slm_shaped_population,
     stationarity_residual,
 )
@@ -83,6 +81,24 @@ def test_input_state_validation():
         PumpShaped(sigma=1.0, zeta=-2.0)
     with pytest.raises(ValueError, match="zeta has no effect with infinite_pm"):
         PumpShaped(sigma=1.0, zeta=5.0, infinite_pm=True)
+
+
+@pytest.mark.parametrize("gamma_e, delta, zeta", [
+    (1.0, 5.0, 2.0),     # the detuning sets the reach, gamma_e the step
+    (0.5, 0.0, 100.0),   # a wide phase-matching profile sets the reach
+    (1.0, 1.0, 0.3),     # a narrow one sets the step
+])
+def test_pump_minus_grid_covers_its_documented_range(gamma_e, delta, zeta):
+    sys = LevelSystem(gamma_e=gamma_e, delta_detuning=delta)
+    reach = max(10.0 * zeta, 20.0 * gamma_e * (2.0 + delta))
+    grid = pump_minus_grid(sys, PumpShaped(sigma=1.0, zeta=zeta))
+    assert grid.center == pytest.approx(0.0, abs=1e-12 * grid.max)
+    assert grid.min == pytest.approx(-grid.max, rel=1e-12)
+    assert grid.max >= reach * (1.0 - 1e-12)
+    assert grid.step <= min(gamma_e, zeta) / 10.0
+    # flat phase matching has no zeta: gamma_e stands in for it
+    flat = pump_minus_grid(sys, PumpShaped(sigma=1.0, infinite_pm=True))
+    assert flat == pump_minus_grid(sys, PumpShaped(sigma=1.0, zeta=gamma_e))
 
 
 def test_slm_rejects_off_centre_grid():

@@ -1,20 +1,19 @@
 """Output gate: run a fixed list of CLI commands and record what each one writes.
 
     python tools/output_gate.py OUT_DIR [--src SRC]   # run, write OUT_DIR/manifest.json
-    python tools/output_gate.py --compare A B         # list the differences of two manifests
+    python tools/output_gate.py --compare A B         # list the differences of two runs
 
 Each command runs in a fresh interpreter (``python -m tpaopt.cli``, the
 package taken from SRC, by default this checkout's ``src``) with
-OPENBLAS_NUM_THREADS=1 and TPAOPT_THREADS unset unless ENV sets it, inside
-its own output directory, after the CONFIGS file it reads is written there.
+OPENBLAS_NUM_THREADS=1, inside its own output directory, after the CONFIGS
+file it reads is written there.
 The manifest holds, per command, the exit code, the stdout, the stderr of a
 command that fails (its error message) and the sha256 of every file in that
 directory; ``report.json`` is hashed with its run-dependent ``wall_time_ms``
 and ``timing`` removed.  The demo scripts beside SRC (``../demos``) run the
 same way, and the manifest holds the sha256 of their stdout.  Run it on two
-checkouts and compare the manifests to show that a change leaves every
-output byte-identical; the comparison also checks, within each manifest,
-that every command in SAME_AS wrote the files of its serial twin.  For a
+checkouts and compare the manifests (or the two output directories holding
+them) to show that a change leaves every output byte-identical.  For a
 CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
@@ -87,7 +86,6 @@ COMMANDS = {
     "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
     "config_bool": ["shape-pump", "--config", "run.cfg", "--phi", "1"],
     "config_sweep": ["shape-slm", "--config", "run.cfg"],
-    "sweep_delta_threads2": ["schmidt", "--dev", "-1.8", "--sweep", "delta", "1", "5", "3"],
     "format_csv": ["schmidt", "--delta", "5", "--dev", "-1.9", "--format", "csv"],
     "format_json": ["shape-pump", "--delta", "5", "--zeta", "auto", "--format", "json"],
     "figure_json": ["figure", "fig7b", "--points", "3", "--format", "json"],
@@ -100,8 +98,6 @@ COMMANDS = {
                                "dev", "-1.5", "1", "4"],
     "pump_sweep_zeta_log": ["shape-pump", "--delta", "2", "--sigma", "auto", "--sweep",
                             "zeta", "0.5", "50", "4", "--log"],
-    "exit2_threads_sweep": ["shape-slm", "--delta", "4", "--sweep", "sigma", "0.5", "8", "3"],
-    "exit2_threads_single": ["shape-slm", "--delta", "4"],
     "exit2_points": ["figure", "fig7a", "--points", "0"],
     "exit2_modes": ["schmidt", "--delta", "5", "--dev", "-1.9", "--modes", "-3"],
     "exit2_step_overflow": ["schmidt", "--step", "1e-310"],
@@ -122,28 +118,16 @@ COMMANDS = {
     "exit2_sweep_dump_kernel": ["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
     "exit2_zeta_flat": ["shape-pump", "--infinite-pm", "--zeta", "5"],
     "exit2_rank_negative": ["schmidt", "--rank", "-3", "--grid-half-width", "10", "--step", "0.5"],
-    "fig7a_threads2": ["figure", "fig7a", "--points", "3"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
          "schmidt_entanglement.py")
-
-# name -> environment variables set for that command only
-ENV = {
-    "sweep_delta_threads2": {"TPAOPT_THREADS": "2"},
-    "exit2_threads_sweep": {"TPAOPT_THREADS": "abc"},
-    "exit2_threads_single": {"TPAOPT_THREADS": "abc"},
-    "fig7a_threads2": {"TPAOPT_THREADS": "2"},
-}
 
 # name -> text of the run.cfg file written into that command's directory
 CONFIGS = {
     "config_bool": "delta = 3\ndev = -1.5\nsigma = 0.5\ninfinite_pm = yes  # a boolean key\n",
     "config_sweep": "delta = 4\nsweep = sigma 0.5 8 3  # a key taking several values\nlog = yes\n",
 }
-
-# name -> the command whose files it must reproduce byte for byte
-SAME_AS = {"sweep_delta_threads2": "sweep_delta", "fig7a_threads2": "fig7a"}
 
 
 def _deterministic(report):
@@ -162,7 +146,6 @@ def _digest(path):
 def run(out_dir, src):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("TPAOPT_THREADS", None)
     demos = os.path.join(os.path.dirname(src), "demos")
     # name -> (argv as recorded, the interpreter's arguments)
     jobs = {name: (argv, [*(["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]),
@@ -178,14 +161,14 @@ def run(out_dir, src):
                 fh.write(CONFIGS[name])
         t0 = time.perf_counter()
         # run inside the output directory so stdout names the same relative paths on any run
-        proc = subprocess.run([sys.executable, *args], cwd=out,
-                              env=dict(env, **ENV.get(name, {})), capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *args], cwd=out, env=env, capture_output=True,
+                              text=True)
         files = {f: _digest(os.path.join(out, f)) for f in sorted(os.listdir(out))}
         stdout = proc.stdout
         if name.startswith("demo_"):
             stdout = hashlib.sha256(stdout.encode()).hexdigest()
-        manifest[name] = {"argv": argv, "env": ENV.get(name, {}), "exit": proc.returncode,
-                          "stdout": stdout, "files": files}
+        manifest[name] = {"argv": argv, "exit": proc.returncode, "stdout": stdout,
+                          "files": files}
         if proc.returncode:
             manifest[name]["stderr"] = proc.stderr
         print(f"{name}: exit {proc.returncode}, {len(files)} files, "
@@ -250,19 +233,21 @@ def _largest_difference(file_a, file_b):
 
 
 def compare(path_a, path_b):
-    """Print one line per difference of two manifests; return their count."""
+    """Print one line per difference of two manifests; return their count.
+
+    A path may name a run's output directory, which stands for its manifest.json.
+    """
+    path_a, path_b = (os.path.join(p, "manifest.json") if os.path.isdir(p) else p
+                      for p in (path_a, path_b))
     with open(path_a, encoding="ascii") as fh:
         a = json.load(fh)
     with open(path_b, encoding="ascii") as fh:
         b = json.load(fh)
     diffs = [f"{name}: only in {path_a if name in a else path_b}"
              for name in sorted(set(a) ^ set(b))]
-    for path, m in ((path_a, a), (path_b, b)):
-        diffs += [f"{name}: files differ from {twin} in {path}" for name, twin in SAME_AS.items()
-                  if name in m and twin in m and m[name]["files"] != m[twin]["files"]]
     for name in sorted(set(a) & set(b)):
         ra, rb = a[name], b[name]
-        for key in ("argv", "env", "exit", "stdout", "stderr"):
+        for key in ("argv", "exit", "stdout", "stderr"):
             if ra.get(key) != rb.get(key):
                 diffs.append(f"{name}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
@@ -281,7 +266,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="directory for the outputs and manifest.json")
     parser.add_argument("--src", default=SRC, help="directory holding the tpaopt package")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two manifest.json files")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="two manifest.json files, or the run directories holding them")
     args = parser.parse_args(argv)
     if args.compare:
         return 1 if compare(*args.compare) else 0
