@@ -24,9 +24,11 @@ A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
 the grid flags and --rank as they are: the library builds the grid
 (`grids.auto_grid`: the fixed `default_grid(sys)` with the grid flags,
 widened at large detuning unless --grid-half-width is given) and picks the
-solver (`schmidt.solver_rank`), as `asymptotic_bounds` does on its own grid,
-with the same --rank: so --rank also moves S_inf.  Diagnostics and sweep rows
-name the solver that ran; kernel.csv is written after the bounds.
+solver (`schmidt.solver_rank`).  `asymptotic_bounds` reads the same --rank on
+its own grid: the truncated solve for a given rank (so --rank also moves
+S_inf), else the full spectrum from Gram eigenvalues, with no SVD.
+Diagnostics and sweep rows name the solver that ran; kernel.csv is written
+after the bounds.
 """
 
 from __future__ import annotations

@@ -302,26 +302,36 @@ def _arpack(a: LinearOperator, k: int, vectors: bool):
     return u, s[order], vh
 
 
+def _real_form(kernel: HankelKernel) -> np.ndarray:
+    """The real R = Re(Z^H A Z), Z = (I + iJ)/sqrt(2), of a centro-Hermitian kernel's matrix A.
+
+    A is unitarily similar to R (Lee 1980; Hill, Bates & Waters 1990), so
+    both have the same singular values.  The complex matrix is not kept past
+    the return.
+    """
+    a = kernel.to_dense().entries
+    # R = (Re A + J Re A J)/2 - (Im A J - J Im A)/2: the projection onto
+    # centro-Hermitian matrices drops the roundoff-level asymmetry of A
+    # instead of copying it into R, as Re A - Im A J would.
+    r = a.real + a.real[::-1, ::-1]
+    r -= a.imag[:, ::-1]
+    r += a.imag[::-1, :]
+    r *= 0.5
+    return r
+
+
 def _dense_svd(kernel: KernelMatrix | HankelKernel, vectors: bool):
     """Full SVD (u, s, vh; u and vh None without vectors) of the kernel's dense matrix.
 
-    A centro-Hermitian `HankelKernel` A is unitarily similar to the real
-    R = Re(Z^H A Z) with Z = (I + iJ)/sqrt(2) (Lee 1980; Hill, Bates & Waters
-    1990), so its SVD runs in real arithmetic at under half the cost, and
-    A = (Z u_R) s (Z v_R)^H gives the modes.
+    A centro-Hermitian `HankelKernel` runs in real arithmetic at under half
+    the cost, on its `_real_form` R, and A = (Z u_R) s (Z v_R)^H gives the modes.
     """
     structured = isinstance(kernel, HankelKernel)
-    a = kernel.to_dense().entries if structured else kernel.entries
     real = structured and kernel.centro_hermitian
     if real:
-        # R = (Re A + J Re A J)/2 - (Im A J - J Im A)/2: the projection onto
-        # centro-Hermitian matrices drops the roundoff-level asymmetry of A
-        # instead of copying it into R, as Re A - Im A J would.
-        r = a.real + a.real[::-1, ::-1]
-        r -= a.imag[:, ::-1]
-        r += a.imag[::-1, :]
-        r *= 0.5
-        a = r  # the complex matrix is not kept through the SVD
+        a = _real_form(kernel)
+    else:
+        a = kernel.to_dense().entries if structured else kernel.entries
     if not vectors:
         return None, np.linalg.svd(a, compute_uv=False), None
     u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -515,12 +525,33 @@ def asymptotic_bounds(sys: LevelSystem, grid: FrequencyGrid | None = None,
     E_inf = 2 / s_1^2 and S_inf = 1 + S_a, where s_k and S_a come from the
     decomposition of Q/sqrt(N/2) on grid (default `bounds_grid(sys)`).
     Both are independent of the detuning.  Only the coefficients are
-    computed, at the rank `solver_rank` gives for rank: a values-only dense
-    SVD for the full spectrum, the truncated one for a rank below n - 1.
+    computed, at the rank `solver_rank` gives for rank: the truncated
+    `decompose` for a rank below n - 1.  The full spectrum is s_k =
+    sqrt(lambda_k), from the eigenvalues of the Gram matrix R^T R of Q's
+    `_real_form` R (Q is centro-Hermitian on every offset grid), 2.6-2.8x
+    faster than the values-only SVD of R at 1501-1601 nodes; a kernel that
+    is not centro-Hermitian takes the dense `decompose` instead.
+
+    Squaring leaves an absolute eigenvalue error of about n eps s_1^2, which
+    reaches only coefficients far below s_1: E_inf agrees with the SVD to
+    about 1e-15 relative and S_inf to about 1e-13 bits, so both keep their
+    9-digit strings.  No noise floor is applied to the eigenvalues; the
+    1e-12 floor of `entropy` reads the coefficients as before.  Phi does not
+    take this route: its spectrum decays fast, and noise of n eps r_1^2 would
+    pass that floor (601 nonzero coefficients instead of 1 at Delta = 0,
+    delta = 0 on 1201 nodes).
     """
     grid = bounds_grid(sys) if grid is None else grid
-    dq = decompose(_one_sided_kernel(sys, grid), rank=solver_rank(grid.count, rank),
-                   vectors=False)
+    q = _one_sided_kernel(sys, grid)
+    rank = solver_rank(grid.count, rank)
+    if rank is None and q.centro_hermitian:
+        r = _real_form(q)
+        s = np.sqrt(np.clip(np.linalg.eigvalsh(r.T @ r), 0.0, None))[::-1]
+        empty = np.empty((0, grid.count), complex)
+        dq = SchmidtDecomposition(s, empty, empty, q.grid1, q.grid2, residual=0.0,
+                                  method="gram_values")
+    else:
+        dq = decompose(q, rank=rank, vectors=False)
     return 2.0 * quantum_enhancement(dq), 1.0 + entropy(dq)
 
 

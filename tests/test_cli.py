@@ -287,6 +287,17 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def test_bounds_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # the point's solve is an SVD; only its bounds reach the Gram eigensolver
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["schmidt", "--delta", "5", "--dev", "-1.8", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--delta", "nan", "delta_detuning"),
     ("--dev", "inf", "delta_deviation"),

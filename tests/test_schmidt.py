@@ -391,6 +391,47 @@ def test_values_only_bounds_match_full_decomposition():
     assert s_inf == pytest.approx(1.0 + entropy(c), abs=1e-10)
 
 
+def _bounds_of(d):
+    return 2.0 * quantum_enhancement(d), 1.0 + entropy(d)
+
+
+@pytest.mark.parametrize("dev", [-1.9, -1.76, 0.0, 2.0])
+def test_gram_bounds_match_values_only_decomposition(monkeypatch, dev):
+    sys = LevelSystem(delta_detuning=3.0, delta_deviation=dev)
+    grid = schmidt.bounds_grid(sys)
+    q = _one_sided_kernel(sys, grid)
+    with monkeypatch.context() as m:  # the full spectrum comes from the Gram eigenvalues
+        m.setattr(schmidt, "decompose", None)
+        e_inf, s_inf = asymptotic_bounds(sys, grid)
+    e_ref, s_ref = _bounds_of(decompose(q, vectors=False))
+    assert e_inf == pytest.approx(e_ref, rel=1e-13, abs=0)
+    assert s_inf == pytest.approx(s_ref, rel=0, abs=1e-10)
+    assert "%.9g %.9g" % (e_inf, s_inf) == "%.9g %.9g" % (e_ref, s_ref)
+    # an explicit rank keeps the truncated solve
+    assert asymptotic_bounds(sys, grid, rank=40) == _bounds_of(decompose(q, rank=40,
+                                                                         vectors=False))
+
+
+def test_bounds_of_a_kernel_not_centro_hermitian_take_the_complex_svd(monkeypatch):
+    sys = LevelSystem(delta_deviation=-1.76)
+    grid = schmidt.bounds_grid(sys)
+    e_gram, s_gram = asymptotic_bounds(sys, grid)
+    monkeypatch.setattr(schmidt, "CENTRO_HERMITIAN_RTOL", 0.0)
+    assert not _one_sided_kernel(sys, grid).centro_hermitian
+    solved = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        solved.append((a.dtype, a.shape))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    e_inf, s_inf = asymptotic_bounds(sys, grid)
+    assert solved == [(np.dtype(complex), (grid.count, grid.count))]
+    assert e_inf == pytest.approx(e_gram, rel=1e-12, abs=0)
+    assert s_inf == pytest.approx(s_gram, rel=0, abs=1e-12)
+
+
 def test_structured_kernel_checks_memory_before_allocating():
     sys = LevelSystem()
     with pytest.raises(ValueError, match="physical memory"):

@@ -18,7 +18,8 @@ CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
 The whole list takes about two minutes on one core of a 2-core x86-64 VM,
-35-45 s of it in the demos (nearly all in ``schmidt_entanglement.py``).
+35-45 s of it in the demos (nearly all in ``schmidt_entanglement.py``) and
+about 12 s in ``fig2c_full``, the 24 rows of the large-detuning bounds.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ COMMANDS = {
     "fig2a": ["figure", "fig2a", "--points", "2", "--rank", "8"],
     "fig2b": ["figure", "fig2b", "--points", "3"],
     "fig2c": ["figure", "fig2c", "--points", "2"],
+    # all 24 rows of the large-detuning bounds, pinned byte for byte
+    "fig2c_full": ["figure", "fig2c"],
     "fig5a": ["figure", "fig5a", "--points", "3"],
     "fig6b": ["figure", "fig6b", "--points", "3"],
     "fig7a": ["figure", "fig7a", "--points", "3"],
