@@ -19,9 +19,9 @@ from tpaopt import (
     make_grid,
     optimal_separable,
     optimal_state_kernel,
-    optimal_state_schmidt,
     pairing_check,
     quantum_enhancement,
+    schmidt_point,
 )
 
 # %%
@@ -38,9 +38,8 @@ print(f"separable point: r1^2 = {d0.coefficients[0]**2:.6f}, "
 # detuning at delta = -1.9, on the library's grid and solver policy:
 print("Delta      S [bits]    E_q")
 for delta in (0.1, 1.0, 10.0, 100.0):
-    sys = LevelSystem(delta_detuning=delta, delta_deviation=-1.9)
-    d = optimal_state_schmidt(sys, vectors=False)
-    print(f"{delta:6.1f} {entropy(d):10.3f} {quantum_enhancement(d):10.3f}")
+    row = schmidt_point(LevelSystem(delta_detuning=delta, delta_deviation=-1.9), vectors=False)[1]
+    print(f"{delta:6.1f} {row['entropy_bits']:10.3f} {row['quantum_enhancement']:10.3f}")
 
 # %%
 # At large detuning the coefficients come in near-degenerate pairs: either

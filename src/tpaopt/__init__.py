@@ -43,6 +43,7 @@ from .schmidt import (
     solver_stats,
     entropy,
     quantum_enhancement,
+    schmidt_point,
     optimal_separable,
     asymmetric_decomposition,
     asymptotic_bounds,

@@ -20,15 +20,10 @@ kernel exceeds physical memory and allocations that fail among them), 3 solver
 failures (numpy.linalg.LinAlgError).  Sweep and figure points run one after
 another, in parameter order.
 
-A Schmidt point is one library call, `schmidt.optimal_state_schmidt`, given
-the grid flags and --rank as they are: the library builds the grid
-(`grids.auto_grid`: the fixed `default_grid(sys)` with the grid flags,
-widened at large detuning unless --grid-half-width is given) and picks the
-solver (`schmidt.solver_rank`).  `asymptotic_bounds` reads the same --rank on
-its own grid: the truncated solve for a given rank (so --rank also moves
-S_inf), else the full spectrum from Gram eigenvalues, with no SVD.
-Diagnostics and sweep rows name the solver that ran; kernel.csv is written
-after the bounds.
+A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
+flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
+solver that ran).  `asymptotic_bounds` reads the same --rank on its own grid,
+so --rank also moves S_inf.  kernel.csv is written after the bounds.
 """
 
 from __future__ import annotations
@@ -46,9 +41,8 @@ import numpy as np
 
 from .grids import CSV_FORMAT, write_csv, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, entropy, optimal_state_operator,
-                      optimal_state_schmidt, pairing_check, quantum_enhancement, solver_rank,
-                      solver_stats)
+from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, optimal_state_operator,
+                      pairing_check, schmidt_point)
 from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
@@ -105,8 +99,8 @@ def _space(lo, hi, n, log=False):
 def _sweep_values(args, sweepable):
     name, lo, hi, points = args.sweep
     lo, hi, points = float(lo), float(hi), int(points)
-    if not lo < hi:
-        raise ValueError(f"sweep start must be below end, got [{lo}, {hi}]")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"--sweep needs finite FROM < TO, got FROM={lo}, TO={hi}")
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
     if args.log and lo <= 0:
@@ -127,13 +121,12 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _decompose_at(args, delta, dev, rank, vectors=False):
-    """(system, decomposition) of the optimal state at (delta, dev), on the grid of the flags."""
+def _solve_at(args, delta, dev, rank, vectors=False):
+    """`schmidt_point` (d, row) at (delta, dev), on the grid of the flags."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     with args.timed("solve"):
-        d = optimal_state_schmidt(sys_, rank, vectors, half=args.grid_half_width,
-                                  step=args.step, center=args.grid_center)
-    return sys_, d
+        return schmidt_point(sys_, rank, vectors, half=args.grid_half_width, step=args.step,
+                             center=args.grid_center)
 
 
 def _bounds_at(args, dev):
@@ -147,18 +140,12 @@ def _bounds_at(args, dev):
 
 
 def _schmidt_point(args, delta, dev):
-    sys_, d = _decompose_at(args, delta, dev, args.rank, not args.sweep)  # modes: single only
-    e_inf, s_inf = _bounds_at(args, dev)
-    r1 = float(d.coefficients[0])
-    row = {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
-           "quantum_enhancement": quantum_enhancement(d), "e_inf": e_inf, "s_inf": s_inf,
-           "grid": _grid_dict(d.grid1), "rank": solver_rank(d.grid1.count, args.rank),
-           **solver_stats(d)}
-    return row, (sys_, d)
+    d, row = _solve_at(args, delta, dev, args.rank, not args.sweep)  # modes: single only
+    row["e_inf"], row["s_inf"] = _bounds_at(args, dev)
+    return dict(row, grid=_grid_dict(d.grid1)), d
 
 
-def _schmidt_single(args, params, row, state):
-    sys_, d = state
+def _schmidt_single(args, params, row, d):
     r = d.coefficients
     results = {"r": [float(x) for x in r], "r_squared": [float(x) ** 2 for x in r],
                "pairing_gap": pairing_check(d),
@@ -177,10 +164,11 @@ def _schmidt_single(args, params, row, state):
                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
                                 d.modes_2[k].real, d.modes_2[k].imag)])
     if args.dump_kernel:
+        sys_ = LevelSystem(delta_detuning=args.delta, delta_deviation=args.dev)
         write_kernel_csv(optimal_state_operator(sys_, d.grid1).to_dense(),  # the matrix solved
                          os.path.join(args.out, "kernel.csv"))
-    summary = (f"r1={_fmt(r[0])} r1^2={_fmt(r[0]**2)} S={_fmt(row['entropy_bits'])} "
-               f"E_q={_fmt(row['quantum_enhancement'])}")
+    summary = (f"r1={_fmt(row['r1'])} r1^2={_fmt(row['r1_squared'])} "
+               f"S={_fmt(row['entropy_bits'])} E_q={_fmt(row['quantum_enhancement'])}")
     return results, diagnostics, summary
 
 
@@ -290,8 +278,8 @@ def _fig8_points(n):
 
 
 def _schmidt_values(args, delta, dev):
-    d = _decompose_at(args, delta, dev, args.rank)[1]
-    return entropy(d), quantum_enhancement(d)
+    row = _solve_at(args, delta, dev, args.rank)[1]
+    return row["entropy_bits"], row["quantum_enhancement"]
 
 
 def _flat_pump_gains(phi):
@@ -304,11 +292,11 @@ def _flat_pump_gains(phi):
 
 def _fig8_ratio(column, args, point):
     """1 (column 0: E_q), or p_shaped or p_unshaped of the auto-coupled pump, over r1^2."""
-    d = _decompose_at(args, *point, 16 if args.rank is None else args.rank)[1]
+    row = _solve_at(args, *point, 16 if args.rank is None else args.rank)[1]
     if column == 0:
-        return (quantum_enhancement(d),)
-    row = _pump_point(args, *point, "auto", 1.0, "auto")[0]
-    return (row[("p_shaped", "p_unshaped")[column - 1]] / float(d.coefficients[0] ** 2),)
+        return (row["quantum_enhancement"],)
+    pump = _pump_point(args, *point, "auto", 1.0, "auto")[0]
+    return (pump[("p_shaped", "p_unshaped")[column - 1]] / row["r1_squared"],)
 
 
 # name -> (header, points(--points or None) -> leading columns of each row,

@@ -37,6 +37,7 @@ __all__ = [
     "solver_stats",
     "entropy",
     "quantum_enhancement",
+    "schmidt_point",
     "optimal_separable",
     "asymmetric_decomposition",
     "asymptotic_bounds",
@@ -465,6 +466,21 @@ def quantum_enhancement(d: SchmidtDecomposition) -> float:
     if d.coefficients.size == 0 or d.coefficients[0] <= 0:
         raise ValueError("degenerate decomposition: leading coefficient is zero")
     return float(1.0 / d.coefficients[0] ** 2)
+
+
+def schmidt_point(sys: LevelSystem, rank: int | None = None, vectors: bool = True, *,
+                  half: float | None = None, step: float | None = None,
+                  center: float | None = None) -> tuple[SchmidtDecomposition, dict]:
+    """(d, row): `optimal_state_schmidt` of the same arguments and the numbers a point reports.
+
+    row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
+    `decompose` (`solver_rank` of the grid's node count) and the `solver_stats` fields.
+    """
+    d = optimal_state_schmidt(sys, rank, vectors, half=half, step=step, center=center)
+    r1 = float(d.coefficients[0])
+    return d, {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
+               "quantum_enhancement": quantum_enhancement(d),
+               "rank": solver_rank(d.grid1.count, rank), **solver_stats(d)}
 
 
 def optimal_separable(d: SchmidtDecomposition):

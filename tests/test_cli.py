@@ -464,6 +464,20 @@ def test_sweep_with_a_flag_it_would_ignore_exits_2(tmp_path, capsys, argv, flags
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["schmidt", "--sweep", "delta", "1", "inf", "3"],
+    ["shape-slm", "--sweep", "sigma", "1", "inf", "3"],
+    ["schmidt", "--sweep", "delta", "1", "inf", "3", "--log"],
+    ["shape-slm", "--sweep", "delta", "nan", "1", "3"],
+])
+def test_non_finite_sweep_ends_exit_2(tmp_path, capsys, recwarn, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--sweep" in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not os.listdir(tmp_path)
+
+
 def test_presets_equal_the_commands_at_their_points(tmp_path):
     def nine(values):
         return [grids.CSV_FORMAT % x for x in values]
@@ -492,3 +506,11 @@ def test_presets_equal_the_commands_at_their_points(tmp_path):
         assert nine((e_inf, s_inf)) == nine(command(
             ["schmidt", "--delta", "3", "--dev", repr(dev), "--grid-half-width", "20", "--step",
              "0.5"], ("e_inf", "s_inf")))
+    # fig8 at its own default rank, 16: E_q, and the shaped population over the point's r1^2
+    for (delta, dev, e_q), (*_, e_q_shaped) in zip(figure_rows("fig8a"), figure_rows("fig8b")):
+        point = ["--delta", repr(delta), "--dev", repr(dev)]
+        q, r_squared = command(["schmidt", *point, "--rank", "16"],
+                               ("quantum_enhancement", "r_squared"))
+        p_shaped, = command(["shape-pump", *point, "--sigma", "auto", "--phi", "1", "--zeta",
+                             "auto"], ("p_shaped",))
+        assert nine((e_q, e_q_shaped)) == nine((q, p_shaped / r_squared[0]))

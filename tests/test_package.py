@@ -13,9 +13,9 @@ PUBLIC_NAMES = [
     "optimal_separable", "optimal_slm", "optimal_state_kernel", "optimal_state_operator",
     "optimal_state_schmidt", "pairing_check", "pump_minus_grid", "pump_plus_grid",
     "quadrature_weights", "quantum_enhancement", "reconstruct", "response_asymmetric",
-    "response_finite", "response_infinite", "sample_kernel", "shaped_population", "slm_grid",
-    "slm_shaped_population", "solver_rank", "solver_stats", "stationarity_residual",
-    "write_kernel_csv",
+    "response_finite", "response_infinite", "sample_kernel", "schmidt_point",
+    "shaped_population", "slm_grid", "slm_shaped_population", "solver_rank", "solver_stats",
+    "stationarity_residual", "write_kernel_csv",
 ]
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,19 @@ from tpaopt import (
     optimal_separable,
     optimal_state_kernel,
     optimal_state_operator,
+    optimal_state_schmidt,
     pairing_check,
     quadrature_weights,
     quantum_enhancement,
     reconstruct,
     response_asymmetric,
     sample_kernel,
+    schmidt_point,
     solver_rank,
     solver_stats,
 )
 from tpaopt import schmidt
+from tpaopt.cli import main
 from tpaopt.schmidt import _one_sided_kernel
 
 
@@ -498,3 +503,30 @@ def test_mirror_tie_phase_anchor_is_stable():
         assert up[2, 0].real > 0 and abs(up[2, 0].imag) <= 1e-15
         fixed.append(up)
     assert np.max(np.abs(fixed[0] - fixed[1])) < 1e-14
+
+
+@pytest.mark.parametrize("rank, method", [(None, "dense"), (8, "hankel_arpack")])
+def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    grid = {"half": 20.0, "step": 0.5}
+    d, row = schmidt_point(sys, rank, **grid)
+    ref = optimal_state_schmidt(sys, rank, **grid)
+    np.testing.assert_array_equal(d.coefficients, ref.coefficients)
+    np.testing.assert_array_equal(d.modes_1, ref.modes_1)
+    r1 = float(ref.coefficients[0])
+    assert d.method == method and d.grid1 == ref.grid1
+    assert row == {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(ref),
+                   "quantum_enhancement": quantum_enhancement(ref),
+                   "rank": solver_rank(ref.grid1.count, rank), **solver_stats(ref)}
+    # a single `tpaopt schmidt` point reports the same numbers
+    argv = ["schmidt", "--delta", "5", "--dev", "-1.5", "--grid-half-width", "20", "--step",
+            "0.5", "--format", "json", "--out", str(tmp_path)]
+    assert main(argv + ([] if rank is None else ["--rank", str(rank)])) == 0
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    results, diagnostics = report["results"], report["diagnostics"]
+    assert (results["r"][0], results["r_squared"][0]) == (row["r1"], row["r1_squared"])
+    for key in ("entropy_bits", "quantum_enhancement"):
+        assert results[key] == row[key]
+    for key in ("rank", "method", "n", "k", "captured_norm"):
+        assert diagnostics[key] == row[key]

@@ -121,6 +121,11 @@ COMMANDS = {
     "exit2_sweep_dump_kernel": ["schmidt", "--sweep", "delta", "1", "2", "2", "--dump-kernel"],
     "exit2_zeta_flat": ["shape-pump", "--infinite-pm", "--zeta", "5"],
     "exit2_rank_negative": ["schmidt", "--rank", "-3", "--grid-half-width", "10", "--step", "0.5"],
+    # fig8's own default rank, 16, on grids of up to 4001 nodes
+    "fig8b_default_rank": ["figure", "fig8b", "--points", "2"],
+    "schmidt_sweep_json": ["schmidt", "--delta", "5", "--sweep", "dev", "-1.6", "-1.5", "2",
+                           "--format", "json"],
+    "exit2_sweep_inf": ["schmidt", "--sweep", "delta", "1", "inf", "3"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
