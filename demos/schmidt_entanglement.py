@@ -38,7 +38,7 @@ print(f"separable point: r1^2 = {d0.coefficients[0]**2:.6f}, "
 # detuning at delta = -1.9, on the library's grid and solver policy:
 print("Delta      S [bits]    E_q")
 for delta in (0.1, 1.0, 10.0, 100.0):
-    row = schmidt_point(LevelSystem(delta_detuning=delta, delta_deviation=-1.9), vectors=False)[1]
+    row = schmidt_point(LevelSystem(delta_detuning=delta, delta_deviation=-1.9))[1]
     print(f"{delta:6.1f} {row['entropy_bits']:10.3f} {row['quantum_enhancement']:10.3f}")
 
 # %%

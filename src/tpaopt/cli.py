@@ -22,8 +22,10 @@ another, in parameter order.
 
 A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
 flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
-solver that ran).  `asymptotic_bounds` reads the same --rank on its own grid,
-so --rank also moves S_inf.  kernel.csv is written after the bounds.
+solver that ran), and the --modes pairs schmidt_modes.csv holds when a single
+point writes CSV (sweeps and --format json ask for none).  `asymptotic_bounds`
+reads the same --rank on its own grid, so --rank also moves S_inf.  kernel.csv
+is written after the bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -41,8 +44,7 @@ import numpy as np
 
 from .grids import CSV_FORMAT, write_csv, write_kernel_csv
 from .response import LevelSystem
-from .schmidt import (COEFFICIENT_FLOOR, asymptotic_bounds, optimal_state_operator,
-                      pairing_check, schmidt_point)
+from .schmidt import asymptotic_bounds, optimal_state_operator, pairing_check, schmidt_point
 from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
 from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_slm_sigma,
                       optimal_pump_shaper, optimal_slm, pump_plus_grid, slm_grid)
@@ -50,6 +52,10 @@ from .shaping import (CwSpdc, PumpShaped, auto_pump_sigma, auto_pump_zeta, auto_
 SCHEMA_VERSION = 2
 EXIT_BAD_ARGS = 2
 EXIT_NUMERICAL = 3
+# Values argparse must not take for options: its own pattern matches -1, -1.5 and -.5 only,
+# so "--dev -1e-1" or "--sweep dev -inf 1 3" would lose their negative values.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf(inity)?|nan)$",
+                             re.IGNORECASE)
 
 
 def _fmt(x) -> str:
@@ -121,11 +127,11 @@ def _resolve(value, auto, sys_):
     return None if value is None else float(value)
 
 
-def _solve_at(args, delta, dev, rank, vectors=False):
+def _solve_at(args, delta, dev, rank, modes=0):
     """`schmidt_point` (d, row) at (delta, dev), on the grid of the flags."""
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     with args.timed("solve"):
-        return schmidt_point(sys_, rank, vectors, half=args.grid_half_width, step=args.step,
+        return schmidt_point(sys_, rank, modes, half=args.grid_half_width, step=args.step,
                              center=args.grid_center)
 
 
@@ -140,7 +146,8 @@ def _bounds_at(args, dev):
 
 
 def _schmidt_point(args, delta, dev):
-    d, row = _solve_at(args, delta, dev, args.rank, not args.sweep)  # modes: single only
+    writes_modes = not args.sweep and args.format in ("csv", "both")  # schmidt_modes.csv
+    d, row = _solve_at(args, delta, dev, args.rank, args.modes if writes_modes else 0)
     row["e_inf"], row["s_inf"] = _bounds_at(args, dev)
     return dict(row, grid=_grid_dict(d.grid1)), d
 
@@ -156,11 +163,9 @@ def _schmidt_single(args, params, row, d):
     if args.format in ("csv", "both"):
         write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), "k,r,r_squared",
                   [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
-        # modes of coefficients at the floor are roundoff, not part of the amplitude
-        n_modes = min(args.modes, np.count_nonzero(r > COEFFICIENT_FLOOR))
         write_csv(os.path.join(args.out, "schmidt_modes.csv"),
                   "k,omega,mode1_re,mode1_im,mode2_re,mode2_im",
-                  [(k + 1, *x) for k in range(n_modes)
+                  [(k + 1, *x) for k in range(len(d.modes_1))
                    for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
                                 d.modes_2[k].real, d.modes_2[k].imag)])
     if args.dump_kernel:
@@ -404,6 +409,8 @@ def build_parser():
     p.set_defaults(func=cmd_figure, grid_half_width=None, step=None, grid_center=None,
                    infinite_pm=False)  # the presets run the commands' points at their defaults
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser, sub.choices
 
 

@@ -10,7 +10,7 @@ large-detuning bounds (from the one-sided kernel) follow.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
@@ -62,15 +62,18 @@ COLUMN_CHUNK = 8  # columns per block of a wide `HankelKernel` product (see its 
 class SchmidtDecomposition:
     """Ordered Schmidt data of a discretized amplitude.
 
-    coefficients r_k are non-increasing and non-negative; modes_1[k] and
-    modes_2[k] hold the mode pair on the grid nodes, orthonormal under the
-    trapezoidal inner product.  The amplitude is sum_k r_k conj(modes_1[k])
-    x conj(modes_2[k]).  residual is the Frobenius norm of the part of the
-    kernel discarded by truncation: from the discarded singular values after
-    a dense SVD (exactly 0 at full rank), from the norm difference, which
-    resolves no less than about 1e-8 of the norm, after ARPACK.  Without
-    vectors the mode arrays have no rows.  method names the solver that ran
-    (see `choose_solver`; "hankel_arpack" is ARPACK on a `HankelKernel`).
+    coefficients r_k are non-increasing and non-negative; modes_1 and
+    modes_2 hold the leading len(modes_1) mode pairs, modes_1[k] and
+    modes_2[k] on the grid nodes, orthonormal under the trapezoidal inner
+    product: one pair per coefficient from `decompose` with vectors, none
+    without, and the pairs a caller asked for from `schmidt_point`.  The
+    amplitude is sum_k r_k conj(modes_1[k]) x conj(modes_2[k]).  residual is
+    the Frobenius norm of the part of the kernel discarded by truncation:
+    from the discarded singular values after a dense SVD (exactly 0 at full
+    rank), from the norm difference, which resolves no less than about 1e-8
+    of the norm, after ARPACK.  method names the solver that computed the
+    coefficients (see `choose_solver`; "hankel_arpack" is ARPACK on a
+    `HankelKernel`).
     """
 
     coefficients: np.ndarray
@@ -468,19 +471,35 @@ def quantum_enhancement(d: SchmidtDecomposition) -> float:
     return float(1.0 / d.coefficients[0] ** 2)
 
 
-def schmidt_point(sys: LevelSystem, rank: int | None = None, vectors: bool = True, *,
+def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
                   half: float | None = None, step: float | None = None,
                   center: float | None = None) -> tuple[SchmidtDecomposition, dict]:
-    """(d, row): `optimal_state_schmidt` of the same arguments and the numbers a point reports.
+    """(d, row): the Schmidt data of Phi by the library's policy and the numbers a point reports.
 
+    d.coefficients come from one `decompose` call on the grid, kernel and rank of
+    `optimal_state_schmidt`: a dense solve runs values-only, a truncated one with vectors if
+    modes > 0 (ARPACK has them at little cost).  d holds the leading m = min(modes,
+    coefficients above COEFFICIENT_FLOOR) mode pairs, since the modes of roundoff coefficients
+    are arbitrary vectors: the truncated solve's own, or after a dense solve those of
+    `decompose(optimal_state_operator(sys, grid), rank=m)`, ARPACK in O(n log n) per product
+    (a dense SVD for m >= n - 1).
     row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
     `decompose` (`solver_rank` of the grid's node count) and the `solver_stats` fields.
     """
-    d = optimal_state_schmidt(sys, rank, vectors, half=half, step=step, center=center)
+    if modes < 0:
+        raise ValueError(f"modes must be >= 0, got {modes}")
+    grid = auto_grid(sys, half, step, center)
+    op = optimal_state_operator(sys, grid)
+    k = solver_rank(grid.count, rank)
+    truncated = choose_solver(grid.count, k) == "arpack"
+    d = decompose(op, rank=k, vectors=truncated and modes > 0)
+    m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))
+    lead = d if truncated or m == 0 else decompose(op, rank=m)
+    d = replace(d, modes_1=lead.modes_1[:m], modes_2=lead.modes_2[:m])
     r1 = float(d.coefficients[0])
     return d, {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
                "quantum_enhancement": quantum_enhancement(d),
-               "rank": solver_rank(d.grid1.count, rank), **solver_stats(d)}
+               "rank": k, **solver_stats(d)}
 
 
 def optimal_separable(d: SchmidtDecomposition):
@@ -488,7 +507,11 @@ def optimal_separable(d: SchmidtDecomposition):
 
     Returns (mode_1, mode_2) with the separable amplitude given by their
     outer product; it captures a fraction r_1^2 of the optimal yield.
+    Raises ValueError if d holds no mode pair.
     """
+    if len(d.modes_1) == 0:
+        raise ValueError("the decomposition lacks the leading mode pair that the separable "
+                         "amplitude needs (decompose with vectors, or schmidt_point with modes)")
     return np.conj(d.modes_1[0]), np.conj(d.modes_2[0])
 
 
@@ -592,7 +615,13 @@ def pairing_check(d: SchmidtDecomposition) -> float:
 
 
 def reconstruct(d: SchmidtDecomposition) -> np.ndarray:
-    """Rebuild the weight-embedded kernel matrix from the retained modes."""
+    """Rebuild the weight-embedded kernel matrix from the retained modes.
+
+    Raises ValueError if d lacks the mode pair of a retained coefficient.
+    """
+    if len(d.modes_1) != d.coefficients.size:
+        raise ValueError(f"the decomposition lacks modes: {len(d.modes_1)} mode pairs for "
+                         f"{d.coefficients.size} coefficients")
     sw1 = np.sqrt(quadrature_weights(d.grid1))
     sw2 = np.sqrt(quadrature_weights(d.grid2))
     phi_star = np.conj(d.modes_1) * sw1[None, :]

@@ -514,3 +514,66 @@ def test_presets_equal_the_commands_at_their_points(tmp_path):
         p_shaped, = command(["shape-pump", *point, "--sigma", "auto", "--phi", "1", "--zeta",
                              "auto"], ("p_shaped",))
         assert nine((e_q, e_q_shaped)) == nine((q, p_shaped / r_squared[0]))
+
+
+@pytest.mark.parametrize("flags, solves", [
+    ([], [(None, False), (2, True)]),  # dense values, then the two pairs written
+    (["--modes", "0"], [(None, False)]),
+    (["--format", "json"], [(None, False)]),  # no schmidt_modes.csv, no modes
+    (["--rank", "8"], [(8, True)]),  # the truncated solve's own pairs
+    (["--rank", "8", "--modes", "0"], [(8, False)]),
+])
+def test_a_point_solves_only_for_the_modes_it_writes(tmp_path, monkeypatch, flags, solves):
+    calls = []
+    solve = schmidt.decompose
+
+    def counted(kernel, rank=None, renormalize=False, vectors=True):
+        if kernel.symmetric:  # Phi; an explicit rank also sends the bounds' Q here
+            calls.append((rank, vectors))
+        return solve(kernel, rank, renormalize, vectors)
+
+    monkeypatch.setattr(schmidt, "decompose", counted)
+    argv = ["schmidt", "--delta", "3", "--dev", "-1.5", "--grid-half-width", "40", "--step",
+            "0.25", "--out", str(tmp_path)]
+    assert main(argv + flags) == 0
+    assert calls == solves
+    modes = tmp_path / "schmidt_modes.csv"
+    if "json" not in flags:
+        written = {row.split(",")[0] for row in modes.read_text().splitlines()[1:]}
+        assert len(written) == (0 if "0" in flags else 2)
+
+
+def test_rank_one_point_writes_one_mode(tmp_path):
+    # the dense default at the separable point: one coefficient above the floor, one pair
+    assert main(["schmidt", "--delta", "0", "--dev", "0", "--grid-half-width", "40", "--step",
+                 "0.5", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "schmidt_modes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 161 and {row.split(",")[0] for row in rows} == {"1"}
+    assert read_report(str(tmp_path))["diagnostics"]["method"] == "dense_values"
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1E+3", "-.5e2", "-2.5e-1", "-inf", "-nan",
+                                   "-Infinity", "-1.5", "-2"])
+def test_negative_values_in_exponent_form_parse_as_values(value):
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(["shape-slm", "--dev", value, "--sweep", "delta", value, "1", "3"])
+    for got in (args.dev, float(args.sweep[1])):
+        assert repr(got) == repr(float(value))
+
+
+def test_negative_exponent_form_runs_the_commands(tmp_path, capsys):
+    # the same numbers as the plain decimal form
+    def e_opt(argv, out):
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / out)]) == 0
+        return read_report(str(tmp_path / out))["results"]
+
+    point = ["shape-slm", "--delta", "5", "--dev"]
+    assert e_opt(point + ["-1e-1"], "a") == e_opt(point + ["-0.1"], "b")
+    sweep = ["shape-slm", "--delta", "5", "--sweep", "dev"]
+    assert e_opt(sweep + ["-1e-1", "1e-1", "3"], "c") == e_opt(sweep + ["-0.1", "0.1", "3"], "d")
+    capsys.readouterr()
+    # non-finite values reach the checks that name them
+    for argv, message in ((["shape-slm", "--delta", "-inf"], "delta_detuning must be finite"),
+                          (["schmidt", "--sweep", "dev", "-inf", "1", "3"], "--sweep needs")):
+        assert main(argv + ["--out", str(tmp_path / "e")]) == 2
+        assert message in capsys.readouterr().err

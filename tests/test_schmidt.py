@@ -505,14 +505,14 @@ def test_mirror_tie_phase_anchor_is_stable():
     assert np.max(np.abs(fixed[0] - fixed[1])) < 1e-14
 
 
-@pytest.mark.parametrize("rank, method", [(None, "dense"), (8, "hankel_arpack")])
+@pytest.mark.parametrize("rank, method", [(None, "dense_values"), (8, "hankel_arpack")])
 def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
     grid = {"half": 20.0, "step": 0.5}
     d, row = schmidt_point(sys, rank, **grid)
-    ref = optimal_state_schmidt(sys, rank, **grid)
+    ref = optimal_state_schmidt(sys, rank, vectors=False, **grid)
     np.testing.assert_array_equal(d.coefficients, ref.coefficients)
-    np.testing.assert_array_equal(d.modes_1, ref.modes_1)
+    assert d.modes_1.shape == d.modes_2.shape == (0, ref.grid1.count)  # modes=0: none
     r1 = float(ref.coefficients[0])
     assert d.method == method and d.grid1 == ref.grid1
     assert row == {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(ref),
@@ -530,3 +530,59 @@ def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
         assert results[key] == row[key]
     for key in ("rank", "method", "n", "k", "captured_norm"):
         assert diagnostics[key] == row[key]
+
+
+@pytest.mark.parametrize("delta, rank, modes", [
+    (3.0, None, 2),  # a dense point: values-only solve, pairs from a rank-2 solve
+    (0.0, None, 6),  # centro-Hermitian: the reference runs in real arithmetic
+    (5.0, 8, 4),     # an explicit rank: the truncated solve's own pairs, cut to 4
+])
+def test_point_modes_are_the_leading_pairs(delta, rank, modes):
+    sys = LevelSystem(delta_detuning=delta, delta_deviation=-1.5)
+    grid = {"half": 40.0, "step": 0.25}
+    d, row = schmidt_point(sys, rank, modes, **grid)
+    assert len(d.modes_1) == len(d.modes_2) == modes
+    op = optimal_state_operator(sys, d.grid1)
+    # bit for bit the solve that produced them
+    lead = decompose(op, rank=modes if rank is None else rank)
+    np.testing.assert_array_equal(d.modes_1, lead.modes_1[:modes])
+    np.testing.assert_array_equal(d.modes_2, lead.modes_2[:modes])
+    # the full dense SVD's leading pairs, with the same phase convention
+    full = decompose(op)
+    for got, ref in ((d.modes_1, full.modes_1[:modes]), (d.modes_2, full.modes_2[:modes])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        gram = np.einsum("kn,n,ln->kl", np.conj(got), quadrature_weights(d.grid1), got)
+        assert np.max(np.abs(gram - np.eye(modes))) < 1e-12
+    # a dense point's row is the values-only solve's; a truncated solve with vectors differs
+    # from its values-only run in the last bits of its small final SVD only
+    d0, row0 = schmidt_point(sys, rank, **grid)
+    if rank is None:
+        np.testing.assert_array_equal(d.coefficients, d0.coefficients)
+        assert row == row0
+    else:
+        np.testing.assert_array_equal(d.coefficients, lead.coefficients)
+        np.testing.assert_allclose(d.coefficients, d0.coefficients, rtol=1e-14)
+
+
+def test_point_writes_no_mode_of_a_roundoff_coefficient():
+    # Delta = delta = 0: Phi has rank one, so one pair however many are asked for
+    sys = LevelSystem()
+    d, _ = schmidt_point(sys, None, 4, half=40.0, step=0.5)
+    assert np.sum(d.coefficients > schmidt.COEFFICIENT_FLOOR) == 1
+    assert d.modes_1.shape == d.modes_2.shape == (1, 161)
+    with pytest.raises(ValueError, match="modes must be >= 0"):
+        schmidt_point(sys, None, -1, half=40.0, step=0.5)
+
+
+def test_missing_modes_raise_value_error():
+    op, _ = _structured_and_oracle(False)
+    d = decompose(op, rank=8, vectors=False)
+    with pytest.raises(ValueError, match="lacks the leading mode pair"):
+        optimal_separable(d)
+    with pytest.raises(ValueError, match="lacks modes: 0 mode pairs for 8 coefficients"):
+        reconstruct(d)
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    d2, _ = schmidt_point(sys, None, 2, half=20.0, step=0.5)
+    with pytest.raises(ValueError, match="lacks modes: 2 mode pairs for 81 coefficients"):
+        reconstruct(d2)
+    optimal_separable(d2)  # the leading pair is all it needs

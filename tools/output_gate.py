@@ -126,6 +126,14 @@ COMMANDS = {
     "schmidt_sweep_json": ["schmidt", "--delta", "5", "--sweep", "dev", "-1.6", "-1.5", "2",
                            "--format", "json"],
     "exit2_sweep_inf": ["schmidt", "--sweep", "delta", "1", "inf", "3"],
+    # a dense point's modes come from a rank-m solve: near-degenerate pairs at Delta = 0,
+    # schmidt_sweep's range, and a report without modes
+    "delta0_modes6": ["schmidt", "--delta", "0", "--dev", "-1.5", "--modes", "6"],
+    "modes4_delta25": ["schmidt", "--delta", "25", "--dev", "-1.75", "--modes", "4"],
+    "point_json": ["schmidt", "--delta", "3", "--dev", "-1.5", "--format", "json"],
+    # negative values in exponent form
+    "dev_exponent": ["shape-slm", "--delta", "5", "--dev", "-1e-1"],
+    "sweep_dev_exponent": ["shape-slm", "--delta", "5", "--sweep", "dev", "-1e-1", "1e-1", "3"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
