@@ -31,6 +31,7 @@ is written after the bounds.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -56,6 +57,8 @@ EXIT_NUMERICAL = 3
 # so "--dev -1e-1" or "--sweep dev -inf 1 3" would lose their negative values.
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf(inity)?|nan)$",
                              re.IGNORECASE)
+# Flags that say how to run a command: every other parsed flag goes into the report's params.
+RUN_FLAGS = ("command", "func", "timed", "out", "format", "config", "sweep", "log", "dump_kernel")
 
 
 def _fmt(x) -> str:
@@ -104,7 +107,10 @@ def _space(lo, hi, n, log=False):
 
 def _sweep_values(args, sweepable):
     name, lo, hi, points = args.sweep
-    lo, hi, points = float(lo), float(hi), int(points)
+    try:
+        lo, hi, points = float(lo), float(hi), int(points)
+    except ValueError as exc:
+        raise ValueError(f"--sweep needs numbers FROM, TO and an integer POINTS: {exc}") from None
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"--sweep needs finite FROM < TO, got FROM={lo}, TO={hi}")
     if points < 2:
@@ -216,34 +222,28 @@ def _shaping_single(csv_name, columns, args, params, row, sol):
     return {k: row[k] for k in SHAPING_COLUMNS}, {"nodes": sol.grid.count}, summary
 
 
-# name -> (args echoed into the report's params,
-#          args passed to point(args, **values) -> (sweep row, state), each sweepable,
-#          point, (sweep CSV name, row keys written after the swept value),
+# name -> (point(args, **values) -> (sweep row, state), each parameter after args sweepable,
+#          (sweep CSV name, row keys written after the swept value),
 #          single(args, params, row, state) -> (results, diagnostics, summary))
 COMMANDS = {
     "schmidt": (
-        ("delta", "dev", "rank", "grid_half_width", "step", "grid_center", "modes"),
-        ("delta", "dev"), _schmidt_point,
+        _schmidt_point,
         ("schmidt_sweep.csv", ("r1", "r1_squared", "entropy_bits", "quantum_enhancement")),
         _schmidt_single),
     "shape-slm": (
-        ("delta", "dev", "sigma", "grid_half_width", "step"),
-        ("delta", "dev", "sigma"), _slm_point,
-        ("slm_sweep.csv", SHAPING_COLUMNS),
+        _slm_point, ("slm_sweep.csv", SHAPING_COLUMNS),
         partial(_shaping_single, "slm_phase.csv", ("omega_offset", "phase", "abs_response"))),
     "shape-pump": (
-        ("delta", "dev", "sigma", "phi", "zeta", "infinite_pm", "grid_half_width", "step"),
-        ("delta", "dev", "sigma", "phi", "zeta"), _pump_point,
-        ("pump_sweep.csv", SHAPING_COLUMNS),
+        _pump_point, ("pump_sweep.csv", SHAPING_COLUMNS),
         partial(_shaping_single, "pump_phase.csv", ("omega_plus", "phase", "abs_xi"))),
 }
 
 
 def cmd_run(args) -> int:
-    echoed, sweepable, point, (csv_name, columns), single = COMMANDS[args.command]
+    point, (csv_name, columns), single = COMMANDS[args.command]
     os.makedirs(args.out, exist_ok=True)
-    params = {k: getattr(args, k) for k in echoed}
-    values = {k: getattr(args, k) for k in sweepable}
+    params = {k: v for k, v in vars(args).items() if k not in RUN_FLAGS}
+    values = {k: getattr(args, k) for k in tuple(inspect.signature(point).parameters)[1:]}
     if not args.sweep:
         row, state = point(args, **values)
         with args.timed("write"):
@@ -252,7 +252,7 @@ def cmd_run(args) -> int:
         print(summary)
         return 0
 
-    name, swept = _sweep_values(args, sweepable)
+    name, swept = _sweep_values(args, tuple(values))
     params["sweep"] = {"param": name, "values": [float(v) for v in swept]}
 
     rows = [{"value": float(v), **point(args, **{**values, name: v})[0]} for v in swept]
@@ -427,7 +427,7 @@ def _load_config_tokens(path, subparser):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             opt = "--" + key.replace("_", "-")
-            if opt not in actions:
+            if opt not in actions or opt in ("--help", "--config"):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if isinstance(actions[opt], argparse._StoreTrueAction):
                 if value.lower() in ("1", "true", "yes", "on"):

@@ -292,8 +292,10 @@ def complex_normal_cdf(z):
     return out if out.ndim else complex(out)
 
 
-def _solution(kind, sys, grid, response, phase) -> ShapingSolution:
+def _solution(kind, sys, grid, response, phase, state) -> ShapingSolution:
     """The solution whose shaper cancels `phase`: populations in units of N, ratio, residual."""
+    if not np.all(np.isfinite(response)):  # a sigma, phi or zeta beyond float range
+        raise ValueError(f"the effective response of {state} is not finite on the grid")
     weights = quadrature_weights(grid)
     n_norm = normalization(sys)
     p_shaped = float(np.sum(weights * np.abs(response)) ** 2 / n_norm)
@@ -318,8 +320,9 @@ def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = No
     if grid is None:
         grid = slm_grid(sys, state)
     _require_symmetric_grid(grid)
-    w_resp = effective_response(sys, state, grid.nodes)
-    return _solution("slm", sys, grid, w_resp, 0.5 * np.angle(w_resp))
+    with np.errstate(all="ignore"):  # _solution refuses a response that is not finite
+        w_resp = effective_response(sys, state, grid.nodes)
+    return _solution("slm", sys, grid, w_resp, 0.5 * np.angle(w_resp), state)
 
 
 def optimal_pump_shaper(sys: LevelSystem, state: PumpShaped,
@@ -334,14 +337,14 @@ def optimal_pump_shaper(sys: LevelSystem, state: PumpShaped,
     if grid_plus is None:
         grid_plus = pump_plus_grid(sys, state)
     wp = grid_plus.nodes
-    alpha = np.asarray(chirped_pump_profile(state.sigma, state.phi, sys.omega_f)(wp),
-                       dtype=complex)
-    if state.infinite_pm:
-        xi = alpha * eta_infinite_pm(sys, wp)
-    else:
-        xi = alpha * eta_gaussian_pm(sys, wp, state.zeta)
-
-    return _solution("pump", sys, grid_plus, xi, np.angle(xi))
+    with np.errstate(all="ignore"):  # _solution refuses a response that is not finite
+        alpha = np.asarray(chirped_pump_profile(state.sigma, state.phi, sys.omega_f)(wp),
+                           dtype=complex)
+        if state.infinite_pm:
+            xi = alpha * eta_infinite_pm(sys, wp)
+        else:
+            xi = alpha * eta_gaussian_pm(sys, wp, state.zeta)
+    return _solution("pump", sys, grid_plus, xi, np.angle(xi), state)
 
 
 def _check_unit_modulus(m) -> np.ndarray:

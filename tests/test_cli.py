@@ -208,6 +208,18 @@ def test_config_unknown_key(tmp_path):
     assert main(["shape-slm", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["help = 1", "config = other.cfg"])
+def test_config_cannot_hold_help_or_config(tmp_path, capsys, line):
+    # help would print the usage and run nothing; a nested config would be dropped unread
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"delta = 3\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["shape-slm", "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
 def test_config_sweep_matches_flags(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("delta = 4\nsweep = sigma 0.5 8 3\nlog = yes\n")
@@ -373,7 +385,7 @@ def test_dump_kernel_writes_the_matrix_solved(tmp_path):
 
 @pytest.mark.parametrize("n, rank, vectors, expected", [
     (801, None, False, ("dense_values", None)),      # bounds and sweep rows: full spectrum
-    (801, None, True, ("dense", None)),              # single point writing modes
+    (801, None, True, ("dense", None)),              # a library decompose with vectors
     (801, 300, False, ("arpack", 300)),              # explicit rank: truncated solver
     (4001, None, False, ("arpack", 300)),            # default rank beyond the dense crossover
     (4001, None, True, ("arpack", 300)),
@@ -476,6 +488,54 @@ def test_non_finite_sweep_ends_exit_2(tmp_path, capsys, recwarn, argv):
     assert err.startswith("error:") and "--sweep" in err and "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, ends, bad", [
+    ("schmidt", ["1", "2", "3.5"], "3.5"),
+    ("schmidt", ["one", "2", "3"], "one"),
+    ("shape-slm", ["1", "2e", "3"], "2e"),
+])
+def test_malformed_sweep_numbers_exit_2(tmp_path, capsys, command, ends, bad):
+    assert main([command, "--sweep", "delta", *ends, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sweep needs numbers FROM, TO and an integer POINTS:")
+    assert repr(bad) in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["shape-pump", "--zeta", "1e-200", "--sigma", "1"], "zeta=1e-200"),  # (pi zeta^2)^1/4 = 0
+    (["shape-pump", "--phi", "1e308", "--zeta", "1"], "phi=1e+308"),  # the chirp overflows
+    (["shape-slm", "--sigma", "1e-200", "--grid-half-width", "10", "--step", "0.1"],
+     "sigma=1e-200"),
+])
+def test_shaping_response_beyond_float_range_exits_2(tmp_path, capsys, recwarn, argv, field):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the effective response of") and "is not finite" in err
+    assert field in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["schmidt", "--grid-half-width", "10", "--step", "0.5"],
+     "delta dev grid_center grid_half_width modes rank step"),
+    (["shape-slm"], "delta dev grid_half_width sigma sigma_resolved step"),
+    (["shape-pump", "--zeta", "1"],
+     "delta dev grid_half_width infinite_pm phi sigma sigma_resolved step zeta zeta_resolved"),
+    (["schmidt", "--grid-half-width", "10", "--step", "0.5", "--sweep", "delta", "1", "2", "2"],
+     "delta dev grid_center grid_half_width modes rank step sweep"),
+    (["shape-slm", "--sweep", "delta", "1", "2", "2"],
+     "delta dev grid_half_width sigma step sweep"),
+    (["shape-pump", "--zeta", "1", "--sweep", "delta", "1", "2", "2"],
+     "delta dev grid_half_width infinite_pm phi sigma step sweep zeta"),
+    (["figure", "fig7a", "--points", "2"], "name points rank"),
+])
+def test_report_params_are_the_command_flags(tmp_path, argv, keys):
+    # every flag but --out, --format, --config, --dump-kernel and --sweep/--log (as sweep)
+    assert main(argv + ["--format", "json", "--out", str(tmp_path)]) == 0
+    assert " ".join(sorted(read_report(tmp_path)["params"])) == keys
 
 
 def test_presets_equal_the_commands_at_their_points(tmp_path):

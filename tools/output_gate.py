@@ -134,6 +134,10 @@ COMMANDS = {
     # negative values in exponent form
     "dev_exponent": ["shape-slm", "--delta", "5", "--dev", "-1e-1"],
     "sweep_dev_exponent": ["shape-slm", "--delta", "5", "--sweep", "dev", "-1e-1", "1e-1", "3"],
+    "exit2_sweep_points_float": ["schmidt", "--sweep", "delta", "1", "2", "3.5"],
+    "exit2_config_help": ["shape-slm", "--config", "run.cfg"],
+    # (pi zeta^2)^(1/4) underflows to 0: an effective response of inf and nan
+    "exit2_pump_zeta_underflow": ["shape-pump", "--zeta", "1e-200", "--sigma", "1"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
@@ -143,6 +147,7 @@ DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py"
 CONFIGS = {
     "config_bool": "delta = 3\ndev = -1.5\nsigma = 0.5\ninfinite_pm = yes  # a boolean key\n",
     "config_sweep": "delta = 4\nsweep = sigma 0.5 8 3  # a key taking several values\nlog = yes\n",
+    "exit2_config_help": "delta = 3\nhelp = 1  # not a config key: it would run nothing\n",
 }
 
 
