@@ -386,8 +386,8 @@ def test_dump_kernel_writes_the_matrix_solved(tmp_path):
 @pytest.mark.parametrize("n, rank, vectors, expected", [
     (801, None, False, ("dense_values", None)),      # bounds and sweep rows: full spectrum
     (801, None, True, ("dense", None)),              # a library decompose with vectors
-    (801, 300, False, ("arpack", 300)),              # explicit rank: truncated solver
-    (4001, None, False, ("arpack", 300)),            # default rank beyond the dense crossover
+    (801, 300, False, ("propack", 300)),             # explicit rank: truncated solver, values only
+    (4001, None, False, ("propack", 300)),           # default rank beyond the dense crossover
     (4001, None, True, ("arpack", 300)),
     (3061, 16, True, ("arpack", 16)),
     (90, 16, True, ("arpack", 16)),
@@ -406,13 +406,14 @@ def test_solver_policy_crossover(monkeypatch, vectors):
     assert solver_rank(DENSE_MAX_NODES) is None
     assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
     assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
-    assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == "arpack"
+    truncated = "arpack" if vectors else "propack"
+    assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == truncated
     # the system-level entry is the policy applied to Phi on auto_grid, on both sides of
     # a crossover patched down to this 201-node grid
     sys_ = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     grid = auto_grid(sys_)
     monkeypatch.setattr(schmidt, "DEFAULT_RANK", 16)
-    for crossover, method in ((grid.count, "dense"), (grid.count - 1, "hankel_arpack")):
+    for crossover, method in ((grid.count, "dense"), (grid.count - 1, f"hankel_{truncated}")):
         monkeypatch.setattr(schmidt, "DENSE_MAX_NODES", crossover)
         d = optimal_state_schmidt(sys_, vectors=vectors)
         ref = decompose(optimal_state_operator(sys_, grid), rank=solver_rank(grid.count),

@@ -368,6 +368,105 @@ def test_values_only_decomposition_has_no_modes():
     assert full.method == "dense_values" and full.coefficients.size == op.shape[0]
 
 
+def _engine_kernel(name):
+    """Phi at (Delta, delta) = (5, -1.5) or (0.1, 0), or Q at delta = -1.5, on 401-481 nodes."""
+    if name == "q":
+        return _one_sided_kernel(LevelSystem(delta_deviation=-1.5), make_grid(0.0, 40.0, 0.2))
+    delta, dev = {"phi_5": (5.0, -1.5), "phi_0.1": (0.1, 0.0)}[name]
+    sys = LevelSystem(delta_detuning=delta, delta_deviation=dev)
+    return optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 60.0, 0.25))
+
+
+@pytest.mark.parametrize("k", [16, 59])
+@pytest.mark.parametrize("name", ["phi_5", "phi_0.1", "q"])
+def test_propack_values_match_arpack_and_dense(name, k):
+    op = _engine_kernel(name)
+    d = decompose(op, rank=k, vectors=False)
+    assert d.method == "hankel_propack" and d.coefficients.size == k
+    with_vectors = decompose(op, rank=k)
+    assert with_vectors.method == "hankel_arpack"
+    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)[:k]
+    for ref in (with_vectors.coefficients, dense):
+        assert np.max(np.abs(d.coefficients - ref)) <= 1e-14 * ref[0]
+    assert d.residual == np.sqrt(max(op.frobenius_norm2() - np.sum(d.coefficients**2), 0.0))
+    # deterministic: a second solve gives the same bits
+    np.testing.assert_array_equal(decompose(op, rank=k, vectors=False).coefficients,
+                                  d.coefficients)
+
+
+def _propack_patched(monkeypatch, result):
+    """Route svds(solver="propack") to result(original svds, args, kwargs); ARPACK untouched."""
+    import scipy.sparse.linalg as sla
+
+    svds = sla.svds
+
+    def patched(*args, **kwargs):
+        if kwargs.get("solver") == "propack":
+            return result(svds, args, kwargs)
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "svds", patched)
+
+
+def _fail(svds, args, kwargs):
+    raise np.linalg.LinAlgError("PROPACK did not converge")
+
+
+def _ghost(svds, args, kwargs):
+    s = svds(*args, **kwargs)
+    return np.full_like(s, s.max())  # every value a copy of r1
+
+
+def _refuse(svds, args, kwargs):
+    raise AssertionError("PROPACK ran on a rank-one kernel")
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_rank_one_kernel_is_solved_by_arpack(monkeypatch, k):
+    # Delta = delta = 0 on its 4001-node auto grid: PROPACK returns a ghost copy of r1 at
+    # k = 2 and fails slowly at k = 16, so the rank-one test sends the solve to ARPACK
+    sys = LevelSystem()
+    op = optimal_state_operator(sys, schmidt.auto_grid(sys))
+    assert op.shape == (4001, 4001)
+    _propack_patched(monkeypatch, _refuse)
+    d = decompose(op, rank=k, vectors=False)
+    assert d.method == "hankel_arpack"
+    np.testing.assert_array_equal(d.coefficients, schmidt._arpack(op.as_operator(), k, False)[1])
+    assert d.coefficients[1] < 1e-12
+
+
+@pytest.mark.parametrize("result", [_fail, _ghost], ids=["error", "ghost"])
+def test_untrusted_propack_falls_back_to_arpack(monkeypatch, result):
+    op = _engine_kernel("phi_5")
+    ref = schmidt._arpack(op.as_operator(), 16, False)[1]
+    _propack_patched(monkeypatch, result)
+    d = decompose(op, rank=16, vectors=False)
+    assert d.method == "hankel_arpack"
+    np.testing.assert_array_equal(d.coefficients, ref)
+    assert d.residual == np.sqrt(max(op.frobenius_norm2() - np.sum(ref**2), 0.0))
+
+
+def test_rank_two_kernel_falls_back_to_arpack():
+    # H[i, j] = a^(i+j) + b^(i+j) has rank two: PROPACK raises LinAlgError at k > 2
+    grid = make_grid(0.0, 20.0, 0.5)
+    m = np.arange(2 * grid.count - 1)
+    op = schmidt.HankelKernel(grid, grid, np.ones(grid.count, complex),
+                              0.9**m + 0.5j * 0.7**m, symmetric=False)
+    d = decompose(op, rank=4, vectors=False)
+    assert d.method == "hankel_arpack"
+    np.testing.assert_array_equal(d.coefficients, schmidt._arpack(op.as_operator(), 4, False)[1])
+    assert d.coefficients[2] < 1e-12 * d.coefficients[0]
+
+
+def test_sampled_kernel_stays_on_arpack():
+    # the tests' independent oracle: a sampled matrix never takes the PROPACK route
+    op, oracle = _structured_and_oracle(False)
+    d = decompose(oracle, rank=8, vectors=False)
+    assert d.method == "arpack"
+    np.testing.assert_allclose(d.coefficients, decompose(op, rank=8, vectors=False).coefficients,
+                               rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("structured", [False, True], ids=["sampled", "operator"])
 def test_default_rank_is_the_full_spectrum_at_any_size(monkeypatch, structured):
     # the default-rank crossover belongs to solver_rank; decompose(rank=None) never truncates
@@ -505,7 +604,7 @@ def test_mirror_tie_phase_anchor_is_stable():
     assert np.max(np.abs(fixed[0] - fixed[1])) < 1e-14
 
 
-@pytest.mark.parametrize("rank, method", [(None, "dense_values"), (8, "hankel_arpack")])
+@pytest.mark.parametrize("rank, method", [(None, "dense_values"), (8, "hankel_propack")])
 def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
     grid = {"half": 20.0, "step": 0.5}

@@ -138,6 +138,13 @@ COMMANDS = {
     "exit2_config_help": ["shape-slm", "--config", "run.cfg"],
     # (pi zeta^2)^(1/4) underflows to 0: an effective response of inf and nan
     "exit2_pump_zeta_underflow": ["shape-pump", "--zeta", "1e-200", "--sigma", "1"],
+    # values-only truncated solves: the rank-one kernel PROPACK skips, the default rank 300
+    # on 2241 nodes, and the method of sweep rows
+    "delta0_rank16_json": ["schmidt", "--delta", "0", "--dev", "0", "--rank", "16",
+                           "--format", "json"],
+    "point_default_2241_json": ["schmidt", "--delta", "5", "--dev", "-0.88", "--format", "json"],
+    "sweep_rank16_json": ["schmidt", "--sweep", "delta", "1", "3", "2", "--dev", "-0.47",
+                          "--rank", "16", "--format", "json"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
