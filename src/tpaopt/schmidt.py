@@ -21,7 +21,7 @@ from .grids import (ROW_CHUNK, FrequencyGrid, KernelMatrix, auto_grid, check_den
                     make_grid, quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
-if TYPE_CHECKING:  # scipy.sparse.linalg and scipy.fft load on the first truncated solve
+if TYPE_CHECKING:  # scipy.fft loads on the first product, scipy.sparse.linalg for PROPACK
     from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
@@ -51,15 +51,22 @@ COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
 CENTRO_HERMITIAN_RTOL = 1e-12
 
 # Default-rank policy of `solver_rank`, from timings of Phi at delta = -1.5 with one BLAS thread
-# on a 2-core x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum is faster
-# than ARPACK for DEFAULT_RANK coefficients (on the matrix-free kernel); beyond, ARPACK is.
+# on a 2-core x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum was faster
+# than ARPACK, the truncated solver of the time, for DEFAULT_RANK coefficients (on the
+# matrix-free kernel); beyond, ARPACK was.
 DEFAULT_RANK = 300
 DENSE_MAX_NODES = 2100
 COLUMN_CHUNK = 8  # columns per block of a wide `HankelKernel` product (see its _apply)
-# Checks of a PROPACK solve (see _propack): a kernel of rank one to RANK_ONE_RTOL goes to ARPACK,
-# and values whose squares exceed the exact squared norm by more than NORM_RTOL are rejected.
+# Checks of a PROPACK solve (see _propack): a kernel of rank one to RANK_ONE_RTOL goes to
+# `_lanczos`, and values whose squares exceed the exact squared norm by more than NORM_RTOL are
+# rejected.
 RANK_ONE_RTOL = 1e-12
 NORM_RTOL = 1e-12
+# Stopping rules and basis growth of `_lanczos`.
+LANCZOS_RTOL = 1e-14  # a Ritz triplet has converged when its residual is below this * theta_1
+BREAKDOWN_RTOL = 1e-15  # an alpha or beta below this * sqrt(n) * ||B|| ends the solve
+LANCZOS_CHUNK = 48  # basis rows beyond k, and the rows the bases grow by
+LANCZOS_CHECK = 8  # steps between convergence checks once the basis holds k vectors
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,11 @@ class SchmidtDecomposition:
     amplitude is sum_k r_k conj(modes_1[k]) x conj(modes_2[k]).  residual is
     the Frobenius norm of the part of the kernel discarded by truncation:
     from the discarded singular values after a dense SVD (exactly 0 at full
-    rank), after a truncated solve (ARPACK or PROPACK) from the difference of
+    rank), after a truncated solve (Lanczos or PROPACK) from the difference of
     the exact squared norm and sum r_k^2, which resolves no less than about
     1e-8 of the norm.  method names the solver whose coefficients are returned
-    (see `choose_solver`; "hankel_propack" and "hankel_arpack" are PROPACK and
-    ARPACK on a `HankelKernel`, "arpack" ARPACK on a sampled matrix).
+    (see `choose_solver`; "hankel_propack" and "hankel_lanczos" are PROPACK and
+    `_lanczos` on a `HankelKernel`, "lanczos" `_lanczos` on a sampled matrix).
     """
 
     coefficients: np.ndarray
@@ -183,7 +190,7 @@ class HankelKernel:
     def _apply(self, v: np.ndarray, transpose: bool) -> np.ndarray:
         """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m).
 
-        Wider v (ARPACK's last product has a column per coefficient) runs in blocks of
+        Wider v (a `matmat` of `as_operator`; no solver passes one) runs in blocks of
         COLUMN_CHUNK columns, with the same bits: FFT buffers of 2 MB at 4001 nodes, not 75 MB
         at rank 300, which the heap may keep or return by allocation order (peak memory)."""
         if v.ndim == 2 and v.shape[1] > COLUMN_CHUNK:
@@ -267,13 +274,14 @@ def solver_rank(n: int, rank: int | None = None) -> int | None:
 def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
     """The method `decompose` runs on an n x n kernel for `rank` coefficients.
 
-    A truncated SVD for a rank below n - 1: "arpack" with vectors, "propack"
-    (values only, on a `HankelKernel`; `decompose` falls back to ARPACK where
-    it cannot trust PROPACK's values) without.  Otherwise a dense SVD cut to
+    A truncated SVD for a rank below n - 1: "lanczos" (`_lanczos`, Golub-Kahan-
+    Lanczos bidiagonalization in numpy) with vectors, "propack" (values only,
+    on a `HankelKernel`; `decompose` falls back to `_lanczos` where it cannot
+    trust PROPACK's values) without.  Otherwise a dense SVD cut to
     rank: "dense", or "dense_values" (no vectors) if not vectors.
     """
     if rank is not None and rank < n - 1:
-        return "arpack" if vectors else "propack"
+        return "lanczos" if vectors else "propack"
     return "dense" if vectors else "dense_values"
 
 
@@ -295,29 +303,121 @@ def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
     vh *= ph[:, None]
 
 
-def _arpack(a: LinearOperator, k: int, vectors: bool):
-    """k leading singular triplets (u, s, vh; u and vh None without vectors), descending."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, svds
+def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
+    """Remove from r, in place, its part in the span of basis's orthonormal rows; ||r|| after.
 
-    v0 = np.ones(min(a.shape))  # fixed start vector: deterministic output
-    try:
-        out = svds(a, k=k, v0=v0, return_singular_vectors=vectors)
-    except ArpackNoConvergence as exc:
-        raise np.linalg.LinAlgError(f"truncated SVD did not converge: {exc}") from exc
-    except ArpackError as exc:
-        raise np.linalg.LinAlgError(f"truncated SVD failed: {exc}") from exc
-    u, s, vh = out if vectors else (None, out, None)
-    order = np.argsort(s)[::-1]
-    if vectors:
-        u, vh = u[:, order], vh[order, :]
-    return u, s[order], vh
+    Classical Gram-Schmidt, with the coefficients basis^H r taken as conj(basis conj(r)) so
+    that no conjugated copy of the basis is made, and a second pass only when the first
+    removes more than half of the norm (so cancellation may have left r short of orthogonal).
+    """
+    norm = np.linalg.norm(r)
+    for _ in range(2 if len(basis) else 0):
+        before = norm
+        r -= np.conj(basis @ np.conj(r)) @ basis
+        norm = np.linalg.norm(r)
+        if norm > 0.5 * before:
+            break
+    return norm
+
+
+def _complement(rows: np.ndarray, count: int) -> np.ndarray:
+    """count orthonormal rows orthogonal to the orthonormal rows of rows (j x n).
+
+    They are rows j .. j + count - 1 of the unitary Q = H_1 ... H_j whose first j
+    columns span rows^T, from the Householder reflectors H_i = I - tau_i w_i w_i^H of
+    its QR, in O(n j (j + count)).
+    """
+    j, n = rows.shape
+    out = np.zeros((count, n), complex)
+    out[np.arange(count), j + np.arange(count)] = 1.0
+    if j:
+        h, tau = np.linalg.qr(rows.T, mode="raw")  # h[i] holds w_i below its leading 1
+        for i in reversed(range(j)):
+            w = np.concatenate(([1.0], h[i, i + 1 :]))
+            out[:, i:] -= np.outer(tau[i] * (out[:, i:] @ np.conj(w)), w)
+    return out
+
+
+def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
+    """k leading singular triplets (u, s, vh; u and vh None without vectors), descending.
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal. B 2:205,
+    1965) with full reorthogonalization, on the products apply(v) = A v and
+    apply_transpose(v) = A^T v (the adjoint is A^H u = conj(A^T conj(u))).  From the
+    fixed start vector of ones / sqrt(n), step j adds u_j and v_(j+1) to orthonormal
+    bases with A V_j = U_j B_j, B_j upper bidiagonal with alpha_j on its diagonal and
+    A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.  The SVD B_j = X diag(theta) Y^T gives the
+    Ritz triplets (U_j x_i, theta_i, V_j y_i), exact but for A^H U_j x_i, which misses by
+    beta_j |x_i[-1]|; once j >= k, every LANCZOS_CHECK steps, the solve stops when all k
+    leading residuals are at most LANCZOS_RTOL theta_1.  An alpha_j or beta_j of at most
+    BREAKDOWN_RTOL sqrt(n) times the largest alpha or beta so far (a lower bound on ||B||)
+    ends it too: the bases then span invariant subspaces, whose Ritz triplets are singular
+    triplets of A, and the coefficients not reached are 0 (their modes an orthonormal
+    completion).  A single start vector finds one copy of an exactly repeated value.  The
+    bases hold k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
+
+    Raises numpy.linalg.LinAlgError if an alpha_j or beta_j is not finite.
+    """
+    m, n = shape
+    steps = min(m, n)
+    size = min(k + LANCZOS_CHUNK, steps)
+    us, vs = np.empty((size, m), complex), np.empty((size, n), complex)
+    b = np.zeros((size, size + 1))  # B_j, with beta_j in column j + 1 (0-based j)
+    v = np.full(n, 1.0 / np.sqrt(n), complex)
+    tol = 0.0
+    for j in range(steps):
+        if j == size:
+            size = min(size + LANCZOS_CHUNK, steps)
+            us = np.concatenate((us, np.empty((size - j, m), complex)))
+            vs = np.concatenate((vs, np.empty((size - j, n), complex)))
+            b = np.pad(b, ((0, size - j), (0, size - j)))
+        vs[j] = v
+        u = apply(v)
+        if j:
+            u -= b[j - 1, j] * us[j - 1]
+        alpha = _orthogonalize(u, us[:j])
+        if not np.isfinite(alpha):
+            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
+        tol = max(tol, BREAKDOWN_RTOL * np.sqrt(n) * alpha)
+        if alpha <= tol:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
+            c = b[:j, : j + 1]
+            break
+        us[j] = u / alpha
+        b[j, j] = alpha
+        v = np.conj(apply_transpose(np.conj(us[j]))) - alpha * vs[j]
+        beta = _orthogonalize(v, vs[: j + 1])
+        if not np.isfinite(beta):
+            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
+        c = b[: j + 1, : j + 1]
+        tol = max(tol, BREAKDOWN_RTOL * np.sqrt(n) * beta)
+        if beta <= tol or j + 1 == steps:
+            break
+        v /= beta
+        b[j, j + 1] = beta
+        if j + 1 >= k and (j + 1 - k) % LANCZOS_CHECK == 0:
+            x, theta = np.linalg.svd(c)[:2]
+            if np.all(beta * np.abs(x[-1, :k]) <= LANCZOS_RTOL * theta[0]):
+                break
+    x, s, yh = (np.linalg.svd(c, full_matrices=False) if vectors
+                else (None, np.linalg.svd(c, compute_uv=False), None))
+    r = min(k, s.size)
+    s = np.concatenate((s[:r], np.zeros(k - r)))  # coefficients not reached are 0
+    if not vectors:
+        return None, s, None
+    # real X and Y times complex bases, as real products on the bases' float view
+    u_rows = (x[:, :r].T @ us[: c.shape[0]].view(float)).view(complex)
+    v_rows = (yh[:r] @ vs[: c.shape[1]].view(float)).view(complex)
+    if r < k:  # modes of the coefficients not reached: orthogonal to the rest
+        u_rows = np.concatenate((u_rows, _complement(u_rows, k - r)))
+        v_rows = np.concatenate((v_rows, _complement(v_rows, k - r)))
+    return u_rows.T, s, np.conj(v_rows)
 
 
 def _propack(a: LinearOperator, k: int, norm2: float) -> np.ndarray | None:
     """k leading singular values, descending, by PROPACK; None where they cannot be trusted.
 
     Lanczos bidiagonalization with partial reorthogonalization (Larsen, DAIMI
-    PB-357, 1998) from the fixed start vector of `_arpack`, with a Krylov
+    PB-357, 1998) from the fixed start vector of ones, with a Krylov
     basis of min(n, 3k) vectors.  On a kernel of rank one (to RANK_ONE_RTOL)
     PROPACK returns a ghost copy of r_1 at small k and fails slowly at large
     k, so two products test for rank one first: ||A^H A v||^2 <= r_1^2
@@ -395,10 +495,14 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         reference SVD; a rank below n - 1 uses an iterative solver with a
         fixed start vector, on a `HankelKernel` without forming its matrix
         (see `choose_solver`; `solver_rank` gives the default rank for a
-        grid size).  Values only on a `HankelKernel` run PROPACK (1.6-2.1x
-        faster than ARPACK at ranks 16-60); a kernel of rank one, a PROPACK
-        failure, or values whose squares sum beyond the exact squared norm
-        fall back to ARPACK, as do solves with vectors and sampled matrices.
+        grid size).  Values only on a `HankelKernel` run PROPACK; a kernel of
+        rank one, a PROPACK failure, or values whose squares sum beyond the
+        exact squared norm fall back to `_lanczos` (Golub-Kahan-Lanczos with
+        full reorthogonalization), which also runs every solve with vectors
+        and every sampled matrix.  With vectors at ranks 56-60 on 3001-3121
+        nodes it took 126-183 ms where ARPACK, the engine it replaced, took
+        223-308 ms; on the rank-one Phi at Delta = delta = 0 it stops after
+        3 products.
         Ranks beyond the matrix dimension are clipped with a warning; a rank
         below 1 is an error.
         The dense SVD of a centro-Hermitian `HankelKernel` runs on an
@@ -427,15 +531,17 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         rank = max_rank
 
     method = choose_solver(max_rank, rank, vectors)
-    if method in ("arpack", "propack"):
+    if method in ("lanczos", "propack"):
         norm2 = kernel.frobenius_norm2()
         structured = isinstance(kernel, HankelKernel)
-        a = (kernel.as_operator() if structured
-             else _operator(kernel.shape, kernel.entries.dot, kernel.entries.T.dot))
-        s = _propack(a, rank, norm2) if structured and method == "propack" else None
+        s = (_propack(kernel.as_operator(), rank, norm2) if structured and method == "propack"
+             else None)
         if s is None:  # with vectors, on a sampled matrix, or PROPACK's values were not trusted
-            u, s, vh = _arpack(a, rank, vectors)
-            method = "hankel_arpack" if structured else "arpack"
+            products = ((partial(kernel._apply, transpose=False),
+                         partial(kernel._apply, transpose=True)) if structured
+                        else (kernel.entries.dot, kernel.entries.T.dot))
+            u, s, vh = _lanczos(*products, kernel.shape, rank, vectors)
+            method = "hankel_lanczos" if structured else "lanczos"
         else:
             u = vh = None
             method = "hankel_propack"
@@ -525,11 +631,12 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
 
     d.coefficients come from one `decompose` call on the grid, kernel and rank of
     `optimal_state_schmidt`: a dense solve runs values-only, a truncated one with vectors if
-    modes > 0 (ARPACK has them at little cost).  d holds the leading m = min(modes,
-    coefficients above COEFFICIENT_FLOOR) mode pairs, since the modes of roundoff coefficients
-    are arbitrary vectors: the truncated solve's own, or after a dense solve those of
-    `decompose(optimal_state_operator(sys, grid), rank=m)`, ARPACK in O(n log n) per product
-    (a dense SVD for m >= n - 1).
+    modes > 0 (`_lanczos` has them with the values, at ranks 56-60 on 3001-3121 nodes in
+    about the time of values-only PROPACK: 125-141 ms against 129-151 ms).  d holds the
+    leading m = min(modes, coefficients above COEFFICIENT_FLOOR) mode pairs, since the modes
+    of roundoff coefficients are arbitrary vectors: the truncated solve's own, or after a
+    dense solve those of `decompose(optimal_state_operator(sys, grid), rank=m)`, `_lanczos`
+    in O(n log n) per product (a dense SVD for m >= n - 1).
     row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
     `decompose` (`solver_rank` of the grid's node count) and the `solver_stats` fields.
     """
@@ -538,7 +645,7 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
     grid = auto_grid(sys, half, step, center)
     op = optimal_state_operator(sys, grid)
     k = solver_rank(grid.count, rank)
-    truncated = choose_solver(grid.count, k) == "arpack"
+    truncated = choose_solver(grid.count, k) == "lanczos"
     d = decompose(op, rank=k, vectors=truncated and modes > 0)
     m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))
     lead = d if truncated or m == 0 else decompose(op, rank=m)

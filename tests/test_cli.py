@@ -254,18 +254,23 @@ def test_figure_json_format_writes_rows_to_report(tmp_path):
 
 
 def test_truncated_solver_modules_load_on_first_use(tmp_path):
-    # in a fresh interpreter: the import and a dense point load neither module, --rank 8 both
+    # in a fresh interpreter: the import and a values-only dense point load neither module;
+    # the Lanczos solves with vectors (a dense point's modes, then the bare command's rank-300
+    # solve on 4001 nodes, whose bounds take the dense Gram route) load scipy.fft only; a
+    # values-only --rank 8 point runs PROPACK, from scipy.sparse.linalg (so does any --rank
+    # point, for its truncated bounds)
     script = f"""
 import sys
 from tpaopt.cli import main
 def loaded():
     return [m for m in ("scipy.sparse.linalg", "scipy.fft") if m in sys.modules]
 steps = [loaded()]
-point = ["schmidt", "--delta", "5", "--dev", "-1.9", "--format", "json", "--out", {str(tmp_path)!r}]
-assert main(point) == 0
-steps.append(loaded())
-assert main(point + ["--rank", "8"]) == 0
-steps.append(loaded())
+out = ["--out", {str(tmp_path)!r}]
+point = ["schmidt", "--delta", "5", "--dev", "-1.9"]
+for argv in (point + ["--format", "json"], point + ["--format", "csv"], ["schmidt"],
+             point + ["--rank", "8", "--format", "json"]):
+    assert main(argv + out) == 0
+    steps.append(loaded())
 print(steps)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -273,7 +278,8 @@ print(steps)
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == str([[], [], ["scipy.sparse.linalg", "scipy.fft"]])
+    assert proc.stdout.splitlines()[-1] == str([[], [], ["scipy.fft"], ["scipy.fft"],
+                                                ["scipy.sparse.linalg", "scipy.fft"]])
 
 
 @pytest.mark.parametrize("argv, grid", [
@@ -388,11 +394,11 @@ def test_dump_kernel_writes_the_matrix_solved(tmp_path):
     (801, None, True, ("dense", None)),              # a library decompose with vectors
     (801, 300, False, ("propack", 300)),             # explicit rank: truncated solver, values only
     (4001, None, False, ("propack", 300)),           # default rank beyond the dense crossover
-    (4001, None, True, ("arpack", 300)),
-    (3061, 16, True, ("arpack", 16)),
-    (90, 16, True, ("arpack", 16)),
-    (100, 99, False, ("dense_values", 99)),          # ARPACK needs k < n - 1: dense, cut to k
-    (100, 98, True, ("arpack", 98)),
+    (4001, None, True, ("lanczos", 300)),
+    (3061, 16, True, ("lanczos", 16)),
+    (90, 16, True, ("lanczos", 16)),
+    (100, 99, False, ("dense_values", 99)),          # truncated needs k < n - 1: dense, cut to k
+    (100, 98, True, ("lanczos", 98)),
     (4001, 0, True, ("dense", None)),                # rank < 1: full spectrum at any size
     (4001, -3, False, ("dense_values", None)),
 ])
@@ -406,7 +412,7 @@ def test_solver_policy_crossover(monkeypatch, vectors):
     assert solver_rank(DENSE_MAX_NODES) is None
     assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
     assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
-    truncated = "arpack" if vectors else "propack"
+    truncated = "lanczos" if vectors else "propack"
     assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == truncated
     # the system-level entry is the policy applied to Phi on auto_grid, on both sides of
     # a crossover patched down to this 201-node grid
@@ -440,7 +446,7 @@ def test_large_grid_solved_without_sampling(tmp_path, monkeypatch):
     rep = read_report(str(tmp_path))
     assert rep["grid"]["points"] == 8001
     diag = rep["diagnostics"]
-    assert (diag["method"], diag["n"], diag["k"]) == ("hankel_arpack", 8001, 16)
+    assert (diag["method"], diag["n"], diag["k"]) == ("hankel_lanczos", 8001, 16)
     # oracle: the same truncated solve on the sampled dense matrix (1 GB)
     r1 = decompose(optimal_state_kernel(sys_, grid), rank=16, vectors=False).coefficients[0]
     assert rep["results"]["r"][0] == pytest.approx(r1, rel=0, abs=1e-12)
@@ -456,7 +462,7 @@ def test_solver_stats_reported(tmp_path):
     single = str(tmp_path / "single")
     assert main(["schmidt", "--dev", "-1.5", "--rank", "8", "--out", single]) == 0
     diag = read_report(single)["diagnostics"]
-    assert (diag["method"], diag["n"], diag["k"], diag["rank"]) == ("hankel_arpack", 1001, 8, 8)
+    assert (diag["method"], diag["n"], diag["k"], diag["rank"]) == ("hankel_lanczos", 1001, 8, 8)
     kept = diag["coefficient_norm_sq"]
     assert diag["captured_norm"] == pytest.approx(
         kept / (kept + diag["truncation_residual"] ** 2), rel=1e-12)

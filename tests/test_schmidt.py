@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ def test_structured_kernel_matches_sampled_oracle(one_sided):
     assert np.max(np.abs(op.to_dense().entries - a)) < 1e-12
     for rank in (8, None):
         d_op, d_oracle = decompose(op, rank=rank), decompose(oracle, rank=rank)
-        assert d_op.method == ("hankel_arpack" if rank else "dense")
+        assert d_op.method == ("hankel_lanczos" if rank else "dense")
         np.testing.assert_allclose(d_op.coefficients, d_oracle.coefficients, rtol=0, atol=1e-12)
         assert d_op.residual == pytest.approx(d_oracle.residual, abs=1e-12 if rank else 1e-7)
         lead = slice(0, 8)  # trailing full-rank modes are not well defined
@@ -384,7 +385,7 @@ def test_propack_values_match_arpack_and_dense(name, k):
     d = decompose(op, rank=k, vectors=False)
     assert d.method == "hankel_propack" and d.coefficients.size == k
     with_vectors = decompose(op, rank=k)
-    assert with_vectors.method == "hankel_arpack"
+    assert with_vectors.method == "hankel_lanczos"
     dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)[:k]
     for ref in (with_vectors.coefficients, dense):
         assert np.max(np.abs(d.coefficients - ref)) <= 1e-14 * ref[0]
@@ -394,8 +395,14 @@ def test_propack_values_match_arpack_and_dense(name, k):
                                   d.coefficients)
 
 
+def _lanczos_values(op, k):
+    """The k values of `schmidt._lanczos` run directly on a `HankelKernel`'s products."""
+    return schmidt._lanczos(partial(op._apply, transpose=False),
+                            partial(op._apply, transpose=True), op.shape, k, False)[1]
+
+
 def _propack_patched(monkeypatch, result):
-    """Route svds(solver="propack") to result(original svds, args, kwargs); ARPACK untouched."""
+    """Route svds(solver="propack") to result(original svds, args, kwargs)."""
     import scipy.sparse.linalg as sla
 
     svds = sla.svds
@@ -424,37 +431,42 @@ def _refuse(svds, args, kwargs):
 @pytest.mark.parametrize("k", [2, 16])
 def test_rank_one_kernel_is_solved_by_arpack(monkeypatch, k):
     # Delta = delta = 0 on its 4001-node auto grid: PROPACK returns a ghost copy of r1 at
-    # k = 2 and fails slowly at k = 16, so the rank-one test sends the solve to ARPACK
+    # k = 2 and fails slowly at k = 16, so the rank-one test sends the solve to Lanczos
     sys = LevelSystem()
     op = optimal_state_operator(sys, schmidt.auto_grid(sys))
     assert op.shape == (4001, 4001)
     _propack_patched(monkeypatch, _refuse)
     d = decompose(op, rank=k, vectors=False)
-    assert d.method == "hankel_arpack"
-    np.testing.assert_array_equal(d.coefficients, schmidt._arpack(op.as_operator(), k, False)[1])
+    assert d.method == "hankel_lanczos"
+    np.testing.assert_array_equal(d.coefficients, _lanczos_values(op, k))
     assert d.coefficients[1] < 1e-12
 
 
 @pytest.mark.parametrize("result", [_fail, _ghost], ids=["error", "ghost"])
 def test_untrusted_propack_falls_back_to_arpack(monkeypatch, result):
     op = _engine_kernel("phi_5")
-    ref = schmidt._arpack(op.as_operator(), 16, False)[1]
+    ref = _lanczos_values(op, 16)
     _propack_patched(monkeypatch, result)
     d = decompose(op, rank=16, vectors=False)
-    assert d.method == "hankel_arpack"
+    assert d.method == "hankel_lanczos"
     np.testing.assert_array_equal(d.coefficients, ref)
     assert d.residual == np.sqrt(max(op.frobenius_norm2() - np.sum(ref**2), 0.0))
 
 
-def test_rank_two_kernel_falls_back_to_arpack():
-    # H[i, j] = a^(i+j) + b^(i+j) has rank two: PROPACK raises LinAlgError at k > 2
+def _rank_two_kernel():
+    """H[i, j] = a^(i+j) + b^(i+j) on 81 nodes, a one-sided `HankelKernel` of rank two."""
     grid = make_grid(0.0, 20.0, 0.5)
     m = np.arange(2 * grid.count - 1)
-    op = schmidt.HankelKernel(grid, grid, np.ones(grid.count, complex),
-                              0.9**m + 0.5j * 0.7**m, symmetric=False)
+    return schmidt.HankelKernel(grid, grid, np.ones(grid.count, complex),
+                                0.9**m + 0.5j * 0.7**m, symmetric=False)
+
+
+def test_rank_two_kernel_falls_back_to_arpack():
+    # PROPACK raises LinAlgError at k > 2 on a kernel of rank two
+    op = _rank_two_kernel()
     d = decompose(op, rank=4, vectors=False)
-    assert d.method == "hankel_arpack"
-    np.testing.assert_array_equal(d.coefficients, schmidt._arpack(op.as_operator(), 4, False)[1])
+    assert d.method == "hankel_lanczos"
+    np.testing.assert_array_equal(d.coefficients, _lanczos_values(op, 4))
     assert d.coefficients[2] < 1e-12 * d.coefficients[0]
 
 
@@ -462,9 +474,74 @@ def test_sampled_kernel_stays_on_arpack():
     # the tests' independent oracle: a sampled matrix never takes the PROPACK route
     op, oracle = _structured_and_oracle(False)
     d = decompose(oracle, rank=8, vectors=False)
-    assert d.method == "arpack"
+    assert d.method == "lanczos"
     np.testing.assert_allclose(d.coefficients, decompose(op, rank=8, vectors=False).coefficients,
                                rtol=0, atol=1e-12)
+
+
+# (half-width, step) of the engine tests' grids about omega_f / 2: 481 nodes at Delta = 0
+# and 5, 1001 nodes wide enough for both lines at Delta = 100 and 1000
+_ENGINE_GRIDS = {0: (60.0, 0.25), 5: (60.0, 0.25), 100: (75.0, 0.15), 1000: (550.0, 1.1)}
+
+
+@pytest.mark.parametrize("dev", [0.0, -1.5])
+@pytest.mark.parametrize("delta", sorted(_ENGINE_GRIDS))
+def test_lanczos_matches_dense_svd(delta, dev):
+    sys = LevelSystem(delta_detuning=delta, delta_deviation=dev)
+    half, step = _ENGINE_GRIDS[delta]
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, half, step))
+    dense = decompose(op)
+    r, sw = dense.coefficients, np.sqrt(quadrature_weights(op.grid1))
+    for k in (2, 16, 60):
+        d = decompose(op, rank=k)
+        assert d.method == "hankel_lanczos"
+        assert np.max(np.abs(d.coefficients - r[:k])) <= 1e-13 * r[0]
+        for modes, ref in ((d.modes_1, dense.modes_1), (d.modes_2, dense.modes_2)):
+            q = modes * sw  # quadrature-orthonormal modes are orthonormal rows here
+            assert np.max(np.abs(np.conj(q) @ q.T - np.eye(k))) <= 1e-12
+            if delta < 100:  # phase-fixed leading modes
+                assert np.max(np.abs(modes[0] - ref[0])) <= 1e-12
+            else:
+                # the leading pair is near-degenerate (gap 2e-5 r1 at Delta = 1000), which
+                # fixes each mode only to about eps / gap; the pair's span is fixed to roundoff
+                q_ref = ref[:2] * sw
+                q2 = q[:2]
+                assert np.max(np.abs(q2 - (q2 @ np.conj(q_ref).T) @ q_ref)) <= 1e-12
+        if delta >= 100:  # every near-degenerate pair as two distinct coefficients
+            assert np.all(np.diff(d.coefficients) < 0)
+
+
+def _count_products(monkeypatch):
+    """A list whose length counts `HankelKernel._apply` calls from here on."""
+    calls, apply = [], schmidt.HankelKernel._apply
+
+    def counted(self, v, transpose):
+        calls.append(transpose)
+        return apply(self, v, transpose)
+
+    monkeypatch.setattr(schmidt.HankelKernel, "_apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel, k, rank", [("rank_one", 300, 1), ("rank_two", 16, 2)])
+def test_lanczos_ends_by_breakdown_on_low_rank(monkeypatch, kernel, k, rank):
+    if kernel == "rank_one":  # Phi at Delta = delta = 0 on its 4001-node auto grid
+        sys = LevelSystem()
+        op = optimal_state_operator(sys, schmidt.auto_grid(sys))
+    else:
+        op = _rank_two_kernel()
+    calls = _count_products(monkeypatch)
+    d = decompose(op, rank=k)
+    assert d.method == "hankel_lanczos" and len(calls) <= 20
+    assert np.all(d.coefficients[rank:] == 0) and np.all(d.coefficients[:rank] > 0)
+    if kernel == "rank_two":  # to_dense takes no product
+        dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+        assert np.max(np.abs(d.coefficients[:rank] - dense[:rank])) <= 1e-13 * dense[0]
+    # the modes of the coefficients not reached complete an orthonormal set
+    sw = np.sqrt(quadrature_weights(op.grid1))
+    for modes in (d.modes_1, d.modes_2):
+        q = modes * sw
+        assert np.max(np.abs(np.conj(q) @ q.T - np.eye(k))) <= 1e-12
 
 
 @pytest.mark.parametrize("structured", [False, True], ids=["sampled", "operator"])

@@ -17,9 +17,10 @@ them) to show that a change leaves every output byte-identical.  For a
 CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
-The whole list takes about two minutes on one core of a 2-core x86-64 VM,
-35-45 s of it in the demos (nearly all in ``schmidt_entanglement.py``) and
-about 12 s in ``fig2c_full``, the 24 rows of the large-detuning bounds.
+The whole list takes about a minute and a half on one core of a 2-core
+x86-64 VM, about 14 s of it in the demos (nearly all in
+``schmidt_entanglement.py``), 11-13 s in ``fig2c_full``, the 24 rows of the
+large-detuning bounds, and about 1 s in ``bare_default``.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ COMMANDS = {
     "point_default_2241_json": ["schmidt", "--delta", "5", "--dev", "-0.88", "--format", "json"],
     "sweep_rank16_json": ["schmidt", "--sweep", "delta", "1", "3", "2", "--dev", "-0.47",
                           "--rank", "16", "--format", "json"],
+    # the bare command: Delta = delta = 0 on 4001 nodes, default rank 300 with 2 modes
+    "bare_default": ["schmidt"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
