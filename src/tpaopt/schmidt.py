@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,9 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grids import (ROW_CHUNK, FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits,
                     make_grid, quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
-
-if TYPE_CHECKING:  # scipy.fft loads on the first product, scipy.sparse.linalg for PROPACK
-    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "SchmidtDecomposition",
@@ -50,20 +46,14 @@ COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
 # min + k * step leave 1e-14 or so on the kernels that are centro-Hermitian in exact arithmetic.
 CENTRO_HERMITIAN_RTOL = 1e-12
 
-# Default-rank policy of `solver_rank`, from timings of Phi at delta = -1.5 with one BLAS thread
-# on a 2-core x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum was faster
-# than ARPACK, the truncated solver of the time, for DEFAULT_RANK coefficients (on the
-# matrix-free kernel); beyond, ARPACK was.
+# Default-rank policy of `solver_rank`, measured against ARPACK, the truncated solver of the
+# time (not re-measured for `_lanczos`), on Phi at delta = -1.5 with one BLAS thread on a 2-core
+# x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum was faster than ARPACK
+# for DEFAULT_RANK coefficients (on the matrix-free kernel); beyond, ARPACK was.
 DEFAULT_RANK = 300
 DENSE_MAX_NODES = 2100
-COLUMN_CHUNK = 8  # columns per block of a wide `HankelKernel` product (see its _apply)
-# Checks of a PROPACK solve (see _propack): a kernel of rank one to RANK_ONE_RTOL goes to
-# `_lanczos`, and values whose squares exceed the exact squared norm by more than NORM_RTOL are
-# rejected.
-RANK_ONE_RTOL = 1e-12
-NORM_RTOL = 1e-12
 # Stopping rules and basis growth of `_lanczos`.
-LANCZOS_RTOL = 1e-14  # a Ritz triplet has converged when its residual is below this * theta_1
+LANCZOS_RTOL = 1e-14  # a Ritz triplet has converged when its error bound is below this * theta_1
 BREAKDOWN_RTOL = 1e-15  # an alpha or beta below this * sqrt(n) * ||B|| ends the solve
 LANCZOS_CHUNK = 48  # basis rows beyond k, and the rows the bases grow by
 LANCZOS_CHECK = 8  # steps between convergence checks once the basis holds k vectors
@@ -81,11 +71,11 @@ class SchmidtDecomposition:
     amplitude is sum_k r_k conj(modes_1[k]) x conj(modes_2[k]).  residual is
     the Frobenius norm of the part of the kernel discarded by truncation:
     from the discarded singular values after a dense SVD (exactly 0 at full
-    rank), after a truncated solve (Lanczos or PROPACK) from the difference of
-    the exact squared norm and sum r_k^2, which resolves no less than about
-    1e-8 of the norm.  method names the solver whose coefficients are returned
-    (see `choose_solver`; "hankel_propack" and "hankel_lanczos" are PROPACK and
-    `_lanczos` on a `HankelKernel`, "lanczos" `_lanczos` on a sampled matrix).
+    rank), after a truncated solve (`_lanczos`) from the difference of the
+    exact squared norm and sum r_k^2, which resolves no less than about 1e-8
+    of the norm.  method names the solver whose coefficients are returned (see
+    `choose_solver`; "hankel_lanczos" is `_lanczos` on a `HankelKernel`,
+    "lanczos" `_lanczos` on a sampled matrix).
     """
 
     coefficients: np.ndarray
@@ -112,20 +102,6 @@ def optimal_state_kernel(sys: LevelSystem, grid1: FrequencyGrid,
     return sample_kernel(phi, grid1, grid2)
 
 
-def _operator(shape, apply, apply_transpose) -> LinearOperator:
-    """The matrix with products apply(v) = A v and apply_transpose(v) = A^T v.
-
-    The adjoint is A^H v = conj(A^T conj(v)), so no conjugated copy of A is made.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    def adjoint(v):
-        return np.conj(apply_transpose(np.conj(v)))
-
-    return LinearOperator(shape, matvec=apply, rmatvec=adjoint, matmat=apply, rmatmat=adjoint,
-                          dtype=complex)
-
-
 def _mirror_conjugate(x: np.ndarray) -> bool:
     """Whether x reversed equals conj(x) to CENTRO_HERMITIAN_RTOL of max |x|."""
     return np.max(np.abs(x[::-1] - np.conj(x))) <= CENTRO_HERMITIAN_RTOL * np.max(np.abs(x))
@@ -140,9 +116,10 @@ class HankelKernel:
     memory: H u is the tail of a circular convolution, by scipy.fft, whose
     length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
     nothing into the rows kept); the symmetric kernel transforms u and E u
-    together.  The transform of hankel, and scipy.fft itself, load on the
-    first product or `frobenius_norm2`, so a kernel solved densely never
-    transforms.  `to_dense` gathers the matrix for the dense SVD.  grid2 is
+    together.  `_apply` gives `_lanczos` its products.  The transform of
+    hankel, and scipy.fft itself, load on the first product or
+    `frobenius_norm2`, so a kernel solved densely never transforms.
+    `to_dense` gathers the matrix for the dense SVD.  grid2 is
     grid1 up to a shift, so both axes have the same weights.
 
     `centro_hermitian` tells whether J A J = conj(A), J reversing the node
@@ -188,16 +165,9 @@ class HankelKernel:
         return ifft(c, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
 
     def _apply(self, v: np.ndarray, transpose: bool) -> np.ndarray:
-        """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m).
+        """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m): `_lanczos`'s products.
 
-        Wider v (a `matmat` of `as_operator`; no solver passes one) runs in blocks of
-        COLUMN_CHUNK columns, with the same bits: FFT buffers of 2 MB at 4001 nodes, not 75 MB
-        at rank 300, which the heap may keep or return by allocation order (peak memory)."""
-        if v.ndim == 2 and v.shape[1] > COLUMN_CHUNK:
-            out = np.empty(v.shape, dtype=complex, order="F")  # the layout of (sw * y).T
-            for j in range(0, v.shape[1], COLUMN_CHUNK):
-                out[:, j : j + COLUMN_CHUNK] = self._apply(v[:, j : j + COLUMN_CHUNK], transpose)
-            return out
+        The adjoint is A^H v = conj(A^T conj(v)), so no conjugated copy of A is made."""
         e, sw = self.diag, self._sw
         u = sw * v.T  # nodes on the last axis, the one transformed
         if self.symmetric:
@@ -208,10 +178,6 @@ class HankelKernel:
         else:
             y = e * self._hankel_apply(u)
         return (sw * y).T
-
-    def as_operator(self) -> LinearOperator:
-        return _operator(self.shape, partial(self._apply, transpose=False),
-                         partial(self._apply, transpose=True))
 
     def frobenius_norm2(self) -> float:
         """Squared Frobenius norm from anti-diagonal sums, in O(n log n).
@@ -275,13 +241,11 @@ def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
     """The method `decompose` runs on an n x n kernel for `rank` coefficients.
 
     A truncated SVD for a rank below n - 1: "lanczos" (`_lanczos`, Golub-Kahan-
-    Lanczos bidiagonalization in numpy) with vectors, "propack" (values only,
-    on a `HankelKernel`; `decompose` falls back to `_lanczos` where it cannot
-    trust PROPACK's values) without.  Otherwise a dense SVD cut to
-    rank: "dense", or "dense_values" (no vectors) if not vectors.
+    Lanczos bidiagonalization in numpy), with or without vectors.  Otherwise a
+    dense SVD cut to rank: "dense", or "dense_values" (no vectors) if not vectors.
     """
     if rank is not None and rank < n - 1:
-        return "lanczos" if vectors else "propack"
+        return "lanczos"
     return "dense" if vectors else "dense_values"
 
 
@@ -309,12 +273,15 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
     Classical Gram-Schmidt, with the coefficients basis^H r taken as conj(basis conj(r)) so
     that no conjugated copy of the basis is made, and a second pass only when the first
     removes more than half of the norm (so cancellation may have left r short of orthogonal).
+    Norms are summed as np.linalg.norm sums them, real and imaginary parts apart: the same
+    bits, without its dispatch.
     """
-    norm = np.linalg.norm(r)
+    x, y = r.real, r.imag
+    norm = np.sqrt(x @ x + y @ y)
     for _ in range(2 if len(basis) else 0):
         before = norm
         r -= np.conj(basis @ np.conj(r)) @ basis
-        norm = np.linalg.norm(r)
+        norm = np.sqrt(x @ x + y @ y)
         if norm > 0.5 * before:
             break
     return norm
@@ -348,13 +315,17 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     bases with A V_j = U_j B_j, B_j upper bidiagonal with alpha_j on its diagonal and
     A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.  The SVD B_j = X diag(theta) Y^T gives the
     Ritz triplets (U_j x_i, theta_i, V_j y_i), exact but for A^H U_j x_i, which misses by
-    beta_j |x_i[-1]|; once j >= k, every LANCZOS_CHECK steps, the solve stops when all k
-    leading residuals are at most LANCZOS_RTOL theta_1.  An alpha_j or beta_j of at most
-    BREAKDOWN_RTOL sqrt(n) times the largest alpha or beta so far (a lower bound on ||B||)
-    ends it too: the bases then span invariant subspaces, whose Ritz triplets are singular
-    triplets of A, and the coefficients not reached are 0 (their modes an orthonormal
-    completion).  A single start vector finds one copy of an exactly repeated value.  The
-    bases hold k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
+    res_i = beta_j |x_i[-1]|.  Once j >= k, every LANCZOS_CHECK steps, the solve stops when
+    each of the k leading triplets has converged: with vectors when res_i <= LANCZOS_RTOL
+    theta_1, since a mode's error scales as res_i / gap_i; values only when min(res_i,
+    res_i^2 / gap_i) is, PROPACK's gap-refined bound on the error of theta_i (Larsen,
+    DAIMI PB-357, 1998), gap_i being the distance from theta_i to the nearest other
+    theta of B_j.  An alpha_j or beta_j of at most BREAKDOWN_RTOL sqrt(n) times the largest
+    alpha or beta so far (a lower bound on ||B||) ends it too: the bases then span
+    invariant subspaces, whose Ritz triplets are singular triplets of A, and the
+    coefficients not reached are 0 (their modes an orthonormal completion).  A single
+    start vector finds one copy of an exactly repeated value.  The bases hold
+    k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
 
     Raises numpy.linalg.LinAlgError if an alpha_j or beta_j is not finite.
     """
@@ -364,7 +335,7 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     us, vs = np.empty((size, m), complex), np.empty((size, n), complex)
     b = np.zeros((size, size + 1))  # B_j, with beta_j in column j + 1 (0-based j)
     v = np.full(n, 1.0 / np.sqrt(n), complex)
-    tol = 0.0
+    tol, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
     for j in range(steps):
         if j == size:
             size = min(size + LANCZOS_CHUNK, steps)
@@ -378,25 +349,33 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         alpha = _orthogonalize(u, us[:j])
         if not np.isfinite(alpha):
             raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
-        tol = max(tol, BREAKDOWN_RTOL * np.sqrt(n) * alpha)
+        tol = max(tol, scale * alpha)
         if alpha <= tol:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
             c = b[:j, : j + 1]
             break
-        us[j] = u / alpha
+        np.divide(u, alpha, out=us[j])
         b[j, j] = alpha
-        v = np.conj(apply_transpose(np.conj(us[j]))) - alpha * vs[j]
+        v = apply_transpose(np.conj(us[j]))
+        np.conj(v, out=v)
+        v -= alpha * vs[j]
         beta = _orthogonalize(v, vs[: j + 1])
         if not np.isfinite(beta):
             raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
         c = b[: j + 1, : j + 1]
-        tol = max(tol, BREAKDOWN_RTOL * np.sqrt(n) * beta)
+        tol = max(tol, scale * beta)
         if beta <= tol or j + 1 == steps:
             break
         v /= beta
         b[j, j + 1] = beta
         if j + 1 >= k and (j + 1 - k) % LANCZOS_CHECK == 0:
             x, theta = np.linalg.svd(c)[:2]
-            if np.all(beta * np.abs(x[-1, :k]) <= LANCZOS_RTOL * theta[0]):
+            res, tol_ritz = beta * np.abs(x[-1, :k]), LANCZOS_RTOL * theta[0]
+            done = res <= tol_ritz
+            if not vectors and j:  # B_j has two values or more, so each has a gap
+                gaps = -np.diff(theta)
+                gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
+                done |= res * res <= tol_ritz * gap
+            if np.all(done):
                 break
     x, s, yh = (np.linalg.svd(c, full_matrices=False) if vectors
                 else (None, np.linalg.svd(c, compute_uv=False), None))
@@ -411,36 +390,6 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         u_rows = np.concatenate((u_rows, _complement(u_rows, k - r)))
         v_rows = np.concatenate((v_rows, _complement(v_rows, k - r)))
     return u_rows.T, s, np.conj(v_rows)
-
-
-def _propack(a: LinearOperator, k: int, norm2: float) -> np.ndarray | None:
-    """k leading singular values, descending, by PROPACK; None where they cannot be trusted.
-
-    Lanczos bidiagonalization with partial reorthogonalization (Larsen, DAIMI
-    PB-357, 1998) from the fixed start vector of ones, with a Krylov
-    basis of min(n, 3k) vectors.  On a kernel of rank one (to RANK_ONE_RTOL)
-    PROPACK returns a ghost copy of r_1 at small k and fails slowly at large
-    k, so two products test for rank one first: ||A^H A v||^2 <= r_1^2
-    ||A v||^2 <= ||A||^2 ||A v||^2, with equality only when A has rank one.
-    Values whose squares sum beyond norm2 = ||A||^2, and a `LinAlgError`,
-    give None too.
-    """
-    from scipy.sparse.linalg import svds
-
-    n = a.shape[0]
-    v0 = np.ones(n)
-    av = a.matvec(v0)
-    gram_v = a.rmatvec(av)
-    if np.vdot(gram_v, gram_v).real >= (1.0 - RANK_ONE_RTOL) * norm2 * np.vdot(av, av).real:
-        return None
-    try:  # a seeded generator: PROPACK draws a random vector if its Krylov space runs out
-        s = svds(a, k=k, v0=v0, maxiter=min(n, 3 * k), solver="propack",
-                 rng=np.random.default_rng(0), return_singular_vectors=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.sum(s**2) <= norm2 * (1.0 + NORM_RTOL):  # also rejects nan
-        return None
-    return np.sort(s)[::-1]
 
 
 def _real_form(kernel: HankelKernel) -> np.ndarray:
@@ -492,17 +441,15 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         coefficients.
     rank : int or None
         Number of leading coefficients to compute.  None runs the dense
-        reference SVD; a rank below n - 1 uses an iterative solver with a
-        fixed start vector, on a `HankelKernel` without forming its matrix
-        (see `choose_solver`; `solver_rank` gives the default rank for a
-        grid size).  Values only on a `HankelKernel` run PROPACK; a kernel of
-        rank one, a PROPACK failure, or values whose squares sum beyond the
-        exact squared norm fall back to `_lanczos` (Golub-Kahan-Lanczos with
-        full reorthogonalization), which also runs every solve with vectors
-        and every sampled matrix.  With vectors at ranks 56-60 on 3001-3121
-        nodes it took 126-183 ms where ARPACK, the engine it replaced, took
-        223-308 ms; on the rank-one Phi at Delta = delta = 0 it stops after
-        3 products.
+        reference SVD; a rank below n - 1 runs `_lanczos` (Golub-Kahan-Lanczos
+        with full reorthogonalization) from a fixed start vector, on a
+        `HankelKernel` without forming its matrix (see `choose_solver`;
+        `solver_rank` gives the default rank for a grid size).  It stops on
+        each triplet's residual with vectors and on the tighter gap-refined
+        bound without (see `_lanczos`).  With vectors at ranks 56-60 on
+        3001-3121 nodes it took 126-183 ms where ARPACK, the engine it
+        replaced, took 223-308 ms; on the rank-one Phi at Delta = delta = 0
+        it stops after 3 products.
         Ranks beyond the matrix dimension are clipped with a warning; a rank
         below 1 is an error.
         The dense SVD of a centro-Hermitian `HankelKernel` runs on an
@@ -531,21 +478,14 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         rank = max_rank
 
     method = choose_solver(max_rank, rank, vectors)
-    if method in ("lanczos", "propack"):
-        norm2 = kernel.frobenius_norm2()
+    if method == "lanczos":
         structured = isinstance(kernel, HankelKernel)
-        s = (_propack(kernel.as_operator(), rank, norm2) if structured and method == "propack"
-             else None)
-        if s is None:  # with vectors, on a sampled matrix, or PROPACK's values were not trusted
-            products = ((partial(kernel._apply, transpose=False),
-                         partial(kernel._apply, transpose=True)) if structured
-                        else (kernel.entries.dot, kernel.entries.T.dot))
-            u, s, vh = _lanczos(*products, kernel.shape, rank, vectors)
-            method = "hankel_lanczos" if structured else "lanczos"
-        else:
-            u = vh = None
-            method = "hankel_propack"
-        residual = float(np.sqrt(max(norm2 - np.sum(s**2), 0.0)))
+        products = ((partial(kernel._apply, transpose=False),
+                     partial(kernel._apply, transpose=True)) if structured
+                    else (kernel.entries.dot, kernel.entries.T.dot))
+        u, s, vh = _lanczos(*products, kernel.shape, rank, vectors)
+        method = "hankel_lanczos" if structured else "lanczos"
+        residual = float(np.sqrt(max(kernel.frobenius_norm2() - np.sum(s**2), 0.0)))
     else:
         u, s, vh = _dense_svd(kernel, vectors)
         keep = s.size if rank is None else rank
@@ -631,8 +571,8 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
 
     d.coefficients come from one `decompose` call on the grid, kernel and rank of
     `optimal_state_schmidt`: a dense solve runs values-only, a truncated one with vectors if
-    modes > 0 (`_lanczos` has them with the values, at ranks 56-60 on 3001-3121 nodes in
-    about the time of values-only PROPACK: 125-141 ms against 129-151 ms).  d holds the
+    modes > 0 (`_lanczos` has them with the values, stopped by its residual rule instead of
+    the values-only gap-refined bound, so the values may differ in their last bits).  d holds the
     leading m = min(modes, coefficients above COEFFICIENT_FLOOR) mode pairs, since the modes
     of roundoff coefficients are arbitrary vectors: the truncated solve's own, or after a
     dense solve those of `decompose(optimal_state_operator(sys, grid), rank=m)`, `_lanczos`

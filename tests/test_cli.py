@@ -255,10 +255,9 @@ def test_figure_json_format_writes_rows_to_report(tmp_path):
 
 def test_truncated_solver_modules_load_on_first_use(tmp_path):
     # in a fresh interpreter: the import and a values-only dense point load neither module;
-    # the Lanczos solves with vectors (a dense point's modes, then the bare command's rank-300
-    # solve on 4001 nodes, whose bounds take the dense Gram route) load scipy.fft only; a
-    # values-only --rank 8 point runs PROPACK, from scipy.sparse.linalg (so does any --rank
-    # point, for its truncated bounds)
+    # the Lanczos solves (a dense point's modes, the bare command's rank-300 solve on 4001
+    # nodes, whose bounds take the dense Gram route, and a values-only --rank 8 point with its
+    # truncated bounds) load scipy.fft only: no step loads scipy.sparse.linalg
     script = f"""
 import sys
 from tpaopt.cli import main
@@ -279,7 +278,7 @@ print(steps)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == str([[], [], ["scipy.fft"], ["scipy.fft"],
-                                                ["scipy.sparse.linalg", "scipy.fft"]])
+                                                ["scipy.fft"]])
 
 
 @pytest.mark.parametrize("argv, grid", [
@@ -392,8 +391,8 @@ def test_dump_kernel_writes_the_matrix_solved(tmp_path):
 @pytest.mark.parametrize("n, rank, vectors, expected", [
     (801, None, False, ("dense_values", None)),      # bounds and sweep rows: full spectrum
     (801, None, True, ("dense", None)),              # a library decompose with vectors
-    (801, 300, False, ("propack", 300)),             # explicit rank: truncated solver, values only
-    (4001, None, False, ("propack", 300)),           # default rank beyond the dense crossover
+    (801, 300, False, ("lanczos", 300)),             # explicit rank: truncated solver, values only
+    (4001, None, False, ("lanczos", 300)),           # default rank beyond the dense crossover
     (4001, None, True, ("lanczos", 300)),
     (3061, 16, True, ("lanczos", 16)),
     (90, 16, True, ("lanczos", 16)),
@@ -412,14 +411,13 @@ def test_solver_policy_crossover(monkeypatch, vectors):
     assert solver_rank(DENSE_MAX_NODES) is None
     assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
     assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
-    truncated = "lanczos" if vectors else "propack"
-    assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == truncated
+    assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == "lanczos"
     # the system-level entry is the policy applied to Phi on auto_grid, on both sides of
     # a crossover patched down to this 201-node grid
     sys_ = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     grid = auto_grid(sys_)
     monkeypatch.setattr(schmidt, "DEFAULT_RANK", 16)
-    for crossover, method in ((grid.count, "dense"), (grid.count - 1, f"hankel_{truncated}")):
+    for crossover, method in ((grid.count, "dense"), (grid.count - 1, "hankel_lanczos")):
         monkeypatch.setattr(schmidt, "DENSE_MAX_NODES", crossover)
         d = optimal_state_schmidt(sys_, vectors=vectors)
         ref = decompose(optimal_state_operator(sys_, grid), rank=solver_rank(grid.count),

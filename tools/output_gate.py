@@ -139,10 +139,12 @@ COMMANDS = {
     "exit2_config_help": ["shape-slm", "--config", "run.cfg"],
     # (pi zeta^2)^(1/4) underflows to 0: an effective response of inf and nan
     "exit2_pump_zeta_underflow": ["shape-pump", "--zeta", "1e-200", "--sigma", "1"],
-    # values-only truncated solves: the rank-one kernel PROPACK skips, the default rank 300
-    # on 2241 nodes, and the method of sweep rows
+    # values-only truncated solves: a rank-one kernel, ended by breakdown; near-degenerate
+    # pairs at Delta = 1000; the default rank 300 on 2241 nodes; and the method of sweep rows
     "delta0_rank16_json": ["schmidt", "--delta", "0", "--dev", "0", "--rank", "16",
                            "--format", "json"],
+    "large_delta_rank8_json": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8",
+                               "--format", "json"],
     "point_default_2241_json": ["schmidt", "--delta", "5", "--dev", "-0.88", "--format", "json"],
     "sweep_rank16_json": ["schmidt", "--sweep", "delta", "1", "3", "2", "--dev", "-0.47",
                           "--rank", "16", "--format", "json"],
