@@ -102,6 +102,19 @@ def optimal_state_kernel(sys: LevelSystem, grid1: FrequencyGrid,
     return sample_kernel(phi, grid1, grid2)
 
 
+def _smooth_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: the lengths pocketfft transforms fastest."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least p35 * 2^a >= m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _mirror_conjugate(x: np.ndarray) -> bool:
     """Whether x reversed equals conj(x) to CENTRO_HERMITIAN_RTOL of max |x|."""
     return np.max(np.abs(x[::-1] - np.conj(x))) <= CENTRO_HERMITIAN_RTOL * np.max(np.abs(x))
@@ -113,12 +126,12 @@ class HankelKernel:
     On a uniform n-node grid D = diag(sqrt(w)) holds the trapezoidal
     weights, E = diag(diag) and H[i, j] = hankel[i + j] (2n - 1 values).
     Products with the matrix and its adjoint cost O(n log n) and O(n)
-    memory: H u is the tail of a circular convolution, by scipy.fft, whose
+    memory: H u is the tail of a circular convolution, by numpy.fft, whose
     length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
     nothing into the rows kept); the symmetric kernel transforms u and E u
     together.  `_apply` gives `_lanczos` its products.  The transform of
-    hankel, and scipy.fft itself, load on the first product or
-    `frobenius_norm2`, so a kernel solved densely never transforms.
+    hankel is taken on the first product or `frobenius_norm2`, so a kernel
+    solved densely never transforms.
     `to_dense` gathers the matrix for the dense SVD.  grid2 is
     grid1 up to a shift, so both axes have the same weights.
 
@@ -145,24 +158,18 @@ class HankelKernel:
 
     @cached_property
     def _fft_size(self) -> int:
-        from scipy.fft import next_fast_len
-
-        return next_fast_len(2 * self.shape[0] - 1, real=True)  # real=True: 5-smooth
+        return _smooth_length(2 * self.shape[0] - 1)
 
     @cached_property
     def _hankel_fft(self) -> np.ndarray:
-        from scipy.fft import fft
-
-        return fft(self.hankel, self._fft_size)
+        return np.fft.fft(self.hankel, self._fft_size)
 
     def _hankel_apply(self, x: np.ndarray) -> np.ndarray:
         """H @ x along the last axis: the tail of the convolution of hankel with reversed x."""
-        from scipy.fft import fft, ifft
-
         n = self.shape[0]
-        c = fft(x[..., ::-1], self._fft_size, axis=-1)
+        c = np.fft.fft(x[..., ::-1], self._fft_size, axis=-1)
         c *= self._hankel_fft
-        return ifft(c, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
+        return np.fft.ifft(c, axis=-1)[..., n - 1 : 2 * n - 1]
 
     def _apply(self, v: np.ndarray, transpose: bool) -> np.ndarray:
         """A @ v, or A.T @ v if transpose, for v of shape (n,) or (n, m): `_lanczos`'s products.
@@ -185,13 +192,17 @@ class HankelKernel:
         The anti-diagonal i + j = m holds |hankel[m]|^2 times the sum of
         w_i w_j |e_i + e_j|^2 (one-sided: w_i w_j |e_i|^2), a convolution.
         """
-        from scipy.fft import fft, ifft
-
         w = self._sw**2
         we2 = w * np.abs(self.diag) ** 2
 
+        def transform(a):  # a real a by the real transform, as scipy.fft takes it: same bits
+            if np.iscomplexobj(a):
+                return np.fft.fft(a, self._fft_size)
+            half = np.fft.rfft(a, self._fft_size)
+            return np.concatenate((half, np.conj(half[(self._fft_size - 1) // 2 : 0 : -1])))
+
         def conv(a, b):
-            return ifft(fft(a, self._fft_size) * fft(b, self._fft_size))
+            return np.fft.ifft(transform(a) * transform(b))
 
         if self.symmetric:
             anti = 2.0 * (conv(we2, w) + conv(w * self.diag, w * np.conj(self.diag))).real

@@ -253,21 +253,22 @@ def test_figure_json_format_writes_rows_to_report(tmp_path):
             for row in rep["results"]["rows"]] == lines[1:]
 
 
-def test_truncated_solver_modules_load_on_first_use(tmp_path):
-    # in a fresh interpreter: the import and a values-only dense point load neither module;
-    # the Lanczos solves (a dense point's modes, the bare command's rank-300 solve on 4001
-    # nodes, whose bounds take the dense Gram route, and a values-only --rank 8 point with its
-    # truncated bounds) load scipy.fft only: no step loads scipy.sparse.linalg
+def test_no_step_loads_scipy(tmp_path):
+    # in a fresh interpreter: the import, the Schmidt points (dense values-only, with modes,
+    # the bare command's rank-300 Lanczos solve, --rank 8 with its truncated bounds), both
+    # shapers (Gaussian phase matching under --zeta auto) and a fig8b figure load no scipy
     script = f"""
 import sys
 from tpaopt.cli import main
 def loaded():
-    return [m for m in ("scipy.sparse.linalg", "scipy.fft") if m in sys.modules]
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 steps = [loaded()]
 out = ["--out", {str(tmp_path)!r}]
 point = ["schmidt", "--delta", "5", "--dev", "-1.9"]
 for argv in (point + ["--format", "json"], point + ["--format", "csv"], ["schmidt"],
-             point + ["--rank", "8", "--format", "json"]):
+             point + ["--rank", "8", "--format", "json"], ["shape-slm", "--delta", "5"],
+             ["shape-pump", "--delta", "5", "--zeta", "auto"],
+             ["figure", "fig8b", "--points", "2"]):
     assert main(argv + out) == 0
     steps.append(loaded())
 print(steps)
@@ -277,8 +278,7 @@ print(steps)
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == str([[], [], ["scipy.fft"], ["scipy.fft"],
-                                                ["scipy.fft"]])
+    assert proc.stdout.splitlines()[-1] == str([[]] * 8)
 
 
 @pytest.mark.parametrize("argv, grid", [

@@ -330,6 +330,65 @@ def test_products_match_own_matrix(one_sided, n):
     assert op.frobenius_norm2() == pytest.approx(np.sum(np.abs(a) ** 2), abs=1e-12)
 
 
+def test_smooth_length_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    odd = range(1, 60002, 2)
+    assert [schmidt._smooth_length(m) for m in odd] == [next_fast_len(m, real=True) for m in odd]
+
+
+def _scipy_apply(op, v, transpose):
+    """`HankelKernel._apply` computed through scipy.fft."""
+    from scipy.fft import fft, ifft, next_fast_len
+
+    n = op.shape[0]
+    size = next_fast_len(2 * n - 1, real=True)
+
+    def hankel_apply(x):
+        c = fft(x[..., ::-1], size, axis=-1)
+        c *= fft(op.hankel, size)
+        return ifft(c, axis=-1, overwrite_x=True)[..., n - 1 : 2 * n - 1]
+
+    e, sw = op.diag, op._sw
+    u = sw * v.T
+    if op.symmetric:
+        hu, heu = hankel_apply(np.stack((u, e * u)))
+        y = e * hu + heu
+    else:
+        y = hankel_apply(e * u) if transpose else e * hankel_apply(u)
+    return (sw * y).T
+
+
+def _scipy_frobenius_norm2(op):
+    """`HankelKernel.frobenius_norm2` computed through scipy.fft (real input goes by r2c)."""
+    from scipy.fft import fft, ifft, next_fast_len
+
+    size = next_fast_len(2 * op.shape[0] - 1, real=True)
+    e, w = op.diag, op._sw**2
+
+    def conv(a, b):
+        return ifft(fft(a, size) * fft(b, size))
+
+    anti = conv(w * np.abs(e) ** 2, w)
+    if op.symmetric:
+        anti = 2.0 * (anti + conv(w * e, w * np.conj(e)))
+    return float(np.sum(np.abs(op.hankel) ** 2 * anti.real[: op.hankel.size]))
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["phi", "q"])
+def test_products_bit_identical_to_scipy_fft(one_sided):
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-0.44)
+    op = (_one_sided_kernel(sys, schmidt.bounds_grid(sys)) if one_sided
+          else optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 312.0, 0.2)))
+    n = op.shape[0]
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    for transpose in (False, True):
+        for x in (v[:, 0], v):
+            assert np.array_equal(op._apply(x, transpose), _scipy_apply(op, x, transpose))
+    assert op.frobenius_norm2() == _scipy_frobenius_norm2(op)
+
+
 def test_values_only_decomposition_has_no_modes():
     op, _ = _structured_and_oracle(False)
     d = decompose(op, rank=8, vectors=False)

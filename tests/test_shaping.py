@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import contour_normal_cdf
 from tpaopt import (
@@ -26,6 +26,7 @@ from tpaopt import (
     slm_shaped_population,
     stationarity_residual,
 )
+from tpaopt import shaping
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,66 @@ def test_complex_normal_cdf_against_contour_oracle():
         ref = contour_normal_cdf(z)
         got = complex_normal_cdf(z)
         assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+def _ring(rng, scale, count):
+    """count points of modulus about scale, spread over the upper half-plane."""
+    r = scale * np.sqrt(rng.uniform(0.5, 1.5, count))
+    return r * np.exp(1j * rng.uniform(0.0, np.pi, count))
+
+
+def _assert_relative(got, ref, rtol=1e-13):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3.0, 8.5, 0.5))
+def test_faddeeva_matches_scipy_wofz(scale):
+    rng = np.random.default_rng(int(100 * np.log10(scale)) + 300)
+    upper = _ring(rng, scale, 2000)
+    near = upper.real + 1j * scale * 1e-6 * rng.uniform(0.0, 1.0, upper.size)
+    for z in (upper, near):
+        _assert_relative(shaping._faddeeva(z), special.wofz(z))
+        lower = np.conj(z)
+        lower = lower[lower.imag**2 - lower.real**2 < 700.0]  # where 2 exp(-z^2) is finite
+        _assert_relative(shaping._faddeeva(lower), special.wofz(lower))
+    _assert_relative(shaping._faddeeva(np.array([scale, -scale, 1j * scale])),
+                     special.wofz(np.array([scale, -scale, 1j * scale])))
+
+
+def test_eta_gaussian_pm_matches_scipy_wofz_far_from_the_line():
+    sys = LevelSystem(delta_detuning=50.0, delta_deviation=-1.9)
+    wp = np.linspace(sys.omega_f - 400.0, sys.omega_f + 400.0, 1601)
+    for zeta in (0.05, 1.0, 1e3):
+        chi = wp - 2.0 * (sys.omega_e - 1j * sys.gamma_e)
+        ref = eta_infinite_pm(sys, wp) * special.wofz(chi / (np.sqrt(2.0) * zeta))
+        _assert_relative(eta_gaussian_pm(sys, wp, zeta, peak_normalized=True), ref)
+
+
+def test_complex_normal_cdf_matches_scipy_erfc_on_its_domain():
+    rng = np.random.default_rng(36)
+    x = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-3.0, 8.0, 20000)
+    y = rng.uniform(-36.0, 36.0, 20000)
+    edges = np.array([0.0, 36j, -36j, 1e8, -1e8, 1e8 + 36j, -1e8 - 36j, 5.0 + 36j, -5.0 + 36j])
+    z = np.concatenate((x + 1j * y, x, 1j * y, edges))
+    _assert_relative(complex_normal_cdf(z), 0.5 * special.erfc(-z / np.sqrt(2.0)))
+
+
+def test_complex_normal_cdf_returns_python_complex_for_scalars():
+    for z in (0.3, 0.3 + 0.2j, np.float64(-2.0), np.array(1.5 - 4j)):
+        got = complex_normal_cdf(z)
+        assert type(got) is complex
+        assert got == pytest.approx(0.5 * special.erfc(-complex(z) / np.sqrt(2.0)), rel=1e-13)
+    assert isinstance(complex_normal_cdf([0.3]), np.ndarray)
+
+
+@pytest.mark.parametrize("z", [36.000001j, -36.000001j, 1.0000001e8, -1.0000001e8 + 1j,
+                               np.array([0.0, 40j])])
+def test_complex_normal_cdf_refuses_outside_its_domain(z):
+    with pytest.raises(ValueError, match=r"outside validated domain \|Im z\| <= 36.0, "
+                                         r"\|Re z\| <= 1e\+08"):
+        complex_normal_cdf(z)
 
 
 # ---------------------------------------------------------------------------

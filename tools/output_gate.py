@@ -150,6 +150,9 @@ COMMANDS = {
                           "--rank", "16", "--format", "json"],
     # the bare command: Delta = delta = 0 on 4001 nodes, default rank 300 with 2 modes
     "bare_default": ["schmidt"],
+    # Gaussian phase matching far from the line centre: w(z) at 665 <= |z| <= 750
+    "pump_far_from_line": ["shape-pump", "--delta", "50", "--dev", "-1.9", "--sigma", "auto",
+                           "--zeta", "0.05", "--format", "both"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
