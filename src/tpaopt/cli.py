@@ -23,7 +23,9 @@ another, in parameter order.
 A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
 flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
 solver that ran), and the --modes pairs schmidt_modes.csv holds when a single
-point writes CSV (sweeps and --format json ask for none).  `asymptotic_bounds`
+point writes CSV (sweeps and --format json ask for none).  The pairs come from
+a solve of their own, so a point reports the same numbers whatever its
+--format, and as a sweep row.  `asymptotic_bounds`
 reads the same --rank on its own grid, so --rank also moves S_inf.  kernel.csv
 is written after the bounds.
 """

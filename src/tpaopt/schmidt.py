@@ -457,10 +457,8 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         `HankelKernel` without forming its matrix (see `choose_solver`;
         `solver_rank` gives the default rank for a grid size).  It stops on
         each triplet's residual with vectors and on the tighter gap-refined
-        bound without (see `_lanczos`).  With vectors at ranks 56-60 on
-        3001-3121 nodes it took 126-183 ms where ARPACK, the engine it
-        replaced, took 223-308 ms; on the rank-one Phi at Delta = delta = 0
-        it stops after 3 products.
+        bound without (see `_lanczos`).  On the rank-one Phi at
+        Delta = delta = 0 it stops after 3 products.
         Ranks beyond the matrix dimension are clipped with a warning; a rank
         below 1 is an error.
         The dense SVD of a centro-Hermitian `HankelKernel` runs on an
@@ -580,31 +578,25 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
                   center: float | None = None) -> tuple[SchmidtDecomposition, dict]:
     """(d, row): the Schmidt data of Phi by the library's policy and the numbers a point reports.
 
-    d.coefficients come from one `decompose` call on the grid, kernel and rank of
-    `optimal_state_schmidt`: a dense solve runs values-only, a truncated one with vectors if
-    modes > 0 (`_lanczos` has them with the values, stopped by its residual rule instead of
-    the values-only gap-refined bound, so the values may differ in their last bits).  d holds the
-    leading m = min(modes, coefficients above COEFFICIENT_FLOOR) mode pairs, since the modes
-    of roundoff coefficients are arbitrary vectors: the truncated solve's own, or after a
-    dense solve those of `decompose(optimal_state_operator(sys, grid), rank=m)`, `_lanczos`
-    in O(n log n) per product (a dense SVD for m >= n - 1).
+    One rule, whatever solver the policy picks: d.coefficients are the values-only
+    `optimal_state_schmidt` of the point, and d holds the leading m = min(modes, coefficients
+    above COEFFICIENT_FLOOR) mode pairs of `decompose(optimal_state_operator(sys, grid),
+    rank=m)`, since the modes of roundoff coefficients are arbitrary vectors.  So a point
+    reports the same numbers with modes or without.
     row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
     `decompose` (`solver_rank` of the grid's node count) and the `solver_stats` fields.
     """
     if modes < 0:
         raise ValueError(f"modes must be >= 0, got {modes}")
-    grid = auto_grid(sys, half, step, center)
-    op = optimal_state_operator(sys, grid)
-    k = solver_rank(grid.count, rank)
-    truncated = choose_solver(grid.count, k) == "lanczos"
-    d = decompose(op, rank=k, vectors=truncated and modes > 0)
+    d = optimal_state_schmidt(sys, rank, vectors=False, half=half, step=step, center=center)
     m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))
-    lead = d if truncated or m == 0 else decompose(op, rank=m)
-    d = replace(d, modes_1=lead.modes_1[:m], modes_2=lead.modes_2[:m])
+    if m:
+        lead = decompose(optimal_state_operator(sys, d.grid1), rank=m)
+        d = replace(d, modes_1=lead.modes_1, modes_2=lead.modes_2)
     r1 = float(d.coefficients[0])
     return d, {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
                "quantum_enhancement": quantum_enhancement(d),
-               "rank": k, **solver_stats(d)}
+               "rank": solver_rank(d.grid1.count, rank), **solver_stats(d)}
 
 
 def optimal_separable(d: SchmidtDecomposition):

@@ -264,8 +264,13 @@ def _weideman_coefficients() -> np.ndarray:
 _WEIDEMAN_A = _weideman_coefficients()
 
 
-def _faddeeva_upper(z):
-    """w(z) for Im z >= 0: 2 p(Z) / (L - iz)^2 + pi^(-1/2) / (L - iz), Z = (L + iz) / (L - iz)."""
+def _faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0, by Weideman's rational series.
+
+    J. A. C. Weideman, SIAM J. Numer. Anal. 31:1497 (1994), with WEIDEMAN_TERMS terms:
+    w = 2 p(Z) / (L - iz)^2 + pi^(-1/2) / (L - iz), Z = (L + iz) / (L - iz), within 5e-14
+    relative of scipy.special.wofz for 1e-3 <= |z| <= 1e8 on the closed upper half-plane.
+    """
     d = 1.0 / (_WEIDEMAN_L - 1j * z)
     big_z = (_WEIDEMAN_L + 1j * z) * d
     p = _WEIDEMAN_A[0] * big_z + _WEIDEMAN_A[1]
@@ -284,28 +289,12 @@ def _exp_minus_square(z):
     return np.exp((y - x) * (x + y) + 1j * (-2.0 * x * y))
 
 
-def _faddeeva(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz), by Weideman's rational series.
-
-    J. A. C. Weideman, SIAM J. Numer. Anal. 31:1497 (1994), with WEIDEMAN_TERMS terms:
-    within 5e-14 relative of scipy.special.wofz for 1e-3 <= |z| <= 1e8 in both
-    half-planes.  The series holds for Im z >= 0; below the real axis
-    w(z) = 2 exp(-z^2) - w(-z).
-    """
-    z = np.asarray(z, dtype=complex)
-    lower = z.imag < 0
-    if not lower.any():
-        return _faddeeva_upper(z)
-    w = _faddeeva_upper(np.where(lower, -z, z))
-    return np.where(lower, 2.0 * _exp_minus_square(np.where(lower, z, 0.0)) - w, w)
-
-
 def _erfc(z):
     """Complementary error function: exp(-z^2) w(iz) for Re z >= 0, else 2 - erfc(-z).
 
     Either way w is taken on the upper half-plane, at +-iz."""
     right = z.real >= 0
-    e = _exp_minus_square(z) * _faddeeva_upper(np.where(right, 1j * z, -1j * z))
+    e = _exp_minus_square(z) * _faddeeva(np.where(right, 1j * z, -1j * z))
     return np.where(right, e, 2.0 - e)
 
 

@@ -585,7 +585,7 @@ def test_presets_equal_the_commands_at_their_points(tmp_path):
     ([], [(None, False), (2, True)]),  # dense values, then the two pairs written
     (["--modes", "0"], [(None, False)]),
     (["--format", "json"], [(None, False)]),  # no schmidt_modes.csv, no modes
-    (["--rank", "8"], [(8, True)]),  # the truncated solve's own pairs
+    (["--rank", "8"], [(8, False), (2, True)]),  # the same rule at an explicit rank
     (["--rank", "8", "--modes", "0"], [(8, False)]),
 ])
 def test_a_point_solves_only_for_the_modes_it_writes(tmp_path, monkeypatch, flags, solves):

@@ -667,24 +667,39 @@ def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
     assert row == {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(ref),
                    "quantum_enhancement": quantum_enhancement(ref),
                    "rank": solver_rank(ref.grid1.count, rank), **solver_stats(ref)}
-    # a single `tpaopt schmidt` point reports the same numbers
-    argv = ["schmidt", "--delta", "5", "--dev", "-1.5", "--grid-half-width", "20", "--step",
-            "0.5", "--format", "json", "--out", str(tmp_path)]
-    assert main(argv + ([] if rank is None else ["--rank", str(rank)])) == 0
-    with open(tmp_path / "report.json") as fh:
-        report = json.load(fh)
-    results, diagnostics = report["results"], report["diagnostics"]
+    # a single `tpaopt schmidt` point reports the same numbers, with its modes or without
+    argv = ["schmidt", "--delta", "5", "--grid-half-width", "20", "--step", "0.5"]
+    argv += [] if rank is None else ["--rank", str(rank)]
+    reports = {}
+    for fmt in ("json", "both"):
+        assert main(argv + ["--dev", "-1.5", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        with open(tmp_path / fmt / "report.json") as fh:
+            reports[fmt] = json.load(fh)
+    results, diagnostics = reports["json"]["results"], reports["json"]["diagnostics"]
     assert (results["r"][0], results["r_squared"][0]) == (row["r1"], row["r1_squared"])
     for key in ("entropy_bits", "quantum_enhancement"):
         assert results[key] == row[key]
     for key in ("rank", "method", "n", "k", "captured_norm"):
         assert diagnostics[key] == row[key]
+    assert reports["both"]["results"] == results
+    assert reports["both"]["diagnostics"] == diagnostics
+    table = (tmp_path / "both" / "schmidt_coefficients.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in table] == ["%.9g" % x for x in results["r"]]
+    # and so does the same point as a sweep row
+    assert main(argv + ["--sweep", "dev", "-1.5", "-1", "2", "--format", "json", "--out",
+                        str(tmp_path / "sweep")]) == 0
+    with open(tmp_path / "sweep" / "report.json") as fh:
+        swept = json.load(fh)["results"]["rows"][0]
+    assert swept["value"] == -1.5
+    assert swept["r1"] == results["r"][0]
+    for key in ("entropy_bits", "quantum_enhancement"):
+        assert swept[key] == results[key]
 
 
 @pytest.mark.parametrize("delta, rank, modes", [
     (3.0, None, 2),  # a dense point: values-only solve, pairs from a rank-2 solve
     (0.0, None, 6),  # centro-Hermitian: the reference runs in real arithmetic
-    (5.0, 8, 4),     # an explicit rank: the truncated solve's own pairs, cut to 4
+    (5.0, 8, 4),     # an explicit rank: the same rule, pairs from a rank-4 solve
 ])
 def test_point_modes_are_the_leading_pairs(delta, rank, modes):
     sys = LevelSystem(delta_detuning=delta, delta_deviation=-1.5)
@@ -693,24 +708,19 @@ def test_point_modes_are_the_leading_pairs(delta, rank, modes):
     assert len(d.modes_1) == len(d.modes_2) == modes
     op = optimal_state_operator(sys, d.grid1)
     # bit for bit the solve that produced them
-    lead = decompose(op, rank=modes if rank is None else rank)
-    np.testing.assert_array_equal(d.modes_1, lead.modes_1[:modes])
-    np.testing.assert_array_equal(d.modes_2, lead.modes_2[:modes])
+    lead = decompose(op, rank=modes)
+    np.testing.assert_array_equal(d.modes_1, lead.modes_1)
+    np.testing.assert_array_equal(d.modes_2, lead.modes_2)
     # the full dense SVD's leading pairs, with the same phase convention
     full = decompose(op)
     for got, ref in ((d.modes_1, full.modes_1[:modes]), (d.modes_2, full.modes_2[:modes])):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         gram = np.einsum("kn,n,ln->kl", np.conj(got), quadrature_weights(d.grid1), got)
         assert np.max(np.abs(gram - np.eye(modes))) < 1e-12
-    # a dense point's row is the values-only solve's; a truncated solve with vectors differs
-    # from its values-only run in the last bits of its small final SVD only
+    # the row is the values-only solve's, as without modes
     d0, row0 = schmidt_point(sys, rank, **grid)
-    if rank is None:
-        np.testing.assert_array_equal(d.coefficients, d0.coefficients)
-        assert row == row0
-    else:
-        np.testing.assert_array_equal(d.coefficients, lead.coefficients)
-        np.testing.assert_allclose(d.coefficients, d0.coefficients, rtol=1e-14)
+    np.testing.assert_array_equal(d.coefficients, d0.coefficients)
+    assert row == row0
 
 
 def test_point_writes_no_mode_of_a_roundoff_coefficient():

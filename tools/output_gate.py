@@ -17,10 +17,10 @@ them) to show that a change leaves every output byte-identical.  For a
 CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
-The whole list takes about a minute and a half on one core of a 2-core
-x86-64 VM, about 14 s of it in the demos (nearly all in
-``schmidt_entanglement.py``), 11-13 s in ``fig2c_full``, the 24 rows of the
-large-detuning bounds, and about 1 s in ``bare_default``.
+The whole list takes about 60 s on one core of a 2-core x86-64 VM, about
+12-14 s of it in the demos (nearly all in ``schmidt_entanglement.py``), about
+10 s in ``fig2c_full``, the 24 rows of the large-detuning bounds, and under
+1 s in ``bare_default``.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ COMMANDS = {
     "point_default_2241_json": ["schmidt", "--delta", "5", "--dev", "-0.88", "--format", "json"],
     "sweep_rank16_json": ["schmidt", "--sweep", "delta", "1", "3", "2", "--dev", "-0.47",
                           "--rank", "16", "--format", "json"],
-    # the bare command: Delta = delta = 0 on 4001 nodes, default rank 300 with 2 modes
+    # the bare command: Delta = delta = 0 on 4001 nodes, default rank 300 values-only; Phi
+    # has rank one there, so the one pair of its 2 modes comes from a rank-1 solve
     "bare_default": ["schmidt"],
     # Gaussian phase matching far from the line centre: w(z) at 665 <= |z| <= 750
     "pump_far_from_line": ["shape-pump", "--delta", "50", "--dev", "-1.9", "--sigma", "auto",
