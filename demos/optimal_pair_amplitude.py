@@ -6,7 +6,8 @@ A three-level ladder |g> -> |e> -> |f> with decay rates gamma_e and gamma_f
 absorbs a photon pair through the kernel T(w1, w2).  The pair amplitude
 that maximizes the final-state population is conj(T)/sqrt(N).  This script
 walks through the kernel, its normalization, and the closed-form frequency
-marginals.  Internal units: gamma_e = 1, omega_e = 0.
+marginals.  Internal units: gamma_e = 1, frequencies counted from omega_e, unit
+line strengths.
 """
 
 # %%
@@ -38,7 +39,7 @@ for w1 in (0.0, 1.0, 2.5):
     print(f"w1 = {w1:4.1f}: |T|^2 on ridge / 5 widths off = {on / off:6.1f}")
 
 # %%
-# The closed-form normalization N = 2 pi^2 kappa^2 / (gamma_e gamma_f) is the
+# The closed-form normalization N = 2 pi^2 / (gamma_e gamma_f) is the
 # maximal population; the reference grid captures at least 99 percent of it.
 kernel = optimal_state_kernel(sys, default_grid(sys))
 print(f"N (closed form)      = {normalization(sys):.4f}")
@@ -47,7 +48,7 @@ print(f"grid-captured norm^2 = {kernel.frobenius_norm2():.4f}")
 # %%
 # Frequency marginals of the normalized amplitude: the sum frequency is a
 # Lorentzian of width gamma_f at omega_f; a single photon shows two peaks,
-# one per transition.
+# one per transition, at 0 and omega_f.
 w = np.array([0.0, 2.5, 5.0])
 print("p_sum at omega_f, peak height 1/(pi gamma_f):",
       marginal_sum(sys, sys.omega_f), 1 / (np.pi * sys.gamma_f))

@@ -43,7 +43,7 @@ for sigma in (0.5, 2.0, 5.0):
 # normal distribution function continued to complex argument.
 zeta = 3.0
 wp = sys.omega_f + 0.7
-chi = wp - 2 * (sys.omega_e - 1j * sys.gamma_e)
+chi = wp + 2j * sys.gamma_e
 closed = eta_gaussian_pm(sys, wp, zeta, peak_normalized=True)
 via_cdf = 2 * eta_infinite_pm(sys, wp) * np.exp(-chi**2 / (2 * zeta**2)) \
     * complex_normal_cdf(1j * chi / zeta)

@@ -128,11 +128,14 @@ def _sweep_values(args, sweepable):
     return name, _space(lo, hi, points, args.log)
 
 
-def _resolve(value, auto, sys_):
-    """A coupling flag: 'auto' takes the library's standard value, None stays None."""
+def _resolve(flag, value, auto, sys_):
+    """A --sigma or --zeta value: 'auto' takes the library's standard value, None stays None."""
     if value == "auto":
         return auto(sys_)
-    return None if value is None else float(value)
+    try:
+        return None if value is None else float(value)
+    except ValueError:
+        raise ValueError(f"--{flag} takes a number or 'auto', got {value!r}") from None
 
 
 def _solve_at(args, delta, dev, rank, modes=0):
@@ -196,7 +199,7 @@ def _shaping_row(sol, **resolved):
 
 def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    state = CwSpdc(sigma=_resolve(sigma, auto_slm_sigma, sys_))
+    state = CwSpdc(sigma=_resolve("sigma", sigma, auto_slm_sigma, sys_))
     grid = slm_grid(sys_, state, args.grid_half_width, args.step)
     with args.timed("shape"):
         sol = optimal_slm(sys_, state, grid)
@@ -205,8 +208,8 @@ def _slm_point(args, delta, dev, sigma):
 
 def _pump_point(args, delta, dev, sigma, phi, zeta):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
-    sigma = _resolve(sigma, auto_pump_sigma, sys_)
-    zeta = _resolve(zeta, auto_pump_zeta, sys_)
+    sigma = _resolve("sigma", sigma, auto_pump_sigma, sys_)
+    zeta = _resolve("zeta", zeta, auto_pump_zeta, sys_)
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
     with args.timed("shape"):

@@ -183,14 +183,14 @@ def auto_grid(sys: LevelSystem, half: float | None = None, step: float | None = 
     given, replacing its values, widened if needed.
 
     Unless half is given, the half-width widens once +-200 gamma_f cannot hold both
-    single-photon lines (omega_e, omega_f - omega_e) with 15 gamma_e to spare, to the
-    farther line's distance from the centre plus max(200 gamma_f, 100 gamma_e).
+    single-photon lines (0, omega_f) with 15 gamma_e to spare, to the farther line's
+    distance from the centre plus max(200 gamma_f, 100 gamma_e).
     """
     ref_center, ref_half, ref_step = _reference(sys)
     center = ref_center if center is None else center
     if half is None:
         half = ref_half
-        line_offset = max(abs(center - sys.omega_e), abs(sys.omega_f - sys.omega_e - center))
+        line_offset = max(abs(center), abs(sys.omega_f - center))
         if ref_half < line_offset + 15.0 * sys.gamma_e:
             half = line_offset + max(ref_half, 100.0 * sys.gamma_e)
     return make_grid(center, half, ref_step if step is None else step)

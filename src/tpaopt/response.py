@@ -7,9 +7,13 @@ kernels, the one-sided (asymmetric) kernel, the closed-form normalization
 N = integral of |T|^2, and the closed-form frequency marginals of the
 normalized optimal pair amplitude Phi = conj(T)/sqrt(N).
 
-Internal unit system: gamma_e = 1, omega_e = 0, prefactor kappa = 1 by
-default.  Every normalized observable (Schmidt coefficients, entropies,
-enhancement and optimization ratios) is invariant under these choices.
+Internal units: each photon frequency is counted from the intermediate level
+omega_e, so the g -> e line sits at 0 and the two-photon resonance at
+omega_f = Delta gamma_e; both line shapes have unit strength, and gamma_e
+(1 by default) is the frequency unit.  Every normalized observable (Schmidt
+coefficients, entropies, enhancement and optimization ratios) is invariant
+under the unit, and the dropped origin and coupling constant cancel in all of
+them.
 """
 
 from __future__ import annotations
@@ -46,18 +50,11 @@ class LevelSystem:
     delta_deviation : float
         Dimensionless deviation  delta = gamma_f / gamma_e - 2, in (-2, inf).
         delta = -2 (a pole on the real axis) is rejected.
-    omega_e : float
-        Frequency of the intermediate level (origin of the frequency axis).
-    prefactor : float
-        Combined coupling constant kappa > 0.  Only the product of the two
-        line-shape strengths is physical; both carry sqrt(kappa).
     """
 
     gamma_e: float = 1.0
     delta_detuning: float = 0.0
     delta_deviation: float = 0.0
-    omega_e: float = 0.0
-    prefactor: float = 1.0
 
     def __post_init__(self):
         if not self.gamma_e > 0:
@@ -67,9 +64,7 @@ class LevelSystem:
                 "delta_deviation must be > -2 (gamma_f = 0 puts the final-state "
                 f"pole on the real axis), got {self.delta_deviation}"
             )
-        if not self.prefactor > 0:
-            raise ValueError(f"prefactor must be > 0, got {self.prefactor}")
-        for name in ("gamma_e", "delta_detuning", "delta_deviation", "omega_e", "prefactor"):
+        for name in ("gamma_e", "delta_detuning", "delta_deviation"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
@@ -80,18 +75,8 @@ class LevelSystem:
 
     @property
     def omega_f(self) -> float:
-        """Frequency of the final level, 2 omega_e + Delta * gamma_e (derived)."""
-        return 2.0 * self.omega_e + self.delta_detuning * self.gamma_e
-
-    @property
-    def coupling_e(self) -> float:
-        """Line-shape strength c_e = sqrt(kappa) of the g -> e transition."""
-        return float(np.sqrt(self.prefactor))
-
-    @property
-    def coupling_f(self) -> float:
-        """Line-shape strength c_f = sqrt(kappa) of the e -> f transition."""
-        return float(np.sqrt(self.prefactor))
+        """Two-photon resonance Delta * gamma_e, counted from 2 omega_e (derived)."""
+        return self.delta_detuning * self.gamma_e
 
 
 @dataclass(frozen=True)
@@ -106,7 +91,7 @@ class ResponseOptions:
 
 
 def lineshape(sys: LevelSystem, level: str, omega):
-    """Complex Lorentzian line shape i c_s / (omega - omega_s + i gamma_s).
+    """Complex Lorentzian line shape i / (omega - omega_s + i gamma_s), omega_e = 0.
 
     Parameters
     ----------
@@ -121,9 +106,9 @@ def lineshape(sys: LevelSystem, level: str, omega):
     """
     omega = np.asarray(omega)
     if level == "f":
-        return 1j * sys.coupling_f / (omega - sys.omega_f + 1j * sys.gamma_f)
+        return 1j / (omega - sys.omega_f + 1j * sys.gamma_f)
     if level == "e":
-        return 1j * sys.coupling_e / (omega - sys.omega_e + 1j * sys.gamma_e)
+        return 1j / (omega + 1j * sys.gamma_e)
     raise ValueError(f"level must be 'e' or 'f', got {level!r}")
 
 
@@ -159,28 +144,25 @@ def response_finite(sys: LevelSystem, opts: ResponseOptions, omega1, omega2):
     w1 = np.asarray(omega1, dtype=complex)
     w2 = np.asarray(omega2, dtype=complex)
     decay_f = np.exp(-1j * (sys.omega_f - 1j * sys.gamma_f) * tau)
-    w0, g = sys.omega_e, sys.gamma_e
     le, lf = partial(lineshape, sys, "e"), partial(lineshape, sys, "f")
 
     def one_sided(a, b):
         phase_ab = np.exp(-1j * (a + b) * tau)
-        decay_e = np.exp(-1j * (b + w0 - 1j * g) * tau)
-        return le(a) * ((phase_ab - decay_f) * lf(a + b) - (decay_e - decay_f) * lf(b + w0))
+        decay_e = np.exp(-1j * (b - 1j * sys.gamma_e) * tau)
+        return le(a) * ((phase_ab - decay_f) * lf(a + b) - (decay_e - decay_f) * lf(b))
 
     return (one_sided(w1, w2) + one_sided(w2, w1)) * np.exp(1j * (w1 + w2) * tau)
 
 
 def normalization(sys: LevelSystem) -> float:
-    """Closed-form N = integral of |T|^2 = 2 pi^2 kappa^2 / (gamma_e gamma_f).
+    """Closed-form N = integral of |T|^2 = 2 pi^2 / (gamma_e gamma_f).
 
     This is the maximal final-state population, reached by the optimal pair
-    amplitude Phi = conj(T)/sqrt(N).  The reduced constant follows from the
-    line-shape convention of `lineshape` (per-line factor 1/sqrt(2 pi) folded
-    into kappa) and is validated by quadrature in the test suite; it is
-    independent of the detuning.
+    amplitude Phi = conj(T)/sqrt(N).  The constant follows from the unit
+    strengths of `lineshape` and is validated by quadrature in the test
+    suite; it is independent of the detuning.
     """
-    kappa = sys.coupling_e * sys.coupling_f
-    return 2.0 * np.pi**2 * kappa**2 / (sys.gamma_e * sys.gamma_f)
+    return 2.0 * np.pi**2 / (sys.gamma_e * sys.gamma_f)
 
 
 def marginal_sum(sys: LevelSystem, omega_plus):
@@ -193,13 +175,12 @@ def marginal_sum(sys: LevelSystem, omega_plus):
 def marginal_single(sys: LevelSystem, omega):
     """Single-photon density of |Phi|^2 (closed form).
 
-    Two peaks sit near omega_e and omega_f - omega_e with widths gamma_e and
-    gamma_e + gamma_f; at Delta = delta = 0 the expression collapses to a
-    single Lorentzian of width gamma_e.
+    Two peaks sit near 0 and omega_f with widths gamma_e and gamma_e +
+    gamma_f; at Delta = delta = 0 the expression collapses to a single
+    Lorentzian of width gamma_e.
     """
     w = np.asarray(omega)
-    ge, gf = sys.gamma_e, sys.gamma_f
-    we, wf = sys.omega_e, sys.omega_f
-    num = ge * (ge + gf) * (4 * ge + gf) + ge * (wf - 2 * we) ** 2 + gf * (w - we) ** 2
-    den = 2 * np.pi * ((w - we) ** 2 + ge**2) * ((w - wf + we) ** 2 + (ge + gf) ** 2)
+    ge, gf, wf = sys.gamma_e, sys.gamma_f, sys.omega_f
+    num = ge * (ge + gf) * (4 * ge + gf) + ge * wf**2 + gf * w**2
+    den = 2 * np.pi * (w**2 + ge**2) * ((w - wf) ** 2 + (ge + gf) ** 2)
     return num / den

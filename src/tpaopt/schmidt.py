@@ -91,15 +91,14 @@ class SchmidtDecomposition:
 AsymmetricSchmidt = SchmidtDecomposition
 
 
-def optimal_state_kernel(sys: LevelSystem, grid1: FrequencyGrid,
-                         grid2: FrequencyGrid | None = None) -> KernelMatrix:
-    """Sample the normalized optimal pair amplitude Phi = conj(T)/sqrt(N)."""
+def optimal_state_kernel(sys: LevelSystem, grid: FrequencyGrid) -> KernelMatrix:
+    """Sample the normalized optimal pair amplitude Phi = conj(T)/sqrt(N) on grid x grid."""
     scale = 1.0 / np.sqrt(normalization(sys))
 
     def phi(w1, w2):
         return np.conj(response_infinite(sys, w1, w2)) * scale
 
-    return sample_kernel(phi, grid1, grid2)
+    return sample_kernel(phi, grid)
 
 
 def _smooth_length(m: int) -> int:
@@ -530,17 +529,18 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     )
 
 
-def optimal_state_schmidt(sys: LevelSystem, rank: int | None = None, vectors: bool = True, *,
+def optimal_state_schmidt(sys: LevelSystem, rank: int | None = None, *,
                           half: float | None = None, step: float | None = None,
                           center: float | None = None) -> SchmidtDecomposition:
-    """Schmidt decomposition of the optimal pair amplitude Phi by the library's policy.
+    """Schmidt coefficients of the optimal pair amplitude Phi by the library's policy.
 
-    The grid is `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and
-    `decompose` runs on the matrix-free `optimal_state_operator`; vectors=False skips the modes.
+    The grid is `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and a
+    values-only `decompose` runs on the matrix-free `optimal_state_operator`: the result
+    holds no modes (`schmidt_point` with modes adds the leading pairs).
     """
     grid = auto_grid(sys, half, step, center)
     return decompose(optimal_state_operator(sys, grid), rank=solver_rank(grid.count, rank),
-                     vectors=vectors)
+                     vectors=False)
 
 
 def solver_stats(d: SchmidtDecomposition) -> dict:
@@ -588,7 +588,7 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
     """
     if modes < 0:
         raise ValueError(f"modes must be >= 0, got {modes}")
-    d = optimal_state_schmidt(sys, rank, vectors=False, half=half, step=step, center=center)
+    d = optimal_state_schmidt(sys, rank, half=half, step=step, center=center)
     m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))
     if m:
         lead = decompose(optimal_state_operator(sys, d.grid1), rank=m)
@@ -618,11 +618,9 @@ def _one_sided_kernel(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
     offs = grid.nodes - grid.center
     sums = 2.0 * offs[0] + grid.step * np.arange(2 * grid.count - 1)
     scale = 1.0 / np.sqrt(normalization(sys) / 2.0)
-    line_e = 1j * sys.coupling_e / (offs + 1j * sys.gamma_e)
-    line_f = 1j * sys.coupling_f / (sums + 1j * sys.gamma_f)
-    grid1 = grid.shifted(sys.omega_e - grid.center)
-    grid2 = grid.shifted(sys.omega_f - sys.omega_e - grid.center)
-    return HankelKernel(grid1, grid2, line_e, scale * line_f, symmetric=False)
+    line_f = 1j / (sums + 1j * sys.gamma_f)  # L_f about its own centre omega_f
+    return HankelKernel(grid.shifted(-grid.center), grid.shifted(sys.omega_f - grid.center),
+                        lineshape(sys, "e", offs), scale * line_f, symmetric=False)
 
 
 def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
@@ -630,7 +628,7 @@ def asymmetric_decomposition(sys: LevelSystem, grid: FrequencyGrid,
     """Schmidt data of the one-sided kernel Q/sqrt(N/2).
 
     The grid is read as offsets about each photon's own line center
-    (omega_e for photon 1, omega_f - omega_e for photon 2), in which
+    (0 for photon 1, omega_f for photon 2), in which
     coordinates the kernel is exactly independent of the detuning: a change
     of Delta merely translates the second axis.  The stored grids are the
     absolute ones.

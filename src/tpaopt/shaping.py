@@ -191,6 +191,8 @@ def auto_pump_sigma(sys: LevelSystem) -> float:
 
 def auto_pump_zeta(sys: LevelSystem) -> float:
     """Standard phase-matching width: zeta = gamma_e (2 + Delta)."""
+    if sys.delta_detuning <= -2:
+        raise ValueError("--zeta auto needs a detuning above -2 (zeta = gamma_e (2 + Delta))")
     return sys.gamma_e * (2.0 + sys.delta_detuning)
 
 
@@ -198,11 +200,11 @@ def slm_grid(sys: LevelSystem, state: CwSpdc, half: float | None = None,
              step: float | None = None) -> FrequencyGrid:
     """Default offset grid for the reduced cw-SPDC problem.
 
-    Covers the Gaussian profile and the two single-photon poles at
-    +-(omega_f/2 - omega_e) with a margin of 30 gamma_e, at step
+    Covers the Gaussian profile and the two single-photon poles, at 0 and
+    omega_f, so at offsets +-omega_f/2, with a margin of 30 gamma_e, at step
     min(gamma_e, sigma) / 25; half and step, when given, replace these.
     """
-    pole = abs(sys.omega_f / 2.0 - sys.omega_e)
+    pole = abs(sys.omega_f / 2.0)
     half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e) if half is None else half
     step = min(sys.gamma_e / 25.0, state.sigma / 25.0) if step is None else step
     grid = make_grid(0.0, half, step)
@@ -244,9 +246,9 @@ def _require_symmetric_grid(grid: FrequencyGrid) -> None:
 def eta_infinite_pm(sys: LevelSystem, omega_plus):
     """Integrated kernel (1/2) int T dw- for flat phase matching.
 
-    Equals 2 pi c_e L_f(w+): a Lorentzian line at the two-photon resonance.
+    Equals 2 pi L_f(w+): a Lorentzian line at the two-photon resonance.
     """
-    return 2.0 * np.pi * sys.coupling_e * lineshape(sys, "f", omega_plus)
+    return 2.0 * np.pi * lineshape(sys, "f", omega_plus)
 
 
 _WEIDEMAN_L = np.sqrt(WEIDEMAN_TERMS / np.sqrt(2.0))
@@ -302,9 +304,10 @@ def eta_gaussian_pm(sys: LevelSystem, omega_plus, zeta: float, peak_normalized: 
     """Integrated kernel (1/2) int beta(w-) T dw- for Gaussian phase matching.
 
     The integral is the flat-phase-matching result times the Faddeeva function
-    w(chi / (sqrt(2) zeta)), chi = w+ - 2 (omega_e - i gamma_e), evaluated in numpy by
-    Weideman's rational series (SIAM J. Numer. Anal. 31:1497, 1994) on the upper
-    half-plane, where Im chi = 2 gamma_e > 0 puts every argument; equivalently the
+    w(chi / (sqrt(2) zeta)), chi = w+ + 2 i gamma_e (w+ less twice the pole -i gamma_e
+    of L_e, whose line sits at 0), evaluated in numpy by Weideman's rational series
+    (SIAM J. Numer. Anal. 31:1497, 1994) on the upper half-plane, where
+    Im chi = 2 gamma_e > 0 puts every argument; equivalently the
     product of the Gaussian at complex argument chi with the analytically
     continued normal distribution function of i chi / zeta.  With peak_normalized the
     phase-matching profile is taken as exp(-w-^2 / (2 zeta^2)) (value 1 at
@@ -315,7 +318,7 @@ def eta_gaussian_pm(sys: LevelSystem, omega_plus, zeta: float, peak_normalized: 
     if not zeta > 0:
         raise ValueError(f"zeta must be > 0, got {zeta}")
     w = np.asarray(omega_plus)
-    chi = w - 2.0 * (sys.omega_e - 1j * sys.gamma_e)
+    chi = w + 2j * sys.gamma_e
     out = eta_infinite_pm(sys, w) * _faddeeva(chi / (np.sqrt(2.0) * zeta))
     if not peak_normalized:
         out = out / (np.pi * zeta**2) ** 0.25

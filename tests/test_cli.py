@@ -50,7 +50,7 @@ def test_step_override_keeps_both_lines_on_the_grid(tmp_path):
     out = str(tmp_path)
     assert main(["schmidt", "--delta", "1000", "--step", "1", "--rank", "8", "--out", out]) == 0
     rep = read_report(out)
-    assert rep["grid"]["min"] < 0.0 and rep["grid"]["max"] > 1000.0  # omega_e, omega_f - omega_e
+    assert rep["grid"]["min"] < 0.0 and rep["grid"]["max"] > 1000.0  # the lines at 0 and omega_f
     assert rep["results"]["quantum_enhancement"] == pytest.approx(2.461, rel=0.02)
 
 
@@ -412,16 +412,16 @@ def test_solver_policy_crossover(monkeypatch, vectors):
     assert choose_solver(DENSE_MAX_NODES, None, vectors).startswith("dense")
     assert solver_rank(DENSE_MAX_NODES + 1) == DEFAULT_RANK
     assert choose_solver(DENSE_MAX_NODES + 1, DEFAULT_RANK, vectors) == "lanczos"
-    # the system-level entry is the policy applied to Phi on auto_grid, on both sides of
-    # a crossover patched down to this 201-node grid
+    # the system-level entry is the values-only policy applied to Phi on auto_grid, on both
+    # sides of a crossover patched down to this 201-node grid
     sys_ = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     grid = auto_grid(sys_)
     monkeypatch.setattr(schmidt, "DEFAULT_RANK", 16)
     for crossover, method in ((grid.count, "dense"), (grid.count - 1, "hankel_lanczos")):
         monkeypatch.setattr(schmidt, "DENSE_MAX_NODES", crossover)
-        d = optimal_state_schmidt(sys_, vectors=vectors)
+        d = optimal_state_schmidt(sys_)
         ref = decompose(optimal_state_operator(sys_, grid), rank=solver_rank(grid.count),
-                        vectors=vectors)
+                        vectors=False)
         assert d.method.startswith(method) and d.grid1 == grid
         for a, b in ((d.coefficients, ref.coefficients), (d.modes_1, ref.modes_1),
                      (d.modes_2, ref.modes_2), (d.residual, ref.residual)):
@@ -505,6 +505,19 @@ def test_malformed_sweep_numbers_exit_2(tmp_path, capsys, command, ends, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: --sweep needs numbers FROM, TO and an integer POINTS:")
     assert repr(bad) in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shape-slm", "--sigma", "abc"], "--sigma takes a number or 'auto', got 'abc'"),
+    (["shape-pump", "--sigma", "1", "--zeta", "xyz"],
+     "--zeta takes a number or 'auto', got 'xyz'"),
+    (["shape-pump", "--delta", "-3", "--zeta", "auto"],  # gamma_e (2 + Delta) = -1
+     "--zeta auto needs a detuning above -2 (zeta = gamma_e (2 + Delta))"),
+], ids=["sigma_text", "zeta_text", "zeta_auto_delta"])
+def test_bad_sigma_or_zeta_exits_2_naming_the_flag(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.listdir(tmp_path)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import tpaopt
@@ -23,3 +24,9 @@ def test_public_names_are_pinned():
     exported = {name for name, value in vars(tpaopt).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(exported) == PUBLIC_NAMES
+
+
+def test_level_system_fields_are_pinned():
+    # the frequency origin and the coupling constant cancel in every output: not fields
+    fields = tuple(f.name for f in dataclasses.fields(tpaopt.LevelSystem))
+    assert fields == ("gamma_e", "delta_detuning", "delta_deviation")

@@ -3,17 +3,23 @@ import pytest
 from scipy import integrate
 
 from tpaopt import (
+    CwSpdc,
     LevelSystem,
+    PumpShaped,
     ResponseOptions,
+    asymptotic_bounds,
     default_grid,
     lineshape,
     marginal_single,
     marginal_sum,
     normalization,
+    optimal_pump_shaper,
+    optimal_slm,
     optimal_state_kernel,
     response_asymmetric,
     response_finite,
     response_infinite,
+    schmidt_point,
 )
 
 
@@ -21,7 +27,7 @@ def test_lineshape_on_resonance_real_positive():
     sys = LevelSystem()
     val = lineshape(sys, "e", 0.0)
     assert val.imag == pytest.approx(0.0, abs=1e-15)
-    assert val.real == pytest.approx(1.0)  # c_e / gamma_e with kappa = 1
+    assert val.real == pytest.approx(1.0)  # 1 / gamma_e: unit line strength
 
 
 def test_lineshape_tail_decays_monotonically():
@@ -48,9 +54,7 @@ def test_level_system_validation():
         LevelSystem(gamma_e=0.0)
     with pytest.raises(ValueError):
         LevelSystem(delta_deviation=-2.0)
-    with pytest.raises(ValueError):
-        LevelSystem(prefactor=-1.0)
-    for field in ("gamma_e", "delta_detuning", "delta_deviation", "omega_e", "prefactor"):
+    for field in ("gamma_e", "delta_detuning", "delta_deviation"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=field):
                 LevelSystem(**{field: bad})
@@ -143,17 +147,6 @@ def test_finite_time_symmetry():
                                response_finite(sys, opts, b, a), rtol=1e-13, atol=1e-18)
 
 
-def test_prefactor_invariance():
-    base = LevelSystem(delta_detuning=3.0, delta_deviation=-1.3)
-    scaled = LevelSystem(delta_detuning=3.0, delta_deviation=-1.3, prefactor=37.0)
-    rng = np.random.default_rng(23)
-    a = rng.uniform(-10, 10, 50)
-    b = rng.uniform(-10, 10, 50)
-    f_base = response_infinite(base, a, b) / np.sqrt(normalization(base))
-    f_scaled = response_infinite(scaled, a, b) / np.sqrt(normalization(scaled))
-    np.testing.assert_allclose(f_scaled, f_base, rtol=1e-12)
-
-
 def test_normalization_closed_form():
     sys = LevelSystem(delta_deviation=-0.6)
     assert normalization(sys) == pytest.approx(2 * np.pi**2 / 1.4, rel=1e-14)
@@ -169,6 +162,23 @@ def test_normalization_scales_with_final_width():
     devs = np.array([-1.9, -1.0, 0.0, 1.0])
     vals = np.array([normalization(LevelSystem(delta_deviation=d)) for d in devs])
     np.testing.assert_allclose(vals * (2.0 + devs), vals[0] * 0.1, rtol=1e-13)
+
+
+def test_normalized_outputs_do_not_depend_on_the_unit():
+    # gamma_e is the frequency unit: with sigma and zeta in units of gamma_e and phi in
+    # units of gamma_e^-2, every normalized output at fixed (Delta, delta) stays put; the
+    # point runs the truncated solve on its default 1601-node grid, the bounds the full spectrum
+    def outputs(g):
+        sys = LevelSystem(gamma_e=g, delta_detuning=3.0, delta_deviation=-1.2)
+        row = schmidt_point(sys, rank=16)[1]
+        slm = optimal_slm(sys, CwSpdc(sigma=2.0 * g))
+        pump = optimal_pump_shaper(sys, PumpShaped(sigma=1.5 * g, phi=0.7 / g**2, zeta=2.5 * g))
+        return [row["quantum_enhancement"], row["entropy_bits"], *asymptotic_bounds(sys),
+                slm.e_opt, pump.e_opt]
+
+    reference = outputs(1.0)
+    for g in (0.5, 2.0):
+        np.testing.assert_allclose(outputs(g), reference, rtol=1e-12, atol=0)
 
 
 def test_normalization_recovered_by_quadrature():

@@ -241,8 +241,8 @@ def test_asymmetric_decomposition_grids_follow_lines():
     sys = LevelSystem(delta_detuning=40.0, delta_deviation=-1.5)
     grid = make_grid(0.0, 30.0, 0.5)
     d = asymmetric_decomposition(sys, grid, rank=4)
-    assert d.grid1.center == pytest.approx(sys.omega_e)
-    assert d.grid2.center == pytest.approx(sys.omega_f - sys.omega_e)
+    assert d.grid1.center == pytest.approx(0.0)
+    assert d.grid2.center == pytest.approx(sys.omega_f)
 
 
 def test_asymptotic_limits_match_large_detuning_values():
@@ -659,7 +659,7 @@ def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
     grid = {"half": 20.0, "step": 0.5}
     d, row = schmidt_point(sys, rank, **grid)
-    ref = optimal_state_schmidt(sys, rank, vectors=False, **grid)
+    ref = optimal_state_schmidt(sys, rank, **grid)
     np.testing.assert_array_equal(d.coefficients, ref.coefficients)
     assert d.modes_1.shape == d.modes_2.shape == (0, ref.grid1.count)  # modes=0: none
     r1 = float(ref.coefficients[0])

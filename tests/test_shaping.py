@@ -248,7 +248,7 @@ def test_eta_gaussian_consistent_with_normal_cdf_form():
     sys = LevelSystem(delta_detuning=2.0, delta_deviation=-1.0)
     zeta = 4.0
     wp = np.linspace(sys.omega_f - 5, sys.omega_f + 5, 11)
-    chi = wp - 2 * (sys.omega_e - 1j * sys.gamma_e)
+    chi = wp + 2j * sys.gamma_e
     beta_at_chi = np.exp(-(chi**2) / (2 * zeta**2))
     expected = 2.0 * eta_infinite_pm(sys, wp) * beta_at_chi * complex_normal_cdf(1j * chi / zeta)
     got = eta_gaussian_pm(sys, wp, zeta, peak_normalized=True)
@@ -308,7 +308,7 @@ def test_eta_gaussian_pm_matches_scipy_wofz_far_from_the_line():
     sys = LevelSystem(delta_detuning=50.0, delta_deviation=-1.9)
     wp = np.linspace(sys.omega_f - 400.0, sys.omega_f + 400.0, 1601)
     for zeta in (0.05, 1.0, 1e3):
-        chi = wp - 2.0 * (sys.omega_e - 1j * sys.gamma_e)
+        chi = wp + 2j * sys.gamma_e
         ref = eta_infinite_pm(sys, wp) * special.wofz(chi / (np.sqrt(2.0) * zeta))
         _assert_relative(eta_gaussian_pm(sys, wp, zeta, peak_normalized=True), ref)
 

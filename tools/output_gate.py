@@ -154,6 +154,10 @@ COMMANDS = {
     # Gaussian phase matching far from the line centre: w(z) at 665 <= |z| <= 750
     "pump_far_from_line": ["shape-pump", "--delta", "50", "--dev", "-1.9", "--sigma", "auto",
                            "--zeta", "0.05", "--format", "both"],
+    # --sigma and --zeta errors name the flag; --zeta auto at Delta <= -2 names its rule
+    "exit2_sigma_text": ["shape-slm", "--sigma", "abc"],
+    "exit2_zeta_text": ["shape-pump", "--sigma", "1", "--zeta", "xyz"],
+    "exit2_zeta_auto_delta": ["shape-pump", "--delta", "-3", "--zeta", "auto"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
