@@ -16,9 +16,10 @@ shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
 system, grid or shaping values, --points < 1, --modes < 0, grids whose dense
-kernel exceeds physical memory and allocations that fail among them), 3 solver
-failures (numpy.linalg.LinAlgError).  Sweep and figure points run one after
-another, in parameter order.
+kernel, and figures whose table, would exceed physical memory, and
+allocations that fail among them), 3 solver failures
+(numpy.linalg.LinAlgError).  Sweep and figure points run one after another,
+in parameter order.
 
 A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
 flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
@@ -45,7 +46,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .grids import CSV_FORMAT, write_csv, write_kernel_csv
+from .grids import CSV_FORMAT, check_fits, write_csv, write_kernel_csv
 from .response import LevelSystem
 from .schmidt import asymptotic_bounds, optimal_state_operator, pairing_check, schmidt_point
 from .schmidt import decompose  # noqa: F401  (bench/tests patch tpaopt.cli.decompose)
@@ -275,16 +276,27 @@ def cmd_run(args) -> int:
 
 SIGMAS = (0.5, 1.0, 5.0)
 SIGMA_COLUMNS = tuple(f"e_opt_sigma_{s:g}" for s in SIGMAS)
+# A figure is refused before its points are built if this many bytes per row exceed physical
+# memory: tracemalloc peaks, at 1e5 to 1e6 rows, of the points and rows of fig2a and fig8a
+# (200-209) and of fig5a, whose four columns are the widest (232).
+FIGURE_BYTES_PER_ROW = 232
+FIGURE_ROWS = "a figure grid of {} points (--points)"
 
 
 def _line(lo, hi, default, log=False):
-    return lambda n: [(float(v),) for v in _space(lo, hi, n or default, log)]
+    def points(n):
+        n = n or default
+        check_fits(FIGURE_ROWS, FIGURE_BYTES_PER_ROW, n)
+        return [(float(v),) for v in _space(lo, hi, n, log)]
+    return points
 
 
 def _fig8_points(n):
     nd = n or 8
+    nd2 = max(2, nd - 1)
+    check_fits(FIGURE_ROWS, FIGURE_BYTES_PER_ROW, nd, nd2)
     return [(float(D), float(d)) for D in np.linspace(0.1, 5.0, nd)
-            for d in np.linspace(-1.9, 0.0, max(2, nd - 1))]
+            for d in np.linspace(-1.9, 0.0, nd2)]
 
 
 def _schmidt_values(args, delta, dev):
@@ -462,7 +474,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it comes first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an impossible allocation
+    except MemoryError as exc:  # an impossible allocation; a bare MemoryError has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

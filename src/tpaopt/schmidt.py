@@ -66,9 +66,11 @@ class SchmidtDecomposition:
     coefficients r_k are non-increasing and non-negative; modes_1 and
     modes_2 hold the leading len(modes_1) mode pairs, modes_1[k] and
     modes_2[k] on the grid nodes, orthonormal under the trapezoidal inner
-    product: one pair per coefficient from `decompose` with vectors, none
-    without, and the pairs a caller asked for from `schmidt_point`.  The
-    amplitude is sum_k r_k conj(modes_1[k]) x conj(modes_2[k]).  residual is
+    product: from `decompose` with vectors one pair per coefficient it
+    reached (a truncated solve that ends before rank leaves the rest exactly
+    0, with no pair), none without, and the pairs a caller asked for from
+    `schmidt_point`.  The amplitude is sum_k r_k conj(modes_1[k]) x
+    conj(modes_2[k]) over the pairs held.  residual is
     the Frobenius norm of the part of the kernel discarded by truncation:
     from the discarded singular values after a dense SVD (exactly 0 at full
     rank), after a truncated solve (`_lanczos`) from the difference of the
@@ -129,8 +131,8 @@ class HankelKernel:
     length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
     nothing into the rows kept); the symmetric kernel transforms u and E u
     together.  `_apply` gives `_lanczos` its products.  The transform of
-    hankel is taken on the first product or `frobenius_norm2`, so a kernel
-    solved densely never transforms.
+    hankel is taken on the first product, so a kernel solved densely never
+    transforms it.
     `to_dense` gathers the matrix for the dense SVD.  grid2 is
     grid1 up to a shift, so both axes have the same weights.
 
@@ -190,23 +192,17 @@ class HankelKernel:
 
         The anti-diagonal i + j = m holds |hankel[m]|^2 times the sum of
         w_i w_j |e_i + e_j|^2 (one-sided: w_i w_j |e_i|^2), a convolution.
+        Since |e_i + e_j|^2 = |e_i|^2 + |e_j|^2 + 2 (Re e_i Re e_j + Im e_i Im e_j),
+        the symmetric sums are 2 (a * w + b * b + c * c), * the convolution, of the
+        real a = w |e|^2, b = w Re e and c = w Im e: one real-FFT product.
         """
-        w = self._sw**2
-        we2 = w * np.abs(self.diag) ** 2
-
-        def transform(a):  # a real a by the real transform, as scipy.fft takes it: same bits
-            if np.iscomplexobj(a):
-                return np.fft.fft(a, self._fft_size)
-            half = np.fft.rfft(a, self._fft_size)
-            return np.concatenate((half, np.conj(half[(self._fft_size - 1) // 2 : 0 : -1])))
-
-        def conv(a, b):
-            return np.fft.ifft(transform(a) * transform(b))
-
+        w, e, size = self._sw**2, self.diag, self._fft_size
+        rows = (w * np.abs(e) ** 2, w) + ((w * e.real, w * e.imag) if self.symmetric else ())
+        f = np.fft.rfft(np.stack(rows), size)
+        spectrum = f[0] * f[1]
         if self.symmetric:
-            anti = 2.0 * (conv(we2, w) + conv(w * self.diag, w * np.conj(self.diag))).real
-        else:
-            anti = conv(we2, w).real
+            spectrum = 2.0 * (spectrum + f[2] ** 2 + f[3] ** 2)
+        anti = np.fft.irfft(spectrum, size)
         return float(np.sum(np.abs(self.hankel) ** 2 * anti[: self.hankel.size]))
 
     def to_dense(self) -> KernelMatrix:
@@ -297,26 +293,8 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
     return norm
 
 
-def _complement(rows: np.ndarray, count: int) -> np.ndarray:
-    """count orthonormal rows orthogonal to the orthonormal rows of rows (j x n).
-
-    They are rows j .. j + count - 1 of the unitary Q = H_1 ... H_j whose first j
-    columns span rows^T, from the Householder reflectors H_i = I - tau_i w_i w_i^H of
-    its QR, in O(n j (j + count)).
-    """
-    j, n = rows.shape
-    out = np.zeros((count, n), complex)
-    out[np.arange(count), j + np.arange(count)] = 1.0
-    if j:
-        h, tau = np.linalg.qr(rows.T, mode="raw")  # h[i] holds w_i below its leading 1
-        for i in reversed(range(j)):
-            w = np.concatenate(([1.0], h[i, i + 1 :]))
-            out[:, i:] -= np.outer(tau[i] * (out[:, i:] @ np.conj(w)), w)
-    return out
-
-
 def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
-    """k leading singular triplets (u, s, vh; u and vh None without vectors), descending.
+    """k leading singular values s, descending, and the vectors (u, vh) of those reached.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal. B 2:205,
     1965) with full reorthogonalization, on the products apply(v) = A v and
@@ -332,10 +310,10 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     DAIMI PB-357, 1998), gap_i being the distance from theta_i to the nearest other
     theta of B_j.  An alpha_j or beta_j of at most BREAKDOWN_RTOL sqrt(n) times the largest
     alpha or beta so far (a lower bound on ||B||) ends it too: the bases then span
-    invariant subspaces, whose Ritz triplets are singular triplets of A, and the
-    coefficients not reached are 0 (their modes an orthonormal completion).  A single
-    start vector finds one copy of an exactly repeated value.  The bases hold
-    k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
+    invariant subspaces, whose r Ritz triplets are singular triplets of A, and s[r:] is
+    exactly 0.  u has a column and vh a row per value reached, min(k, r); both are None
+    without vectors.  A single start vector finds one copy of an exactly repeated value.
+    The bases hold k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
 
     Raises numpy.linalg.LinAlgError if an alpha_j or beta_j is not finite.
     """
@@ -396,9 +374,6 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     # real X and Y times complex bases, as real products on the bases' float view
     u_rows = (x[:, :r].T @ us[: c.shape[0]].view(float)).view(complex)
     v_rows = (yh[:r] @ vs[: c.shape[1]].view(float)).view(complex)
-    if r < k:  # modes of the coefficients not reached: orthogonal to the rest
-        u_rows = np.concatenate((u_rows, _complement(u_rows, k - r)))
-        v_rows = np.concatenate((v_rows, _complement(v_rows, k - r)))
     return u_rows.T, s, np.conj(v_rows)
 
 
@@ -466,7 +441,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     renormalize : bool
         Rescale the retained coefficients so their squares sum to 1.
     vectors : bool
-        Compute the modes; without them modes_1 and modes_2 have no rows.
+        Compute the modes, one pair per coefficient reached: a truncated
+        solve that breaks down at r < rank (a kernel of rank r) returns r
+        pairs, and its coefficients r + 1 .. rank are exactly 0.  Without
+        vectors modes_1 and modes_2 have no rows.
 
     Raises
     ------
@@ -712,13 +690,15 @@ def pairing_check(d: SchmidtDecomposition) -> float:
 def reconstruct(d: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the weight-embedded kernel matrix from the retained modes.
 
-    Raises ValueError if d lacks the mode pair of a retained coefficient.
+    Trailing coefficients that are exactly 0 need no mode pair.  Raises
+    ValueError if d lacks the mode pair of a nonzero coefficient.
     """
-    if len(d.modes_1) != d.coefficients.size:
-        raise ValueError(f"the decomposition lacks modes: {len(d.modes_1)} mode pairs for "
+    r = len(d.modes_1)
+    if np.any(d.coefficients[r:] != 0):
+        raise ValueError(f"the decomposition lacks modes: {r} mode pairs for "
                          f"{d.coefficients.size} coefficients")
     sw1 = np.sqrt(quadrature_weights(d.grid1))
     sw2 = np.sqrt(quadrature_weights(d.grid2))
     phi_star = np.conj(d.modes_1) * sw1[None, :]
     psi_star = np.conj(d.modes_2) * sw2[None, :]
-    return (phi_star.T * d.coefficients) @ psi_star
+    return (phi_star.T * d.coefficients[:r]) @ psi_star

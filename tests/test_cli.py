@@ -375,6 +375,28 @@ def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     assert not re.search(r"\d{20}", err)  # huge node counts to 3 significant digits
 
 
+@pytest.mark.parametrize("name", ["fig8a", "fig2c"])
+def test_figure_beyond_memory_exits_2_naming_points(tmp_path, capsys, name):
+    # 1e12 x (1e12 - 1) rows of fig8a and 1e12 of fig2c, refused before any point is built
+    t0 = time.perf_counter()
+    assert main(["figure", name, "--points", "1000000000000", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: a figure grid of 1e+12 ")
+    assert "points (--points) needs" in err and "physical memory" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_memory_error_without_text_prints_a_message(tmp_path, capsys, monkeypatch):
+    def no_memory(n):
+        raise MemoryError()
+
+    header, _, values = cli.FIGURES["fig8a"]
+    monkeypatch.setitem(cli.FIGURES, "fig8a", (header, no_memory, values))
+    assert main(["figure", "fig8a", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_dump_kernel_writes_the_matrix_solved(tmp_path):
     # at delta = 0 the sampled kernel has exact zeros where the solved one has roundoff
     argv = ["schmidt", "--delta", "0", "--dev", "1", "--grid-half-width", "60", "--step", "0.25",

@@ -355,6 +355,19 @@ def test_pump_chirp_pays_off_at_large_bandwidth():
     assert wide.e_opt > narrow.e_opt > 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="pump_plus_grid's step min(sigma, gamma_f)/25 ignores "
+                   "the chirp, whose local frequency phi x reaches about 5 phi sigma")
+def test_default_pump_grid_resolves_a_strong_chirp():
+    # (Delta, delta, phi) = (5, 1.5, 3) at sigma = auto_pump_sigma, flat phase matching: the
+    # default 1501-node grid is off by 7.0e-2 relative; step/8 and step/16 agree to 1e-13
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=1.5)
+    state = PumpShaped(sigma=shaping.auto_pump_sigma(sys), phi=3.0, infinite_pm=True)
+    grid = shaping.pump_plus_grid(sys, state)
+    fine = shaping.pump_plus_grid(sys, state, step=grid.step / 16.0)
+    assert optimal_pump_shaper(sys, state, grid).e_opt == pytest.approx(
+        optimal_pump_shaper(sys, state, fine).e_opt, rel=1e-9)
+
+
 @pytest.mark.parametrize("solve", [
     # a pump grid 200 pump widths off resonance, where the Gaussian amplitude underflows to 0
     lambda sys: optimal_pump_shaper(sys, PumpShaped(sigma=1.0, infinite_pm=True),

@@ -158,6 +158,8 @@ COMMANDS = {
     "exit2_sigma_text": ["shape-slm", "--sigma", "abc"],
     "exit2_zeta_text": ["shape-pump", "--sigma", "1", "--zeta", "xyz"],
     "exit2_zeta_auto_delta": ["shape-pump", "--delta", "-3", "--zeta", "auto"],
+    # a figure grid of 1e12 x (1e12 - 1) points: refused before any point is built
+    "exit2_points_huge": ["figure", "fig8a", "--points", "1000000000000"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
