@@ -27,8 +27,9 @@ solver that ran), and the --modes pairs schmidt_modes.csv holds when a single
 point writes CSV (sweeps and --format json ask for none).  The pairs come from
 a solve of their own, so a point reports the same numbers whatever its
 --format, and as a sweep row.  `asymptotic_bounds`
-reads the same --rank on its own grid, so --rank also moves S_inf.  kernel.csv
-is written after the bounds.
+reads the same --rank on its own grid, so --rank also moves S_inf.  The bounds
+do not depend on Delta, so a run solves them once per deviation: a Delta sweep
+solves them once.  kernel.csv is written after the bounds.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ EXIT_NUMERICAL = 3
 # so "--dev -1e-1" or "--sweep dev -inf 1 3" would lose their negative values.
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf(inity)?|nan)$",
                              re.IGNORECASE)
-# Flags that say how to run a command: every other parsed flag goes into the report's params.
-RUN_FLAGS = ("command", "func", "timed", "out", "format", "config", "sweep", "log", "dump_kernel")
+# Flags that say how to run a command, and the run's own state (its stage clock and bounds
+# memo): every other parsed flag goes into the report's params.
+RUN_FLAGS = ("command", "func", "timed", "bounds", "out", "format", "config", "sweep", "log",
+             "dump_kernel")
 
 
 def _fmt(x) -> str:
@@ -148,9 +151,14 @@ def _solve_at(args, delta, dev, rank, modes=0):
 
 
 def _bounds_at(args, dev):
-    """(E_inf, S_inf) at deviation dev, solved at Delta = 0: the bounds are detuning-free."""
-    with args.timed("bounds"):
-        return asymptotic_bounds(LevelSystem(delta_deviation=dev), rank=args.rank)
+    """(E_inf, S_inf) at deviation dev, solved at Delta = 0: the bounds are detuning-free.
+
+    They are solved once per deviation in a run (--rank is fixed for the run) and kept in
+    args.bounds, so the rows of a Delta sweep share one solve."""
+    if dev not in args.bounds:
+        with args.timed("bounds"):
+            args.bounds[dev] = asymptotic_bounds(LevelSystem(delta_deviation=dev), rank=args.rank)
+    return args.bounds[dev]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +473,7 @@ def main(argv=None) -> int:
             tokens = _load_config_tokens(args.config, parsers[argv[0]])
             # config values come first so explicit flags take precedence
             args = parser.parse_args([argv[0]] + tokens + argv[1:])
-        args.timed = _StageClock()
+        args.timed, args.bounds = _StageClock(), {}
         for flag, least in (("points", 1), ("modes", 0), ("rank", 0)):  # figure and schmidt counts
             value = getattr(args, flag, None)
             if value is not None and value < least:

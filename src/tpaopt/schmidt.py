@@ -9,6 +9,7 @@ large-detuning bounds (from the one-sided kernel) follow.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -47,9 +48,14 @@ COEFFICIENT_FLOOR = 1e-12  # coefficients below this are treated as zero
 CENTRO_HERMITIAN_RTOL = 1e-12
 
 # Default-rank policy of `solver_rank`, measured against ARPACK, the truncated solver of the
-# time (not re-measured for `_lanczos`), on Phi at delta = -1.5 with one BLAS thread on a 2-core
-# x86-64 VM: up to DENSE_MAX_NODES nodes a dense SVD of the full spectrum was faster than ARPACK
-# for DEFAULT_RANK coefficients (on the matrix-free kernel); beyond, ARPACK was.
+# time, on Phi at delta = -1.5 with one BLAS thread on a 2-core x86-64 VM: up to DENSE_MAX_NODES
+# nodes a dense SVD of the full spectrum was faster than ARPACK for DEFAULT_RANK coefficients
+# (on the matrix-free kernel); beyond, ARPACK was.  Re-measured for `_lanczos` (values only,
+# medians of 3 on one CPU of that VM), the crossover lies below 1219 nodes: on Phi at Delta = 5,
+# delta = -1.391, -1.222, -1.052 (1219, 1557, 1897 nodes) k = 300 took 0.63, 0.55, 0.61 s
+# against 1.35, 2.62, 4.50 s dense, and at Delta = 0 (real form), 1557 and 1897 nodes, 0.53
+# and 0.71 s against 1.23 and 2.18 s; S moved by at most 6.7e-7 bits and r1 by 4e-16.  The
+# policy stays until it can read a stated accuracy, since S moves on the rows that switch.
 DEFAULT_RANK = 300
 DENSE_MAX_NODES = 2100
 # Stopping rules and basis growth of `_lanczos`.
@@ -273,21 +279,27 @@ def _fix_mode_phases(u: np.ndarray, vh: np.ndarray) -> None:
     vh *= ph[:, None]
 
 
+def _norm(r: np.ndarray) -> float:
+    """||r||, summed as np.linalg.norm sums it, real and imaginary parts apart: the same bits,
+    without its dispatch."""
+    x, y = r.real, r.imag
+    return np.sqrt(x @ x + y @ y)
+
+
 def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
     """Remove from r, in place, its part in the span of basis's orthonormal rows; ||r|| after.
 
     Classical Gram-Schmidt, with the coefficients basis^H r taken as conj(basis conj(r)) so
     that no conjugated copy of the basis is made, and a second pass only when the first
     removes more than half of the norm (so cancellation may have left r short of orthogonal).
-    Norms are summed as np.linalg.norm sums them, real and imaginary parts apart: the same
-    bits, without its dispatch.
+    `_lanczos` calls it only for the vectors that its omega estimates pick (all of them in a
+    solve with vectors).
     """
-    x, y = r.real, r.imag
-    norm = np.sqrt(x @ x + y @ y)
+    norm = _norm(r)
     for _ in range(2 if len(basis) else 0):
         before = norm
         r -= np.conj(basis @ np.conj(r)) @ basis
-        norm = np.sqrt(x @ x + y @ y)
+        norm = _norm(r)
         if norm > 0.5 * before:
             break
     return norm
@@ -297,23 +309,37 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     """k leading singular values s, descending, and the vectors (u, vh) of those reached.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal. B 2:205,
-    1965) with full reorthogonalization, on the products apply(v) = A v and
-    apply_transpose(v) = A^T v (the adjoint is A^H u = conj(A^T conj(u))).  From the
-    fixed start vector of ones / sqrt(n), step j adds u_j and v_(j+1) to orthonormal
-    bases with A V_j = U_j B_j, B_j upper bidiagonal with alpha_j on its diagonal and
-    A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.  The SVD B_j = X diag(theta) Y^T gives the
-    Ritz triplets (U_j x_i, theta_i, V_j y_i), exact but for A^H U_j x_i, which misses by
-    res_i = beta_j |x_i[-1]|.  Once j >= k, every LANCZOS_CHECK steps, the solve stops when
-    each of the k leading triplets has converged: with vectors when res_i <= LANCZOS_RTOL
-    theta_1, since a mode's error scales as res_i / gap_i; values only when min(res_i,
-    res_i^2 / gap_i) is, PROPACK's gap-refined bound on the error of theta_i (Larsen,
-    DAIMI PB-357, 1998), gap_i being the distance from theta_i to the nearest other
-    theta of B_j.  An alpha_j or beta_j of at most BREAKDOWN_RTOL sqrt(n) times the largest
-    alpha or beta so far (a lower bound on ||B||) ends it too: the bases then span
-    invariant subspaces, whose r Ritz triplets are singular triplets of A, and s[r:] is
-    exactly 0.  u has a column and vh a row per value reached, min(k, r); both are None
-    without vectors.  A single start vector finds one copy of an exactly repeated value.
-    The bases hold k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
+    1965) on the products apply(v) = A v and apply_transpose(v) = A^T v (the adjoint is
+    A^H u = conj(A^T conj(u))).  From the fixed start vector of ones / sqrt(n), step j adds
+    u_j and v_(j+1) to bases with A V_j = U_j B_j, B_j upper bidiagonal with alpha_j on its
+    diagonal and A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.
+
+    The bases are kept semi-orthogonal by partial reorthogonalization (H. D. Simon, Math.
+    Comp. 42:115, 1984, in R. M. Larsen's form for the bidiagonalization, DAIMI PB-357,
+    1998, sections 3-4).  The omega recurrences of the three-term recurrence estimate
+    |u_j^H u_i| and |v_(j+1)^H v_i| without computing them; each step adds to them the
+    roundoff term eps sqrt(n) (||row of B|| + 2 ||B||), signed to grow them, with ||B|| taken
+    as the largest alpha or beta so far.  A new vector whose estimate exceeds sqrt(eps) is
+    orthogonalized against its whole basis (`_orthogonalize`), and so is the next vector of
+    the other basis; their estimates then restart at eps sqrt(n).  The Ritz values of a
+    semi-orthogonal basis are those of an orthonormal one up to roundoff, with no spurious
+    copies.  Their Ritz vectors were up to 2e-11 from orthonormal on Phi (481-1001 nodes),
+    above the 1e-12 the modes are held to, so a solve with vectors orthogonalizes every new
+    vector.
+
+    The SVD B_j = X diag(theta) Y^T gives the Ritz triplets (U_j x_i, theta_i, V_j y_i),
+    exact but for A^H U_j x_i, which misses by res_i = beta_j |x_i[-1]|.  Once j >= k,
+    every LANCZOS_CHECK steps, the solve stops when each of the k leading triplets has
+    converged: with vectors when res_i <= LANCZOS_RTOL theta_1, since a mode's error scales
+    as res_i / gap_i; values only when min(res_i, res_i^2 / gap_i) is, PROPACK's
+    gap-refined bound on the error of theta_i (Larsen, 1998), gap_i being the distance from
+    theta_i to the nearest other theta of B_j.  An alpha_j or beta_j of at most
+    BREAKDOWN_RTOL sqrt(n) times the largest alpha or beta so far (a lower bound on ||B||)
+    ends it too: the bases then span invariant subspaces, whose r Ritz triplets are singular
+    triplets of A, and s[r:] is exactly 0.  u has a column and vh a row per value reached,
+    min(k, r); both are None without vectors.  A single start vector finds one copy of an
+    exactly repeated value.  The bases, and the estimates with them, hold k + LANCZOS_CHUNK
+    rows and grow by LANCZOS_CHUNK.
 
     Raises numpy.linalg.LinAlgError if an alpha_j or beta_j is not finite.
     """
@@ -322,23 +348,39 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     size = min(k + LANCZOS_CHUNK, steps)
     us, vs = np.empty((size, m), complex), np.empty((size, n), complex)
     b = np.zeros((size, size + 1))  # B_j, with beta_j in column j + 1 (0-based j)
+    alphas, betas = b.diagonal(), b.diagonal(1)  # views
+    # omega estimates of |u_j^H u_i| and |v_j^H v_i|, i <= j, for the newest u_j and v_j
+    mu, nu = np.ones(size + 1), np.ones(size + 1)
+    eps = np.finfo(float).eps
+    eps1, semi = np.sqrt(max(m, n)) * eps, np.sqrt(eps)
+    force = False  # the vector after one that lost orthogonality is orthogonalized too
     v = np.full(n, 1.0 / np.sqrt(n), complex)
-    tol, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
+    top, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
     for j in range(steps):
         if j == size:
             size = min(size + LANCZOS_CHUNK, steps)
             us = np.concatenate((us, np.empty((size - j, m), complex)))
             vs = np.concatenate((vs, np.empty((size - j, n), complex)))
             b = np.pad(b, ((0, size - j), (0, size - j)))
+            alphas, betas = b.diagonal(), b.diagonal(1)
+            mu, nu = np.pad(mu, (0, size - j)), np.pad(nu, (0, size - j))
         vs[j] = v
         u = apply(v)
+        beta_prev = betas[j - 1] if j else 0.0
         if j:
-            u -= b[j - 1, j] * us[j - 1]
-        alpha = _orthogonalize(u, us[:j])
+            u -= beta_prev * us[j - 1]
+        alpha = _norm(u)
         if not np.isfinite(alpha):
             raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
-        tol = max(tol, scale * alpha)
-        if alpha <= tol:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
+        if j and alpha:  # alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, plus roundoff
+            w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
+            mu[:j] = (w + np.copysign(eps1 * (math.hypot(alpha, beta_prev) + 2.0 * top), w)) / alpha
+        if vectors or force or (j and abs(mu[:j]).max() > semi):
+            alpha = _orthogonalize(u, us[:j])
+            mu[:j], force = eps1, not force
+        mu[j] = 1.0
+        top = max(top, alpha)
+        if alpha <= scale * top:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
             c = b[:j, : j + 1]
             break
         np.divide(u, alpha, out=us[j])
@@ -346,12 +388,20 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         v = apply_transpose(np.conj(us[j]))
         np.conj(v, out=v)
         v -= alpha * vs[j]
-        beta = _orthogonalize(v, vs[: j + 1])
+        beta = _norm(v)
         if not np.isfinite(beta):
             raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
+        if beta:  # beta_j nu_i = (B^T mu)_i - alpha_j nu_i, plus roundoff
+            w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
+            w[1:] += betas[:j] * mu[:j]
+            nu[: j + 1] = (w + np.copysign(eps1 * (math.hypot(alpha, beta) + 2.0 * top), w)) / beta
+        if vectors or force or abs(nu[: j + 1]).max() > semi:
+            beta = _orthogonalize(v, vs[: j + 1])
+            nu[: j + 1], force = eps1, not force
+        nu[j + 1] = 1.0
         c = b[: j + 1, : j + 1]
-        tol = max(tol, scale * beta)
-        if beta <= tol or j + 1 == steps:
+        top = max(top, beta)
+        if beta <= scale * top or j + 1 == steps:
             break
         v /= beta
         b[j, j + 1] = beta
@@ -426,12 +476,12 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         coefficients.
     rank : int or None
         Number of leading coefficients to compute.  None runs the dense
-        reference SVD; a rank below n - 1 runs `_lanczos` (Golub-Kahan-Lanczos
-        with full reorthogonalization) from a fixed start vector, on a
-        `HankelKernel` without forming its matrix (see `choose_solver`;
-        `solver_rank` gives the default rank for a grid size).  It stops on
-        each triplet's residual with vectors and on the tighter gap-refined
-        bound without (see `_lanczos`).  On the rank-one Phi at
+        reference SVD; a rank below n - 1 runs `_lanczos` (Golub-Kahan-Lanczos,
+        with partial reorthogonalization on values only and full with vectors)
+        from a fixed start vector, on a `HankelKernel` without forming its
+        matrix (see `choose_solver`; `solver_rank` gives the default rank for
+        a grid size).  It stops on each triplet's residual with vectors and on
+        the tighter gap-refined bound without (see `_lanczos`).  On the rank-one Phi at
         Delta = delta = 0 it stops after 3 products.
         Ranks beyond the matrix dimension are clipped with a warning; a rank
         below 1 is an error.

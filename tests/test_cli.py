@@ -643,6 +643,35 @@ def test_a_point_solves_only_for_the_modes_it_writes(tmp_path, monkeypatch, flag
         assert len(written) == (0 if "0" in flags else 2)
 
 
+@pytest.mark.parametrize("sweep, solves", [(["delta", "1", "3", "3"], 1),
+                                           (["dev", "-1.6", "-1.4", "3"], 3)])
+def test_a_run_solves_the_bounds_once_per_deviation(tmp_path, monkeypatch, sweep, solves):
+    calls = []
+    bounds = cli.asymptotic_bounds
+
+    def counted(sys, grid=None, rank=None):
+        calls.append(sys.delta_deviation)
+        return bounds(sys, grid, rank)
+
+    monkeypatch.setattr(cli, "asymptotic_bounds", counted)
+    flags = ["--grid-half-width", "40", "--step", "0.25", "--rank", "8", "--format", "json"]
+    out = tmp_path / "sweep"
+    assert main(["schmidt", "--sweep", *sweep, "--dev", "-1.5", *flags, "--out", str(out)]) == 0
+    assert len(calls) == solves
+    report = read_report(out)
+    values = [float(v) for v in np.linspace(float(sweep[1]), float(sweep[2]), 3)]
+    assert report["params"] == {"delta": 0.0, "dev": -1.5, "grid_center": None,
+                                "grid_half_width": 40.0, "modes": 2, "rank": 8, "step": 0.25,
+                                "sweep": {"param": sweep[0], "values": values}}
+    for row in report["results"]["rows"]:  # each row's bounds are a single point's, bit for bit
+        point = {"delta": 0.0, "dev": -1.5, sweep[0]: row["value"]}
+        out = tmp_path / "point"
+        assert main(["schmidt", "--delta", repr(point["delta"]), "--dev", repr(point["dev"]),
+                     *flags, "--out", str(out)]) == 0
+        results = read_report(out)["results"]
+        assert (row["e_inf"], row["s_inf"]) == (results["e_inf"], results["s_inf"])
+
+
 def test_rank_one_point_writes_one_mode(tmp_path):
     # the dense default at the separable point: one coefficient above the floor, one pair
     assert main(["schmidt", "--delta", "0", "--dev", "0", "--grid-half-width", "40", "--step",

@@ -474,6 +474,26 @@ def _count_products(monkeypatch):
     return calls
 
 
+def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch):
+    # 300 values of Phi at (5, -1.5) on 1201 nodes, down to 7e-6 r1: a ghost copy
+    # of a converged value would shift every value after it
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 60.0, 0.1))
+    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+    products, orthogonalized = _count_products(monkeypatch), []
+    orthogonalize = schmidt._orthogonalize
+
+    def counted(r, basis):
+        orthogonalized.append(len(basis))
+        return orthogonalize(r, basis)
+
+    monkeypatch.setattr(schmidt, "_orthogonalize", counted)
+    d = decompose(op, rank=300, vectors=False)
+    assert np.max(np.abs(d.coefficients - dense[:300])) <= 1e-13 * dense[0]
+    # a step takes two products; full reorthogonalization orthogonalizes after each
+    assert len(orthogonalized) < len(products)
+
+
 @pytest.mark.parametrize("kernel, k, rank", [
     ("rank_one", 2, 1), ("rank_one", 16, 1), ("rank_one", 300, 1),
     ("rank_two", 4, 2), ("rank_two", 16, 2),
