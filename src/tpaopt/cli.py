@@ -210,9 +210,8 @@ def _slm_point(args, delta, dev, sigma):
     sys_ = LevelSystem(delta_detuning=delta, delta_deviation=dev)
     state = CwSpdc(sigma=_resolve("sigma", sigma, auto_slm_sigma, sys_))
     grid = slm_grid(sys_, state, args.grid_half_width, args.step)
-    with args.timed("shape"):
-        sol = optimal_slm(sys_, state, grid)
-    return _shaping_row(sol, sigma=state.sigma)
+    with args.timed("shape"):  # the row reads the residual, computed on first read
+        return _shaping_row(optimal_slm(sys_, state, grid), sigma=state.sigma)
 
 
 def _pump_point(args, delta, dev, sigma, phi, zeta):
@@ -222,8 +221,7 @@ def _pump_point(args, delta, dev, sigma, phi, zeta):
     state = PumpShaped(sigma=sigma, phi=phi, zeta=zeta, infinite_pm=args.infinite_pm)
     grid = pump_plus_grid(sys_, state, args.grid_half_width, args.step)
     with args.timed("shape"):
-        sol = optimal_pump_shaper(sys_, state, grid)
-    return _shaping_row(sol, sigma=sigma, zeta=zeta)
+        return _shaping_row(optimal_pump_shaper(sys_, state, grid), sigma=sigma, zeta=zeta)
 
 
 def _shaping_single(csv_name, columns, args, params, row, sol):

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,7 +123,7 @@ class PumpShaped:
             raise ValueError("finite phase matching requires zeta > 0 (or set infinite_pm)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapingSolution:
     """Optimal diagonal-shaper solution on a grid.
 
@@ -130,7 +131,8 @@ class ShapingSolution:
     response_nodes holds W(Omega, -Omega)) or "pump" (phase_nodes holds the
     phase of the integrated response xi(w+), response_nodes holds xi).
     Populations are in units of N; e_opt = p_shaped / p_unshaped.
-    residual is the stationarity residual of the fixed-point equation.
+    residual, computed from the fields on first read, is the stationarity residual of
+    these phases: a copy with other phases (dataclasses.replace) reports its own.
     """
 
     kind: str
@@ -140,7 +142,10 @@ class ShapingSolution:
     p_shaped: float
     p_unshaped: float
     e_opt: float
-    residual: float = field(default=np.nan)
+
+    @cached_property
+    def residual(self) -> float:
+        return stationarity_residual(self)
 
     def shaper(self) -> np.ndarray:
         """Unit-modulus shaper samples exp(-i phase)."""
@@ -352,7 +357,7 @@ def complex_normal_cdf(z):
 
 
 def _solution(kind, sys, grid, response, phase, state) -> ShapingSolution:
-    """The solution whose shaper cancels `phase`: populations in units of N, ratio, residual."""
+    """The solution whose shaper cancels `phase`: populations in units of N and their ratio."""
     if not np.all(np.isfinite(response)):  # a sigma, phi or zeta beyond float range
         raise ValueError(f"the effective response of {state} is not finite on the grid")
     weights = quadrature_weights(grid)
@@ -363,9 +368,7 @@ def _solution(kind, sys, grid, response, phase, state) -> ShapingSolution:
         warnings.warn("unshaped population vanishes; optimization ratio reported as inf",
                       RuntimeWarning)
     e_opt = p_shaped / p_unshaped if p_unshaped else np.inf
-    sol = ShapingSolution(kind, grid, response, phase, p_shaped, p_unshaped, e_opt)
-    sol.residual = stationarity_residual(sys, sol)
-    return sol
+    return ShapingSolution(kind, grid, response, phase, p_shaped, p_unshaped, e_opt)
 
 
 def optimal_slm(sys: LevelSystem, state: CwSpdc, grid: FrequencyGrid | None = None) -> ShapingSolution:
@@ -442,34 +445,30 @@ def slm_shaped_population(sys: LevelSystem, response_nodes, grid: FrequencyGrid,
     return float(np.abs(amp) ** 2 / normalization(sys))
 
 
-def stationarity_residual(sys: LevelSystem, solution: ShapingSolution) -> float:
+def stationarity_residual(solution: ShapingSolution) -> float:
     """Largest relative pointwise mismatch of the variational fixed-point equation.
 
-    Both sides are evaluated with the solution's shaper samples and the
-    derived multiplier weights |psi|^2 (proportional to the modulus of the
-    effective response times its integrated modulus); nodes where |psi|^2
-    falls below 1e-12 of its maximum are excluded.  The optimal phase makes
-    the residual vanish to roundoff; perturbing the phase at any relevant
-    node raises it to the size of the perturbation.  Where the effective
-    response vanishes at every node, both sides vanish and the residual is 0.
+    psi^2 M = sqrt(N) conj(W P) int w W M P, with weights psi^2 = sqrt(N) a S, divided by
+    sqrt(N) M reads a S = conj(z) int w z: a = |W|, S = int w |W|, z = W M P, with M the
+    shaper samples and P = M mirrored ("slm") or 1 ("pump").  N cancels in the relative
+    mismatch, so no level system enters.  Nodes where a (so psi^2) falls below 1e-12 of
+    its maximum are excluded.  The optimal phase makes the residual vanish to roundoff;
+    perturbing the phase at any relevant node raises it to the size of the perturbation.
+    Where the effective response vanishes at every node, both sides vanish: 0.
     """
-    grid = solution.grid
-    w = quadrature_weights(grid)
-    resp = solution.response_nodes
+    w = quadrature_weights(solution.grid)
     m = solution.shaper()
-    sqrt_n = np.sqrt(normalization(sys))
-    psi2 = sqrt_n * np.abs(resp) * np.sum(w * np.abs(resp))
     if solution.kind == "slm":
         partner = m[::-1]  # photon 2 sits at the mirrored offset
     elif solution.kind == "pump":
         partner = 1.0  # the difference-frequency arm is unshaped
     else:
         raise ValueError(f"unknown solution kind {solution.kind!r}")
-    peak = np.max(psi2)
+    a = np.abs(solution.response_nodes)
+    peak = np.max(a)
     if peak == 0.0:
         return 0.0
-    integral = np.sum(w * resp * m * partner)
-    rhs = sqrt_n * np.conj(resp) * np.conj(partner) * integral
-    lhs = psi2 * m
-    keep = psi2 >= PSI_FLOOR * peak
-    return float(np.max(np.abs(lhs[keep] - rhs[keep]) / np.abs(lhs[keep])))
+    z = solution.response_nodes * m * partner
+    keep = a >= PSI_FLOOR * peak
+    a_s = a[keep] * np.sum(w * a)
+    return float(np.max(np.abs(a_s - np.conj(z[keep]) * np.sum(w * z)) / a_s))

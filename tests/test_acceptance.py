@@ -225,7 +225,7 @@ def test_c09_stationarity_residuals():
     phases = slm.phase_nodes.copy()
     phases[np.argmax(np.abs(slm.response_nodes))] += 0.3
     poked = dataclasses.replace(slm, phase_nodes=phases)
-    perturbed = stationarity_residual(sys, poked)
+    perturbed = stationarity_residual(poked)
 
     ok = slm.residual <= 1e-6 and pump.residual <= 1e-6 and perturbed > 1e-3
     _report(9, ok, f"slm residual {slm.residual:.2e} (<= 1e-6), "

@@ -13,7 +13,7 @@ from tpaopt import (LevelSystem, auto_grid, choose_solver, decompose, grids, mak
                     solver_rank)
 from tpaopt import cli
 from tpaopt.cli import main
-from tpaopt.schmidt import DEFAULT_RANK, DENSE_MAX_NODES
+from tpaopt.schmidt import DEFAULT_RANK, DENSE_MAX_NODES, HankelKernel
 
 
 def read_report(out_dir):
@@ -190,7 +190,8 @@ def test_shape_pump_narrow_limit(tmp_path):
 
 def test_config_layering(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("delta = 3\nsigma = 2  # trailing comment\n")
+    # a comment-only line and a blank line are skipped
+    cfg.write_text("# a shaping point\ndelta = 3\n\nsigma = 2  # trailing comment\n")
     out = str(tmp_path / "o1")
     assert main(["shape-slm", "--config", str(cfg), "--out", out]) == 0
     rep = read_report(out)
@@ -217,6 +218,19 @@ def test_config_cannot_hold_help_or_config(tmp_path, capsys, line):
     assert main(["shape-slm", "--config", str(cfg), "--out", str(out)]) == 2
     key = line.split()[0]
     assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("shape-slm", "delta 3", "expected key=value, got 'delta 3'"),
+    ("shape-pump", "infinite_pm = maybe", "boolean value expected for 'infinite_pm'"),
+], ids=["no_equals", "boolean"])
+def test_config_line_errors_exit_2(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
     assert not out.exists()
 
 
@@ -302,6 +316,15 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["schmidt", "--grid-half-width", "20", "--step", "0.5",
                  "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_lanczos_breakdown_exits_3(tmp_path, monkeypatch, capsys):
+    # a non-finite product raises LinAlgError inside the truncated solve
+    monkeypatch.setattr(HankelKernel, "_apply", lambda self, v, transpose: np.full_like(v, np.nan))
+    assert main(["schmidt", "--grid-half-width", "20", "--step", "0.5", "--rank", "8",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Lanczos bidiagonalization broke down at step 1\n"
 
 
 def test_bounds_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -517,6 +540,17 @@ def test_non_finite_sweep_ends_exit_2(tmp_path, capsys, recwarn, argv):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["schmidt", "--sweep", "delta", "1", "2", "1"], "sweep needs at least 2 points, got 1"),
+    (["shape-slm", "--sweep", "sigma", "0", "1", "3", "--log"],
+     "log-spaced sweep requires a positive start"),
+], ids=["one_point", "log_from_zero"])
+def test_sweep_spacing_errors_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("command, ends, bad", [
     ("schmidt", ["1", "2", "3.5"], "3.5"),
     ("schmidt", ["one", "2", "3"], "one"),
@@ -536,7 +570,9 @@ def test_malformed_sweep_numbers_exit_2(tmp_path, capsys, command, ends, bad):
      "--zeta takes a number or 'auto', got 'xyz'"),
     (["shape-pump", "--delta", "-3", "--zeta", "auto"],  # gamma_e (2 + Delta) = -1
      "--zeta auto needs a detuning above -2 (zeta = gamma_e (2 + Delta))"),
-], ids=["sigma_text", "zeta_text", "zeta_auto_delta"])
+    (["shape-slm", "--delta", "-1", "--sigma", "auto"],  # sigma = Delta gamma_e = -1
+     "--sigma auto needs a positive detuning (sigma = Delta gamma_e)"),
+], ids=["sigma_text", "zeta_text", "zeta_auto_delta", "sigma_auto_delta"])
 def test_bad_sigma_or_zeta_exits_2_naming_the_flag(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import synthetic_decomposition
 from tpaopt import (
+    KernelMatrix,
     LevelSystem,
     asymmetric_decomposition,
     asymptotic_bounds,
@@ -524,6 +525,45 @@ def test_lanczos_ends_by_breakdown_on_low_rank(monkeypatch, kernel, k, rank):
             assert np.max(np.abs(np.conj(q) @ q.T - np.eye(rank))) <= 1e-12
         if vectors and dense is not None:  # the pairs reached rebuild the whole matrix
             assert np.max(np.abs(reconstruct(d) - op.to_dense().entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("half", [2.5, 5.0, 10.0], ids=["n11", "n21", "n41"])
+def test_lanczos_runs_to_exhaustion_at_rank_n_minus_2(monkeypatch, half):
+    # at rank n - 2 the solve neither converges nor breaks down before its last step:
+    # it takes all n steps (2n products) and ends on j + 1 == steps
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, half, 0.5))
+    n = op.shape[0]
+    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+    sw = np.sqrt(quadrature_weights(op.grid1))
+    calls = _count_products(monkeypatch)
+    for vectors in (True, False):
+        calls.clear()
+        d = decompose(op, rank=n - 2, vectors=vectors)
+        assert d.method == "hankel_lanczos" and len(calls) == 2 * n
+        assert np.max(np.abs(d.coefficients - dense[: n - 2])) <= 1e-13 * dense[0]
+        for modes in (d.modes_1, d.modes_2) if vectors else ():
+            q = modes * sw
+            assert np.max(np.abs(np.conj(q) @ q.T - np.eye(n - 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_lanczos_raises_on_a_non_finite_product(monkeypatch, vectors):
+    message = "Lanczos bidiagonalization broke down at step 1"
+    # a sampled kernel with one NaN entry: the first product A v is not finite (alpha)
+    _, k = small_kernel(half=10.0, step=0.5)
+    entries = k.entries.copy()
+    entries[3, 5] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        decompose(KernelMatrix(k.grid1, k.grid2, entries), rank=4, vectors=vectors)
+    # only the adjoint product is not finite: A v passes, A^H u does not (beta)
+    apply = schmidt.HankelKernel._apply
+    monkeypatch.setattr(schmidt.HankelKernel, "_apply", lambda self, v, transpose: (
+        np.full_like(v, np.nan) if transpose else apply(self, v, transpose)))
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 10.0, 0.5))
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        decompose(op, rank=4, vectors=vectors)
 
 
 @pytest.mark.parametrize("structured", [False, True], ids=["sampled", "operator"])

@@ -401,17 +401,27 @@ def test_residual_detects_perturbation():
     sys = LevelSystem(delta_detuning=5.0)
     state = CwSpdc(sigma=5.0)
     sol = optimal_slm(sys, state)
+    assert sol.residual < 1e-12  # read, so cached, before the copy is made
     phases = sol.phase_nodes.copy()
     phases[np.argmax(np.abs(sol.response_nodes))] += 0.3
     poked = dataclasses.replace(sol, phase_nodes=phases)
-    assert stationarity_residual(sys, poked) > 1e-3
+    # the copy derives its own residual; a stored one would be the optimum's, about 3.5e-15
+    assert poked.residual == stationarity_residual(poked) > 1e-3
 
 
 def test_residual_detects_pump_perturbation():
     sys = LevelSystem(delta_deviation=-1.0)
     state = PumpShaped(sigma=2.0, phi=1.0, infinite_pm=True)
     sol = optimal_pump_shaper(sys, state)
+    assert sol.residual < 1e-12
     phases = sol.phase_nodes.copy()
     phases[np.argmax(np.abs(sol.response_nodes))] += 0.3
     poked = dataclasses.replace(sol, phase_nodes=phases)
-    assert stationarity_residual(sys, poked) > 1e-3
+    assert poked.residual == stationarity_residual(poked) > 1e-3
+
+
+def test_solution_is_frozen_and_derives_its_residual():
+    sol = optimal_slm(LevelSystem(delta_detuning=5.0), CwSpdc(sigma=5.0))
+    assert "residual" not in {f.name for f in dataclasses.fields(sol)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.phase_nodes = sol.phase_nodes + 0.3

@@ -46,7 +46,7 @@ from tpaopt.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
-# name -> CLI argv (without --out); the "exit3" entry runs under FAILING_SVD.
+# name -> CLI argv (without --out); the entries named exit3* run under FAILING_SVD.
 COMMANDS = {
     "point_default": ["schmidt", "--delta", "5", "--dev", "-1.9"],
     "point_default_1001": ["schmidt", "--delta", "3", "--dev", "-1.5"],
@@ -87,6 +87,8 @@ COMMANDS = {
                         "--sigma", "auto", "--zeta", "auto"],
     "exit2": ["schmidt", "--dev", "-2"],
     "exit3": ["schmidt", "--grid-half-width", "20", "--step", "0.5"],
+    # the truncated solve: the SVD of its bidiagonal B fails at the first Ritz check
+    "exit3_truncated": ["schmidt", "--grid-half-width", "20", "--step", "0.5", "--rank", "8"],
     "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
     "config_bool": ["shape-pump", "--config", "run.cfg", "--phi", "1"],
     "config_sweep": ["shape-slm", "--config", "run.cfg"],
@@ -158,6 +160,7 @@ COMMANDS = {
     "exit2_sigma_text": ["shape-slm", "--sigma", "abc"],
     "exit2_zeta_text": ["shape-pump", "--sigma", "1", "--zeta", "xyz"],
     "exit2_zeta_auto_delta": ["shape-pump", "--delta", "-3", "--zeta", "auto"],
+    "exit2_sigma_auto_delta": ["shape-slm", "--delta", "-1", "--sigma", "auto"],
     # a figure grid of 1e12 x (1e12 - 1) points: refused before any point is built
     "exit2_points_huge": ["figure", "fig8a", "--points", "1000000000000"],
 }
@@ -191,8 +194,9 @@ def run(out_dir, src):
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     demos = os.path.join(os.path.dirname(src), "demos")
     # name -> (argv as recorded, the interpreter's arguments)
-    jobs = {name: (argv, [*(["-c", FAILING_SVD] if name == "exit3" else ["-m", "tpaopt.cli"]),
-                          *argv, "--out", "."]) for name, argv in COMMANDS.items()}
+    jobs = {name: (argv, [*(["-c", FAILING_SVD] if name.startswith("exit3")
+                            else ["-m", "tpaopt.cli"]), *argv, "--out", "."])
+            for name, argv in COMMANDS.items()}
     jobs.update((f"demo_{demo[:-3]}", ([f"demos/{demo}"], [os.path.join(demos, demo)]))
                 for demo in DEMOS)
     manifest = {}
