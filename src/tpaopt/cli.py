@@ -16,7 +16,7 @@ shape, write), summed over points, and like wall_time_ms varies run to run.
 Numbers are printed with 9 significant digits so identical inputs produce
 byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
 system, grid or shaping values, --points < 1, --modes < 0, grids whose dense
-kernel, and figures whose table, would exceed physical memory, and
+kernel, and figures and sweeps whose rows, would exceed physical memory, and
 allocations that fail among them), 3 solver failures
 (numpy.linalg.LinAlgError).  Sweep and figure points run one after another,
 in parameter order.
@@ -25,8 +25,8 @@ A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
 flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
 solver that ran), and the --modes pairs schmidt_modes.csv holds when a single
 point writes CSV (sweeps and --format json ask for none).  The pairs come from
-a solve of their own, so a point reports the same numbers whatever its
---format, and as a sweep row.  `asymptotic_bounds`
+a solve of their own on the point's kernel, so a point reports the same
+numbers whatever its --format, and as a sweep row.  `asymptotic_bounds`
 reads the same --rank on its own grid, so --rank also moves S_inf.  The bounds
 do not depend on Delta, so a run solves them once per deviation: a Delta sweep
 solves them once.  kernel.csv is written after the bounds.
@@ -105,6 +105,13 @@ def _write_report(args, command, params, grid, results, diagnostics):
             fh.write("\n")
 
 
+# A sweep is refused before its values are built if this many bytes per row exceed physical
+# memory: tracemalloc peaks of finished sweeps (values, rows, CSV and report) of 1e4 and 4e4
+# rows, with the one bounds solve stubbed out, were 0.80-0.83 kB per row for shape-slm and
+# 1.02-1.13 kB for schmidt, whose rows are the widest.
+SWEEP_BYTES_PER_ROW = 1130
+
+
 def _space(lo, hi, n, log=False):
     if log:
         return np.logspace(np.log10(lo), np.log10(hi), n)
@@ -129,6 +136,7 @@ def _sweep_values(args, sweepable):
         raise ValueError("--sweep zeta has no effect with --infinite-pm (flat phase matching)")
     if getattr(args, "dump_kernel", False):
         raise ValueError("--dump-kernel writes a single point's kernel; it cannot go with --sweep")
+    check_fits("a sweep grid of {} points (--sweep POINTS)", SWEEP_BYTES_PER_ROW, points)
     return name, _space(lo, hi, points, args.log)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil, isfinite, prod
+from math import ceil, inf, isfinite, prod
 
 import numpy as np
 
@@ -129,10 +129,11 @@ class KernelMatrix:
 def check_fits(what: str, bytes_per_node: float, *counts: int) -> None:
     """Raise ValueError, before any allocation, if an array of bytes_per_node times the node
     counts exceeds physical memory; `what` names it, with {} for the counts."""
-    need = prod(counts, start=float(bytes_per_node))  # a float: inf, not an overflow
+    sizes = [float(n) if n < 1e308 else inf for n in counts]  # no int beyond float range
+    need = prod(sizes, start=float(bytes_per_node))  # a float: inf, not an overflow
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:  # counts beyond 12 digits are written to 3 significant ones
-        shape = " x ".join(str(n) if n < 10**12 else f"{n:.3g}" for n in counts)
+        shape = " x ".join(str(n) if n < 10**12 else f"{x:.3g}" for n, x in zip(counts, sizes))
         raise ValueError(f"{what.format(shape)} needs {need / 2**30:.3g} GiB, more than the "
                          f"{have / 2**30:.3g} GiB of physical memory; use a coarser grid")
 

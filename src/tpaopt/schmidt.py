@@ -136,11 +136,11 @@ class HankelKernel:
     memory: H u is the tail of a circular convolution, by numpy.fft, whose
     length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
     nothing into the rows kept); the symmetric kernel transforms u and E u
-    together.  `_apply` gives `_lanczos` its products.  The transform of
-    hankel is taken on the first product, so a kernel solved densely never
-    transforms it.
-    `to_dense` gathers the matrix for the dense SVD.  grid2 is
-    grid1 up to a shift, so both axes have the same weights.
+    together.  `_apply` gives `_lanczos` its products, `to_dense` the matrix
+    for the dense SVD.  grid2 is grid1 up to a shift, so both axes have the
+    same weights.  Derived data waits for its first use: the transform of
+    hankel for the first product, `centro_hermitian` for a dense solve or the
+    Gram route of `asymptotic_bounds`.
 
     `centro_hermitian` tells whether J A J = conj(A), J reversing the node
     order: diag and hankel are conjugated by reversal (to CENTRO_HERMITIAN_RTOL
@@ -156,12 +156,11 @@ class HankelKernel:
         self.grid1, self.grid2, self.shape = grid1, grid2, (n, n)
         self.diag, self.hankel, self.symmetric = diag, hankel, symmetric
         self._sw = np.sqrt(quadrature_weights(grid1))
-        self._centro_hermitian = bool(_mirror_conjugate(diag) and _mirror_conjugate(hankel)
-                                      and np.array_equal(self._sw, self._sw[::-1]))
 
-    @property
+    @cached_property
     def centro_hermitian(self) -> bool:
-        return self._centro_hermitian
+        return bool(_mirror_conjugate(self.diag) and _mirror_conjugate(self.hankel)
+                    and np.array_equal(self._sw, self._sw[::-1]))
 
     @cached_property
     def _fft_size(self) -> int:
@@ -292,8 +291,8 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
     Classical Gram-Schmidt, with the coefficients basis^H r taken as conj(basis conj(r)) so
     that no conjugated copy of the basis is made, and a second pass only when the first
     removes more than half of the norm (so cancellation may have left r short of orthogonal).
-    `_lanczos` calls it only for the vectors that its omega estimates pick (all of them in a
-    solve with vectors).
+    `_lanczos` calls it only for the vectors that its omega estimates pick (every vector that
+    has a basis in a solve with vectors, whose threshold is 0).
     """
     norm = _norm(r)
     for _ in range(2 if len(basis) else 0):
@@ -324,8 +323,8 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     the other basis; their estimates then restart at eps sqrt(n).  The Ritz values of a
     semi-orthogonal basis are those of an orthonormal one up to roundoff, with no spurious
     copies.  Their Ritz vectors were up to 2e-11 from orthonormal on Phi (481-1001 nodes),
-    above the 1e-12 the modes are held to, so a solve with vectors orthogonalizes every new
-    vector.
+    above the 1e-12 the modes are held to, so a solve with vectors takes the threshold 0,
+    which every estimate passes after the first step: each vector with a basis is orthogonalized.
 
     The SVD B_j = X diag(theta) Y^T gives the Ritz triplets (U_j x_i, theta_i, V_j y_i),
     exact but for A^H U_j x_i, which misses by res_i = beta_j |x_i[-1]|.  Once j >= k,
@@ -352,7 +351,7 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     # omega estimates of |u_j^H u_i| and |v_j^H v_i|, i <= j, for the newest u_j and v_j
     mu, nu = np.ones(size + 1), np.ones(size + 1)
     eps = np.finfo(float).eps
-    eps1, semi = np.sqrt(max(m, n)) * eps, np.sqrt(eps)
+    eps1, semi = np.sqrt(max(m, n)) * eps, 0.0 if vectors else np.sqrt(eps)
     force = False  # the vector after one that lost orthogonality is orthogonalized too
     v = np.full(n, 1.0 / np.sqrt(n), complex)
     top, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
@@ -375,7 +374,7 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         if j and alpha:  # alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, plus roundoff
             w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
             mu[:j] = (w + np.copysign(eps1 * (math.hypot(alpha, beta_prev) + 2.0 * top), w)) / alpha
-        if vectors or force or (j and abs(mu[:j]).max() > semi):
+        if force or (j and abs(mu[:j]).max() > semi):
             alpha = _orthogonalize(u, us[:j])
             mu[:j], force = eps1, not force
         mu[j] = 1.0
@@ -395,7 +394,7 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
             w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
             w[1:] += betas[:j] * mu[:j]
             nu[: j + 1] = (w + np.copysign(eps1 * (math.hypot(alpha, beta) + 2.0 * top), w)) / beta
-        if vectors or force or abs(nu[: j + 1]).max() > semi:
+        if force or abs(nu[: j + 1]).max() > semi:
             beta = _orthogonalize(v, vs[: j + 1])
             nu[: j + 1], force = eps1, not force
         nu[j + 1] = 1.0
@@ -562,13 +561,10 @@ def optimal_state_schmidt(sys: LevelSystem, rank: int | None = None, *,
                           center: float | None = None) -> SchmidtDecomposition:
     """Schmidt coefficients of the optimal pair amplitude Phi by the library's policy.
 
-    The grid is `auto_grid(sys, half, step, center)`, rank is read by `solver_rank`, and a
-    values-only `decompose` runs on the matrix-free `optimal_state_operator`: the result
-    holds no modes (`schmidt_point` with modes adds the leading pairs).
+    `schmidt_point`'s values-only decomposition: the result holds no modes (`schmidt_point`
+    with modes adds the leading pairs).
     """
-    grid = auto_grid(sys, half, step, center)
-    return decompose(optimal_state_operator(sys, grid), rank=solver_rank(grid.count, rank),
-                     vectors=False)
+    return schmidt_point(sys, rank, half=half, step=step, center=center)[0]
 
 
 def solver_stats(d: SchmidtDecomposition) -> dict:
@@ -606,25 +602,26 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
                   center: float | None = None) -> tuple[SchmidtDecomposition, dict]:
     """(d, row): the Schmidt data of Phi by the library's policy and the numbers a point reports.
 
-    One rule, whatever solver the policy picks: d.coefficients are the values-only
-    `optimal_state_schmidt` of the point, and d holds the leading m = min(modes, coefficients
-    above COEFFICIENT_FLOOR) mode pairs of `decompose(optimal_state_operator(sys, grid),
-    rank=m)`, since the modes of roundoff coefficients are arbitrary vectors.  So a point
-    reports the same numbers with modes or without.
-    row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
-    `decompose` (`solver_rank` of the grid's node count) and the `solver_stats` fields.
+    One rule, whatever solver the policy picks: on n-node `auto_grid(sys, half, step, center)`
+    one matrix-free op = `optimal_state_operator` gives d.coefficients, by values-only
+    `decompose(op, rank=solver_rank(n, rank))`, and the leading m = min(modes, coefficients
+    above COEFFICIENT_FLOOR) mode pairs, by `decompose(op, rank=m)` (the modes of roundoff
+    coefficients are arbitrary vectors).  So a point reports the same numbers with modes or
+    without.  row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
+    the values-only `decompose` and the `solver_stats` fields.
     """
     if modes < 0:
         raise ValueError(f"modes must be >= 0, got {modes}")
-    d = optimal_state_schmidt(sys, rank, half=half, step=step, center=center)
+    grid = auto_grid(sys, half, step, center)
+    op, rank = optimal_state_operator(sys, grid), solver_rank(grid.count, rank)
+    d = decompose(op, rank=rank, vectors=False)
     m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))
     if m:
-        lead = decompose(optimal_state_operator(sys, d.grid1), rank=m)
+        lead = decompose(op, rank=m)
         d = replace(d, modes_1=lead.modes_1, modes_2=lead.modes_2)
     r1 = float(d.coefficients[0])
     return d, {"r1": r1, "r1_squared": r1**2, "entropy_bits": entropy(d),
-               "quantum_enhancement": quantum_enhancement(d),
-               "rank": solver_rank(d.grid1.count, rank), **solver_stats(d)}
+               "quantum_enhancement": quantum_enhancement(d), "rank": rank, **solver_stats(d)}
 
 
 def optimal_separable(d: SchmidtDecomposition):

@@ -380,7 +380,7 @@ def test_bad_count_exits_2(tmp_path, capsys, argv, flag):
     ["schmidt", "--rank", "4", "--step", "1e-4"],       # 8,000,001-node point grid
     ["schmidt", "--rank", "4", "--dev", "-1.9999999"],  # 1,600,000,001-node bounds grid
     ["schmidt", "--grid-half-width", "1e300"],  # a node count whose byte count overflows
-    # 8 PB of sweep values, beyond any address space: numpy's MemoryError, nothing allocated
+    # a sweep of 1e15 rows, about 1 EiB of values and rows
     ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
     # shaping grids of 6e13 and 4e13 nodes (hundreds of TiB), and of 5e301 nodes
     ["shape-slm", "--step", "1e-12"],
@@ -393,8 +393,8 @@ def test_infeasible_dense_grid_fails_fast(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    # a grid is refused before any allocation; numpy refuses the 8 PB sweep itself
-    assert ("Unable to allocate" if "--sweep" in argv else "physical memory") in err
+    # a grid or sweep is refused before any allocation
+    assert "physical memory" in err
     assert not re.search(r"\d{20}", err)  # huge node counts to 3 significant digits
 
 
@@ -408,6 +408,32 @@ def test_figure_beyond_memory_exits_2_naming_points(tmp_path, capsys, name):
     assert err.startswith("error: a figure grid of 1e+12 ")
     assert "points (--points) needs" in err and "physical memory" in err
     assert not os.listdir(tmp_path)
+
+
+def test_sweep_beyond_memory_exits_2_before_any_point(tmp_path, capsys, monkeypatch):
+    # 1e6 rows against 64 MiB of physical memory: refused before the values are built
+    pages, sysconf = {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}, os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+
+    def point(args, delta, dev, sigma):
+        pytest.fail("a sweep beyond physical memory ran a point")
+
+    monkeypatch.setitem(cli.COMMANDS, "shape-slm", (point, *cli.COMMANDS["shape-slm"][1:]))
+    argv = ["shape-slm", "--sweep", "delta", "1", "2", "1000000", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a sweep grid of 1000000 points (--sweep POINTS) needs ")
+    assert "than the 0.0625 GiB of physical memory" in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure", "fig2a", "--points"], "--points"),
+    (["shape-slm", "--sweep", "delta", "1", "2"], "--sweep POINTS"),
+])
+def test_count_beyond_float_range_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert main(argv + ["1" + "0" * 400, "--out", str(tmp_path)]) == 2
+    assert f"of inf points ({flag}) needs inf GiB" in capsys.readouterr().err
 
 
 def test_memory_error_without_text_prints_a_message(tmp_path, capsys, monkeypatch):

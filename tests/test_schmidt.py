@@ -475,7 +475,8 @@ def _count_products(monkeypatch):
     return calls
 
 
-def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch):
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch, vectors):
     # 300 values of Phi at (5, -1.5) on 1201 nodes, down to 7e-6 r1: a ghost copy
     # of a converged value would shift every value after it
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
@@ -489,10 +490,13 @@ def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch):
         return orthogonalize(r, basis)
 
     monkeypatch.setattr(schmidt, "_orthogonalize", counted)
-    d = decompose(op, rank=300, vectors=False)
+    d = decompose(op, rank=300, vectors=vectors)
     assert np.max(np.abs(d.coefficients - dense[:300])) <= 1e-13 * dense[0]
-    # a step takes two products; full reorthogonalization orthogonalizes after each
-    assert len(orthogonalized) < len(products)
+    assert 0 not in orthogonalized  # the first vector has no basis
+    if vectors:  # threshold 0: each new vector after the first is orthogonalized
+        assert len(orthogonalized) == len(products) - 1
+    else:  # a step takes two products; full reorthogonalization orthogonalizes after each
+        assert len(orthogonalized) < len(products)
 
 
 @pytest.mark.parametrize("kernel, k, rank", [
@@ -708,7 +712,11 @@ def test_schmidt_point_row_and_single_report(tmp_path, rank, method):
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
     grid = {"half": 20.0, "step": 0.5}
     d, row = schmidt_point(sys, rank, **grid)
-    ref = optimal_state_schmidt(sys, rank, **grid)
+    np.testing.assert_array_equal(optimal_state_schmidt(sys, rank, **grid).coefficients,
+                                  d.coefficients)
+    auto = schmidt.auto_grid(sys, **grid)  # the values-only solve on the auto grid
+    ref = decompose(optimal_state_operator(sys, auto), rank=solver_rank(auto.count, rank),
+                    vectors=False)
     np.testing.assert_array_equal(d.coefficients, ref.coefficients)
     assert d.modes_1.shape == d.modes_2.shape == (0, ref.grid1.count)  # modes=0: none
     r1 = float(ref.coefficients[0])
@@ -780,6 +788,33 @@ def test_point_writes_no_mode_of_a_roundoff_coefficient():
     assert d.modes_1.shape == d.modes_2.shape == (1, 161)
     with pytest.raises(ValueError, match="modes must be >= 0"):
         schmidt_point(sys, None, -1, half=40.0, step=0.5)
+
+
+def test_point_builds_one_grid_kernel_and_rank(monkeypatch):
+    # the values-only solve and the rank-2 mode solve run on the same kernel
+    calls = {"auto_grid": 0, "optimal_state_operator": 0, "solver_rank": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(schmidt, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(schmidt, name, counted)
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    d, row = schmidt_point(sys, None, 2, half=40.0, step=0.25)
+    assert calls == {"auto_grid": 1, "optimal_state_operator": 1, "solver_rank": 1}
+    assert len(d.modes_1) == 2 and row["rank"] is None and d.method == "dense_values"
+
+
+def test_truncated_solve_never_scans_for_centro_hermitian_symmetry(monkeypatch):
+    scans, mirror = [], schmidt._mirror_conjugate
+    monkeypatch.setattr(schmidt, "_mirror_conjugate", lambda x: scans.append(x.size) or mirror(x))
+    sys = LevelSystem(delta_deviation=-1.5)  # Delta = 0: centro-Hermitian
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 30.0, 0.25))
+    for vectors in (False, True):
+        assert decompose(op, rank=4, vectors=vectors).method == "hankel_lanczos"
+    assert scans == []
+    assert op.centro_hermitian and op.centro_hermitian
+    assert scans == [op.diag.size, op.hankel.size]  # on the first read only
 
 
 def test_missing_modes_raise_value_error():

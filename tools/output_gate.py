@@ -111,7 +111,8 @@ COMMANDS = {
     "exit2_sigma_inf": ["shape-slm", "--sigma", "inf"],
     "exit2_zeta_inf": ["shape-pump", "--sigma", "1", "--zeta", "inf"],
     "exit2_phi_nan": ["shape-pump", "--phi", "nan", "--zeta", "1"],
-    # 8 PB of sweep values: beyond any address space, so nothing is allocated
+    # 1e15 sweep rows: refused by the sweep's memory guard (numpy's MemoryError before it).
+    # No entry may sweep 2e8-1e12 points: a checkout without the guard allocates them.
     "exit2_sweep_size": ["shape-slm", "--sweep", "delta", "1", "2", "1000000000000000"],
     "exit2_pump_no_zeta": ["shape-pump"],
     # shaping grids of 6e13, 4e13 and 5e301 nodes: refused before any node array exists
