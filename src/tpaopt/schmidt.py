@@ -143,11 +143,12 @@ class HankelKernel:
     Gram route of `asymptotic_bounds`.
 
     `centro_hermitian` tells whether J A J = conj(A), J reversing the node
-    order: diag and hankel are conjugated by reversal (to CENTRO_HERMITIAN_RTOL
-    of their largest magnitude) and the weights are mirror-symmetric.  This
-    holds for the one-sided kernel on its offset grid and for Phi at zero
-    detuning, since both Lorentzian lines obey L(-x) = conj L(x) about their
-    centres; the dense SVD of such a kernel runs in real arithmetic.
+    order, from diag and hankel alone: both are conjugated by reversal (to
+    CENTRO_HERMITIAN_RTOL of their largest magnitude), and the trapezoidal
+    weights are mirror-symmetric by construction.  This holds for the
+    one-sided kernel on its offset grid and for Phi at zero detuning, since
+    both Lorentzian lines obey L(-x) = conj L(x) about their centres; the
+    dense SVD of such a kernel runs in real arithmetic.
     """
 
     def __init__(self, grid1: FrequencyGrid, grid2: FrequencyGrid, diag: np.ndarray,
@@ -159,8 +160,7 @@ class HankelKernel:
 
     @cached_property
     def centro_hermitian(self) -> bool:
-        return bool(_mirror_conjugate(self.diag) and _mirror_conjugate(self.hankel)
-                    and np.array_equal(self._sw, self._sw[::-1]))
+        return bool(_mirror_conjugate(self.diag) and _mirror_conjugate(self.hankel))
 
     @cached_property
     def _fft_size(self) -> int:
@@ -315,10 +315,10 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
 
     The bases are kept semi-orthogonal by partial reorthogonalization (H. D. Simon, Math.
     Comp. 42:115, 1984, in R. M. Larsen's form for the bidiagonalization, DAIMI PB-357,
-    1998, sections 3-4).  The omega recurrences of the three-term recurrence estimate
-    |u_j^H u_i| and |v_(j+1)^H v_i| without computing them; each step adds to them the
-    roundoff term eps sqrt(n) (||row of B|| + 2 ||B||), signed to grow them, with ||B|| taken
-    as the largest alpha or beta so far.  A new vector whose estimate exceeds sqrt(eps) is
+    1998, sections 3-4).  Both bases take one `step` per new vector, u_j or v_(j+1): the
+    omega recurrences estimate |u_j^H u_i| or |v_(j+1)^H v_i| without computing them, plus
+    the roundoff term eps sqrt(n) (||row of B|| + 2 ||B||), signed to grow them, with ||B||
+    taken as the largest alpha or beta so far.  A vector whose estimate exceeds sqrt(eps) is
     orthogonalized against its whole basis (`_orthogonalize`), and so is the next vector of
     the other basis; their estimates then restart at eps sqrt(n).  The Ritz values of a
     semi-orthogonal basis are those of an orthonormal one up to roundoff, with no spurious
@@ -355,6 +355,22 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     force = False  # the vector after one that lost orthogonality is orthogonalized too
     v = np.full(n, 1.0 / np.sqrt(n), complex)
     top, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
+
+    def step(r, basis, est, w, coef):
+        """||r||, r's estimates est against basis updated from their recurrence w and B's coef."""
+        nonlocal force, top
+        i, norm = len(basis), _norm(r)
+        if not np.isfinite(norm):
+            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
+        if i and norm:
+            est[:i] = (w + np.copysign(eps1 * (math.hypot(norm, coef) + 2.0 * top), w)) / norm
+        if force or (i and abs(est[:i]).max() > semi):
+            norm = _orthogonalize(r, basis)
+            est[:i], force = eps1, not force
+        est[i] = 1.0
+        top = max(top, norm)
+        return norm
+
     for j in range(steps):
         if j == size:
             size = min(size + LANCZOS_CHUNK, steps)
@@ -368,17 +384,10 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         beta_prev = betas[j - 1] if j else 0.0
         if j:
             u -= beta_prev * us[j - 1]
-        alpha = _norm(u)
-        if not np.isfinite(alpha):
-            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
-        if j and alpha:  # alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, plus roundoff
-            w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
-            mu[:j] = (w + np.copysign(eps1 * (math.hypot(alpha, beta_prev) + 2.0 * top), w)) / alpha
-        if force or (j and abs(mu[:j]).max() > semi):
-            alpha = _orthogonalize(u, us[:j])
-            mu[:j], force = eps1, not force
-        mu[j] = 1.0
-        top = max(top, alpha)
+        # the omega recurrences: alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, then
+        # beta_j nu_i = (B^T mu)_i - alpha_j nu_i
+        w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
+        alpha = step(u, us[:j], mu, w, beta_prev)
         if alpha <= scale * top:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
             c = b[:j, : j + 1]
             break
@@ -387,19 +396,10 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
         v = apply_transpose(np.conj(us[j]))
         np.conj(v, out=v)
         v -= alpha * vs[j]
-        beta = _norm(v)
-        if not np.isfinite(beta):
-            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
-        if beta:  # beta_j nu_i = (B^T mu)_i - alpha_j nu_i, plus roundoff
-            w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
-            w[1:] += betas[:j] * mu[:j]
-            nu[: j + 1] = (w + np.copysign(eps1 * (math.hypot(alpha, beta) + 2.0 * top), w)) / beta
-        if force or abs(nu[: j + 1]).max() > semi:
-            beta = _orthogonalize(v, vs[: j + 1])
-            nu[: j + 1], force = eps1, not force
-        nu[j + 1] = 1.0
+        w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
+        w[1:] += betas[:j] * mu[:j]
+        beta = step(v, vs[: j + 1], nu, w, alpha)
         c = b[: j + 1, : j + 1]
-        top = max(top, beta)
         if beta <= scale * top or j + 1 == steps:
             break
         v /= beta
@@ -583,11 +583,8 @@ def entropy(d: SchmidtDecomposition) -> float:
 
     Coefficients at or below the floor 1e-12 contribute nothing.
     """
-    r = d.coefficients[d.coefficients > COEFFICIENT_FLOOR]
-    if r.size == 0:
-        return 0.0
-    p = r**2
-    return float(-np.sum(p * np.log2(p)))
+    p = d.coefficients[d.coefficients > COEFFICIENT_FLOOR] ** 2
+    return float(0.0 - np.sum(p * np.log2(p)))  # +0.0, not -0.0, if no r or a single r = 1
 
 
 def quantum_enhancement(d: SchmidtDecomposition) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -52,6 +53,11 @@ def test_entropy_trivial_spectra():
     assert entropy(two) == pytest.approx(1.0, abs=1e-14)
     with_zero = synthetic_decomposition([1.0, 0.0, 0.0])
     assert entropy(with_zero) == 0.0
+
+
+@pytest.mark.parametrize("coefficients", [[1.0], [1.0, 0.0], [1e-13]])
+def test_entropy_of_a_pure_state_is_positive_zero(coefficients):
+    assert math.copysign(1.0, entropy(synthetic_decomposition(coefficients))) == 1.0
 
 
 def test_enhancement_trivial_spectra():

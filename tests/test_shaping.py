@@ -102,6 +102,18 @@ def test_pump_minus_grid_covers_its_documented_range(gamma_e, delta, zeta):
     assert flat == pump_minus_grid(sys, PumpShaped(sigma=1.0, zeta=gamma_e))
 
 
+@pytest.mark.parametrize("delta, state, half, step, count", [
+    (3.0, PumpShaped(sigma=1.0, zeta=2.0), 100.0, 0.1, 2001),         # 20 gamma_e (2 + Delta)
+    (0.0, PumpShaped(sigma=1.0, infinite_pm=True), 40.0, 0.1, 801),  # gamma_e stands in for zeta
+    (-1.5, PumpShaped(sigma=1.0, zeta=0.5), 10.0, 0.05, 401),        # a narrow zeta sets the step
+    (-1.9, PumpShaped(sigma=1.0, zeta=1.0), 10.0, 0.1, 201),         # 10 zeta sets the reach
+])
+def test_pump_minus_grid_pins_its_rule(delta, state, half, step, count):
+    grid = pump_minus_grid(LevelSystem(delta_detuning=delta), state)
+    assert (grid.min, grid.max, grid.step) == pytest.approx((-half, half, step), rel=1e-12)
+    assert grid.count == count
+
+
 def test_slm_rejects_off_centre_grid():
     sys = LevelSystem(delta_detuning=2.0)
     with pytest.raises(ValueError, match="zero-centred offset grid"):

@@ -17,10 +17,10 @@ them) to show that a change leaves every output byte-identical.  For a
 CSV or ``report.json`` that differs and is on both sides, it names the cell
 or key with the largest absolute difference, relative to the file's largest
 magnitude: roundoff drift shows as about 1e-16, a real change as more.
-The whole list takes about 60 s on one core of a 2-core x86-64 VM, about
-12-14 s of it in the demos (nearly all in ``schmidt_entanglement.py``), about
-10 s in ``fig2c_full``, the 24 rows of the large-detuning bounds, and under
-1 s in ``bare_default``.
+The whole list takes about 50 s on one core of a 2-core x86-64 VM, about
+6 s of it in the demos (5.5 s in ``schmidt_entanglement.py``), about 9 s in
+``fig2c_full``, the 24 rows of the large-detuning bounds, and under 1 s in
+``bare_default``.
 """
 
 from __future__ import annotations
