@@ -50,12 +50,15 @@ CENTRO_HERMITIAN_RTOL = 1e-12
 # Default-rank policy of `solver_rank`, measured against ARPACK, the truncated solver of the
 # time, on Phi at delta = -1.5 with one BLAS thread on a 2-core x86-64 VM: up to DENSE_MAX_NODES
 # nodes a dense SVD of the full spectrum was faster than ARPACK for DEFAULT_RANK coefficients
-# (on the matrix-free kernel); beyond, ARPACK was.  Re-measured for `_lanczos` (values only,
-# medians of 3 on one CPU of that VM), the crossover lies below 1219 nodes: on Phi at Delta = 5,
-# delta = -1.391, -1.222, -1.052 (1219, 1557, 1897 nodes) k = 300 took 0.63, 0.55, 0.61 s
-# against 1.35, 2.62, 4.50 s dense, and at Delta = 0 (real form), 1557 and 1897 nodes, 0.53
-# and 0.71 s against 1.23 and 2.18 s; S moved by at most 6.7e-7 bits and r1 by 4e-16.  The
-# policy stays until it can read a stated accuracy, since S moves on the rows that switch.
+# (on the matrix-free kernel); beyond, ARPACK was.  Re-measured for `_lanczos` in its
+# one-basis form for Phi (values only, medians of 3 on one CPU of that VM), the crossover lies
+# between 601 and 801 nodes at Delta = 5 and near 801 at Delta = 0: on Phi at Delta = 5,
+# delta = -1.7, -1.6, -1.5, -1.391, -1.222, -1.052 (601, 801, 1001, 1219, 1557, 1897 nodes)
+# k = 300 took 0.21, 0.18, 0.20, 0.24, 0.26, 0.30 s against 0.13, 0.31, 0.62, 1.14, 2.41,
+# 4.26 s dense, and at Delta = 0 (real form), 801, 1001, 1557 and 1897 nodes, 0.17, 0.28, 0.36
+# and 0.37 s against 0.16, 0.33, 1.18 and 2.02 s; S moved by at most 4.7e-6 bits and r1 by
+# 8e-16.  The policy stays until it can read a stated accuracy, since S moves on the rows
+# that switch.
 DEFAULT_RANK = 300
 DENSE_MAX_NODES = 2100
 # Stopping rules and basis growth of `_lanczos`.
@@ -73,10 +76,10 @@ class SchmidtDecomposition:
     modes_2 hold the leading len(modes_1) mode pairs, modes_1[k] and
     modes_2[k] on the grid nodes, orthonormal under the trapezoidal inner
     product: from `decompose` with vectors one pair per coefficient it
-    reached (a truncated solve that ends before rank leaves the rest exactly
-    0, with no pair), none without, and the pairs a caller asked for from
-    `schmidt_point`.  The amplitude is sum_k r_k conj(modes_1[k]) x
-    conj(modes_2[k]) over the pairs held.  residual is
+    reached (a truncated solve that ends before rank, or reaches values at
+    roundoff level, leaves the rest exactly 0, with no pair), none without,
+    and the pairs a caller asked for from `schmidt_point`.  The amplitude is
+    sum_k r_k conj(modes_1[k]) x conj(modes_2[k]) over the pairs held.  residual is
     the Frobenius norm of the part of the kernel discarded by truncation:
     from the discarded singular values after a dense SVD (exactly 0 at full
     rank), after a truncated solve (`_lanczos`) from the difference of the
@@ -132,12 +135,15 @@ class HankelKernel:
 
     On a uniform n-node grid D = diag(sqrt(w)) holds the trapezoidal
     weights, E = diag(diag) and H[i, j] = hankel[i + j] (2n - 1 values).
-    Products with the matrix and its adjoint cost O(n log n) and O(n)
+    Products with the matrix and its transpose cost O(n log n) and O(n)
     memory: H u is the tail of a circular convolution, by numpy.fft, whose
     length is the least 5-smooth one >= 2n - 1 (the shortest that wraps
     nothing into the rows kept); the symmetric kernel transforms u and E u
     together.  `_apply` gives `_lanczos` its products, `to_dense` the matrix
-    for the dense SVD.  grid2 is grid1 up to a shift, so both axes have the
+    for the dense SVD.  The symmetric kernel is its own transpose (A^T = A,
+    so A is complex symmetric), and `_lanczos` runs on it the one-basis
+    recurrence that calls only A v; the one-sided kernel takes A v and
+    A^T v.  grid2 is grid1 up to a shift, so both axes have the
     same weights.  Derived data waits for its first use: the transform of
     hankel for the first product, `centro_hermitian` for a dense solve or the
     Gram route of `asymptotic_bounds`.
@@ -251,8 +257,9 @@ def solver_rank(n: int, rank: int | None = None) -> int | None:
 def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
     """The method `decompose` runs on an n x n kernel for `rank` coefficients.
 
-    A truncated SVD for a rank below n - 1: "lanczos" (`_lanczos`, Golub-Kahan-
-    Lanczos bidiagonalization in numpy), with or without vectors.  Otherwise a
+    A truncated SVD for a rank below n - 1: "lanczos" (`_lanczos` in numpy:
+    complex-symmetric Lanczos on a symmetric `HankelKernel`, Golub-Kahan-Lanczos
+    bidiagonalization otherwise), with or without vectors.  Otherwise a
     dense SVD cut to rank: "dense", or "dense_values" (no vectors) if not vectors.
     """
     if rank is not None and rank < n - 1:
@@ -304,6 +311,40 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> float:
     return norm
 
 
+def _ritz_update(c, theta, x_last, y_last):
+    """(theta, x_last, y_last) of the square c = X diag(theta) Y^H, theta descending, x_last
+    and y_last the last rows of X and Y, from the same data of its leading block.
+
+    The leading m0 x m0 block (m0 = theta.size, 0 at the first call) of the tridiagonal or
+    bidiagonal c couples to the rest only through its last row and column, so c = diag(X0, I)
+    K diag(Y0, I)^H with K = [[diag(theta), conj(x_last) c[m0 - 1, m0:]], [c[m0:, m0 - 1]
+    y_last, c[m0:, m0:]]] (outer products), and the last rows of K's singular vectors are those
+    of c's.  A triplet whose coupling (its residual when theta was computed) is at most eps
+    theta_1 keeps its value and zero last entries, a change of c at roundoff level as in the
+    deflation of a divide-and-conquer SVD, so the dense SVD runs only on the rest of K: the
+    triplets not yet converged and the rows added since.
+    """
+    m0 = theta.size
+    locked = np.zeros(m0, bool)
+    if m0:
+        coupling = np.maximum(abs(c[m0 - 1, m0]) * np.abs(x_last),
+                              abs(c[m0, m0 - 1]) * np.abs(y_last))
+        locked = coupling <= np.finfo(float).eps * theta[0]
+    free = ~locked
+    na = m0 - np.count_nonzero(locked)
+    core = np.zeros((na + c.shape[0] - m0,) * 2, c.dtype)  # K without the locked triplets
+    core[:na, :na] = np.diag(theta[free])
+    core[:na, na:] = np.outer(np.conj(x_last[free]), c[m0 - 1, m0:])
+    core[na:, :na] = np.outer(c[m0:, m0 - 1], y_last[free])
+    core[na:, na:] = c[m0:, m0:]
+    x, s, yh = np.linalg.svd(core)
+    zeros = np.zeros(m0 - na)
+    theta = np.concatenate((theta[locked], s))
+    order = np.argsort(-theta, kind="stable")
+    return (theta[order], np.concatenate((zeros, x[-1]))[order],
+            np.concatenate((zeros, np.conj(yh[:, -1])))[order])
+
+
 def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     """k leading singular values s, descending, and the vectors (u, vh) of those reached.
 
@@ -311,59 +352,79 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     1965) on the products apply(v) = A v and apply_transpose(v) = A^T v (the adjoint is
     A^H u = conj(A^T conj(u))).  From the fixed start vector of ones / sqrt(n), step j adds
     u_j and v_(j+1) to bases with A V_j = U_j B_j, B_j upper bidiagonal with alpha_j on its
-    diagonal and A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.
+    diagonal and A^H U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.  For a complex symmetric A
+    (A^T = A, signalled by apply_transpose None) it runs the complex-symmetric Lanczos
+    recurrence instead (Bunse-Gerstner & Gragg, J. Comput. Appl. Math. 21:41, 1988): one
+    basis Q and one product per step, A conj(q_j) = beta_(j-1) q_(j-1) + alpha_j q_j +
+    beta_j q_(j+1), so A conj(Q_j) = Q_j T_j + beta_j q_(j+1) e_j^T with T_j = Q_j^H A
+    conj(Q_j) complex symmetric tridiagonal, alpha_j complex and beta_j real.  Since A^T = A,
+    Q spans the left and the conjugated right singular vectors together, and the k leading
+    values converge in about half the products of the bidiagonalization.  Below, B_j stands
+    for either matrix.
 
     The bases are kept semi-orthogonal by partial reorthogonalization (H. D. Simon, Math.
     Comp. 42:115, 1984, in R. M. Larsen's form for the bidiagonalization, DAIMI PB-357,
-    1998, sections 3-4).  Both bases take one `step` per new vector, u_j or v_(j+1): the
-    omega recurrences estimate |u_j^H u_i| or |v_(j+1)^H v_i| without computing them, plus
-    the roundoff term eps sqrt(n) (||row of B|| + 2 ||B||), signed to grow them, with ||B||
-    taken as the largest alpha or beta so far.  A vector whose estimate exceeds sqrt(eps) is
-    orthogonalized against its whole basis (`_orthogonalize`), and so is the next vector of
-    the other basis; their estimates then restart at eps sqrt(n).  The Ritz values of a
-    semi-orthogonal basis are those of an orthonormal one up to roundoff, with no spurious
-    copies.  Their Ritz vectors were up to 2e-11 from orthonormal on Phi (481-1001 nodes),
-    above the 1e-12 the modes are held to, so a solve with vectors takes the threshold 0,
-    which every estimate passes after the first step: each vector with a basis is orthogonalized.
+    1998, sections 3-4).  Each basis takes one `step` per new vector, u_j, v_(j+1) or
+    q_(j+1): the omega recurrences estimate |u_j^H u_i|, |v_(j+1)^H v_i| or |q_i^H q_(j+1)|
+    (complex, from G_ij = q_i^H A conj(q_j) = G_ji) without computing them, plus the
+    roundoff term eps sqrt(n) (||row of B|| + 2 ||B||), signed to grow them, with ||B||
+    taken as the largest |alpha| or beta so far.  A vector whose estimate exceeds sqrt(eps)
+    is orthogonalized against its whole basis (`_orthogonalize`), and so is the next vector
+    (of the other basis, in a bidiagonalization); their estimates then restart at eps
+    sqrt(n).  The Ritz values of a semi-orthogonal basis are those of an orthonormal one up
+    to roundoff, with no spurious copies.  Their Ritz vectors were up to 2e-11 from
+    orthonormal on Phi (481-1001 nodes), above the 1e-12 the modes are held to, so a solve
+    with vectors takes the threshold 0, which every estimate passes after the first step:
+    each vector with a basis is orthogonalized.
 
-    The SVD B_j = X diag(theta) Y^T gives the Ritz triplets (U_j x_i, theta_i, V_j y_i),
-    exact but for A^H U_j x_i, which misses by res_i = beta_j |x_i[-1]|.  Once j >= k,
-    every LANCZOS_CHECK steps, the solve stops when each of the k leading triplets has
-    converged: with vectors when res_i <= LANCZOS_RTOL theta_1, since a mode's error scales
-    as res_i / gap_i; values only when min(res_i, res_i^2 / gap_i) is, PROPACK's
-    gap-refined bound on the error of theta_i (Larsen, 1998), gap_i being the distance from
-    theta_i to the nearest other theta of B_j.  An alpha_j or beta_j of at most
-    BREAKDOWN_RTOL sqrt(n) times the largest alpha or beta so far (a lower bound on ||B||)
-    ends it too: the bases then span invariant subspaces, whose r Ritz triplets are singular
-    triplets of A, and s[r:] is exactly 0.  u has a column and vh a row per value reached,
-    min(k, r); both are None without vectors.  A single start vector finds one copy of an
-    exactly repeated value.  The bases, and the estimates with them, hold k + LANCZOS_CHUNK
-    rows and grow by LANCZOS_CHUNK.
+    The SVD B_j = X diag(theta) Y^H gives the Ritz triplets (U_j x_i, theta_i, V_j y_i), or
+    (Q_j x_i, theta_i, conj(Q_j) y_i), exact but for the product that leaves the basis, which
+    misses by res_i = beta_j |x_i[-1]|.  Once j >= k, every LANCZOS_CHECK steps, the solve
+    stops when each of the k leading triplets has converged: with vectors when res_i <=
+    LANCZOS_RTOL theta_1, since a mode's error scales as res_i / gap_i; values only when
+    min(res_i, res_i^2 / gap_i) is, PROPACK's gap-refined bound on the error of theta_i
+    (Larsen, 1998), gap_i being the distance from theta_i to the nearest other theta of B_j.
+    The check needs only theta and the last row of X: `_ritz_update` gives them, after the
+    first check from a dense SVD of only the triplets not yet converged and the new rows.
+    An alpha_j (bidiagonalization) or beta_j of at most BREAKDOWN_RTOL sqrt(n) times the
+    largest |alpha| or beta so far (a lower bound on ||B||) ends it too: the bases then span
+    invariant subspaces, whose Ritz triplets are singular triplets of A.  s holds the r Ritz
+    values above that tolerance that it reached, r <= k, and k - r exact zeros with no pair
+    (the rank-one Phi leaves a second Ritz value at roundoff, below 1e-17 r1): u has a
+    column and vh a row per value reached; both are None without vectors.  A single start
+    vector finds one copy of an exactly repeated value.  The bases, and the estimates with
+    them, hold k + LANCZOS_CHUNK rows and grow by LANCZOS_CHUNK.
 
     Raises numpy.linalg.LinAlgError if an alpha_j or beta_j is not finite.
     """
     m, n = shape
+    symmetric = apply_transpose is None
+    kind = "tridiagonalization" if symmetric else "bidiagonalization"
     steps = min(m, n)
     size = min(k + LANCZOS_CHUNK, steps)
-    us, vs = np.empty((size, m), complex), np.empty((size, n), complex)
-    b = np.zeros((size, size + 1))  # B_j, with beta_j in column j + 1 (0-based j)
+    us, vs = np.empty((0 if symmetric else size, m), complex), np.empty((size, n), complex)
+    # B_j with beta_j in column j + 1 (0-based j), and in row j + 1 of the symmetric T_j
+    b = np.zeros((size + 1, size + 1), complex if symmetric else float)
     alphas, betas = b.diagonal(), b.diagonal(1)  # views
-    # omega estimates of |u_j^H u_i| and |v_j^H v_i|, i <= j, for the newest u_j and v_j
-    mu, nu = np.ones(size + 1), np.ones(size + 1)
+    # omega estimates against the basis of the newest u_j and v_j; in the one-basis
+    # recurrence those of q_j (nu) and q_(j-1) (mu)
+    mu, nu = np.ones(size + 1, b.dtype), np.ones(size + 1, b.dtype)
     eps = np.finfo(float).eps
     eps1, semi = np.sqrt(max(m, n)) * eps, 0.0 if vectors else np.sqrt(eps)
     force = False  # the vector after one that lost orthogonality is orthogonalized too
     v = np.full(n, 1.0 / np.sqrt(n), complex)
     top, scale = 0.0, BREAKDOWN_RTOL * np.sqrt(n)
+    ritz = np.empty(0), np.empty(0), np.empty(0)  # `_ritz_update`'s data of the last check
 
     def step(r, basis, est, w, coef):
         """||r||, r's estimates est against basis updated from their recurrence w and B's coef."""
         nonlocal force, top
         i, norm = len(basis), _norm(r)
         if not np.isfinite(norm):
-            raise np.linalg.LinAlgError(f"Lanczos bidiagonalization broke down at step {j + 1}")
+            raise np.linalg.LinAlgError(f"Lanczos {kind} broke down at step {j + 1}")
         if i and norm:
-            est[:i] = (w + np.copysign(eps1 * (math.hypot(norm, coef) + 2.0 * top), w)) / norm
+            grow = eps1 * (math.hypot(norm, coef) + 2.0 * top)
+            est[:i] = (w + grow * np.sign(w + (w == 0))) / norm  # a zero w grows as a positive
         if force or (i and abs(est[:i]).max() > semi):
             norm = _orthogonalize(r, basis)
             est[:i], force = eps1, not force
@@ -374,39 +435,61 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
     for j in range(steps):
         if j == size:
             size = min(size + LANCZOS_CHUNK, steps)
-            us = np.concatenate((us, np.empty((size - j, m), complex)))
+            us = np.concatenate((us, np.empty((0 if symmetric else size - j, m), complex)))
             vs = np.concatenate((vs, np.empty((size - j, n), complex)))
             b = np.pad(b, ((0, size - j), (0, size - j)))
             alphas, betas = b.diagonal(), b.diagonal(1)
             mu, nu = np.pad(mu, (0, size - j)), np.pad(nu, (0, size - j))
         vs[j] = v
-        u = apply(v)
-        beta_prev = betas[j - 1] if j else 0.0
-        if j:
-            u -= beta_prev * us[j - 1]
-        # the omega recurrences: alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, then
-        # beta_j nu_i = (B^T mu)_i - alpha_j nu_i
-        w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
-        alpha = step(u, us[:j], mu, w, beta_prev)
-        if alpha <= scale * top:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
-            c = b[:j, : j + 1]
-            break
-        np.divide(u, alpha, out=us[j])
-        b[j, j] = alpha
-        v = apply_transpose(np.conj(us[j]))
-        np.conj(v, out=v)
-        v -= alpha * vs[j]
-        w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
-        w[1:] += betas[:j] * mu[:j]
-        beta = step(v, vs[: j + 1], nu, w, alpha)
+        beta_prev = betas[j - 1].real if j else 0.0
+        if symmetric:
+            v = apply(np.conj(v))
+            if j:
+                v -= beta_prev * vs[j - 1]
+            alpha = np.vdot(vs[j], v)
+            v -= alpha * vs[j]
+            b[j, j], top = alpha, max(top, abs(alpha))
+            # beta_j omega_(i,j+1) = alpha_i conj omega_ij - alpha_j omega_ij + beta_i conj
+            #   omega_(i+1,j) + beta_(i-1) conj omega_(i-1,j) - beta_(j-1) omega_(i,j-1), with
+            # omega_ij the estimates nu of q_j and omega_(i,j-1) those mu of q_(j-1); for i = j
+            # only roundoff, since alpha_j takes q_j out of q_(j+1)
+            conj_nu = np.conj(nu[: j + 1])
+            w = alphas[: j + 1] * conj_nu - alpha * nu[: j + 1]
+            w[:j] += betas[:j] * conj_nu[1:] - beta_prev * mu[:j]
+            w[1:] += betas[:j] * conj_nu[:j]
+            w[j] = 0.0
+            beta = step(v, vs[: j + 1], mu, w, math.hypot(abs(alpha), beta_prev))
+            mu, nu = nu, mu
+        else:
+            u = apply(v)
+            if j:
+                u -= beta_prev * us[j - 1]
+            # the omega recurrences: alpha_j mu_i = (B nu)_i - beta_(j-1) mu_i, then
+            # beta_j nu_i = (B^T mu)_i - alpha_j nu_i
+            w = alphas[:j] * nu[:j] + betas[:j] * nu[1 : j + 1] - beta_prev * mu[:j]
+            alpha = step(u, us[:j], mu, w, beta_prev)
+            if alpha <= scale * top:  # A V_(j+1) lies in span U_j: B is j x (j + 1)
+                c = b[:j, : j + 1]
+                break
+            np.divide(u, alpha, out=us[j])
+            b[j, j] = alpha
+            v = apply_transpose(np.conj(us[j]))
+            np.conj(v, out=v)
+            v -= alpha * vs[j]
+            w = alphas[: j + 1] * mu[: j + 1] - alpha * nu[: j + 1]
+            w[1:] += betas[:j] * mu[:j]
+            beta = step(v, vs[: j + 1], nu, w, alpha)
         c = b[: j + 1, : j + 1]
         if beta <= scale * top or j + 1 == steps:
             break
         v /= beta
         b[j, j + 1] = beta
+        if symmetric:
+            b[j + 1, j] = beta
         if j + 1 >= k and (j + 1 - k) % LANCZOS_CHECK == 0:
-            x, theta = np.linalg.svd(c)[:2]
-            res, tol_ritz = beta * np.abs(x[-1, :k]), LANCZOS_RTOL * theta[0]
+            ritz = _ritz_update(c, *ritz)
+            theta, x_last = ritz[:2]
+            res, tol_ritz = beta * np.abs(x_last[:k]), LANCZOS_RTOL * theta[0]
             done = res <= tol_ritz
             if not vectors and j:  # B_j has two values or more, so each has a gap
                 gaps = -np.diff(theta)
@@ -416,10 +499,12 @@ def _lanczos(apply, apply_transpose, shape: tuple, k: int, vectors: bool):
                 break
     x, s, yh = (np.linalg.svd(c, full_matrices=False) if vectors
                 else (None, np.linalg.svd(c, compute_uv=False), None))
-    r = min(k, s.size)
+    r = min(k, int(np.count_nonzero(s > scale * top)))
     s = np.concatenate((s[:r], np.zeros(k - r)))  # coefficients not reached are 0
     if not vectors:
         return None, s, None
+    if symmetric:  # A conj(Q) Y = Q X diag(s): u = Q X, vh = Y^H Q^T, Q's rows being q_j
+        return (x[:, :r].T @ vs[: c.shape[0]]).T, s, yh[:r] @ vs[: c.shape[1]]
     # real X and Y times complex bases, as real products on the bases' float view
     u_rows = (x[:, :r].T @ us[: c.shape[0]].view(float)).view(complex)
     v_rows = (yh[:r] @ vs[: c.shape[1]].view(float)).view(complex)
@@ -475,13 +560,16 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         coefficients.
     rank : int or None
         Number of leading coefficients to compute.  None runs the dense
-        reference SVD; a rank below n - 1 runs `_lanczos` (Golub-Kahan-Lanczos,
-        with partial reorthogonalization on values only and full with vectors)
-        from a fixed start vector, on a `HankelKernel` without forming its
-        matrix (see `choose_solver`; `solver_rank` gives the default rank for
-        a grid size).  It stops on each triplet's residual with vectors and on
-        the tighter gap-refined bound without (see `_lanczos`).  On the rank-one Phi at
-        Delta = delta = 0 it stops after 3 products.
+        reference SVD; a rank below n - 1 runs `_lanczos` (with partial
+        reorthogonalization on values only and full with vectors) from a fixed
+        start vector, on a `HankelKernel` without forming its matrix (see
+        `choose_solver`; `solver_rank` gives the default rank for a grid size):
+        the complex-symmetric recurrence, one product per step, on the symmetric
+        kernel of Phi, and Golub-Kahan-Lanczos, two products per step, on the
+        one-sided kernel and on a sampled `KernelMatrix`.  It stops on each
+        triplet's residual with vectors and on the tighter gap-refined bound
+        without (see `_lanczos`).  On the rank-one Phi at Delta = delta = 0 it
+        stops after 2 products.
         Ranks beyond the matrix dimension are clipped with a warning; a rank
         below 1 is an error.
         The dense SVD of a centro-Hermitian `HankelKernel` runs on an
@@ -492,7 +580,8 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     vectors : bool
         Compute the modes, one pair per coefficient reached: a truncated
         solve that breaks down at r < rank (a kernel of rank r) returns r
-        pairs, and its coefficients r + 1 .. rank are exactly 0.  Without
+        pairs, and its coefficients r + 1 .. rank are exactly 0, as are values
+        at its breakdown tolerance, roundoff of the largest.  Without
         vectors modes_1 and modes_2 have no rows.
 
     Raises
@@ -515,9 +604,10 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     method = choose_solver(max_rank, rank, vectors)
     if method == "lanczos":
         structured = isinstance(kernel, HankelKernel)
+        # the symmetric kernel (A^T = A) runs the one-basis recurrence: no transposed product
         products = ((partial(kernel._apply, transpose=False),
-                     partial(kernel._apply, transpose=True)) if structured
-                    else (kernel.entries.dot, kernel.entries.T.dot))
+                     None if kernel.symmetric else partial(kernel._apply, transpose=True))
+                    if structured else (kernel.entries.dot, kernel.entries.T.dot))
         u, s, vh = _lanczos(*products, kernel.shape, rank, vectors)
         method = "hankel_lanczos" if structured else "lanczos"
         residual = float(np.sqrt(max(kernel.frobenius_norm2() - np.sum(s**2), 0.0)))

@@ -319,12 +319,13 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_lanczos_breakdown_exits_3(tmp_path, monkeypatch, capsys):
-    # a non-finite product raises LinAlgError inside the truncated solve
+    # a non-finite product raises LinAlgError inside the truncated solve of Phi, the
+    # complex-symmetric tridiagonalization
     monkeypatch.setattr(HankelKernel, "_apply", lambda self, v, transpose: np.full_like(v, np.nan))
     assert main(["schmidt", "--grid-half-width", "20", "--step", "0.5", "--rank", "8",
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert err == "numerical failure: Lanczos bidiagonalization broke down at step 1\n"
+    assert err == "numerical failure: Lanczos tridiagonalization broke down at step 1\n"
 
 
 def test_bounds_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -483,11 +483,10 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
 def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch, vectors):
-    # 300 values of Phi at (5, -1.5) on 1201 nodes, down to 7e-6 r1: a ghost copy
-    # of a converged value would shift every value after it
+    # 300 values of Phi at (5, -1.5) on 1201 nodes, down to 7e-6 r1, and 200 of the one-sided
+    # Q on 401 nodes: a ghost copy of a converged value would shift every value after it
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
-    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 60.0, 0.1))
-    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+    phi = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 60.0, 0.1))
     products, orthogonalized = _count_products(monkeypatch), []
     orthogonalize = schmidt._orthogonalize
 
@@ -496,13 +495,20 @@ def test_partial_reorthogonalization_keeps_the_dense_values(monkeypatch, vectors
         return orthogonalize(r, basis)
 
     monkeypatch.setattr(schmidt, "_orthogonalize", counted)
-    d = decompose(op, rank=300, vectors=vectors)
-    assert np.max(np.abs(d.coefficients - dense[:300])) <= 1e-13 * dense[0]
-    assert 0 not in orthogonalized  # the first vector has no basis
-    if vectors:  # threshold 0: each new vector after the first is orthogonalized
-        assert len(orthogonalized) == len(products) - 1
-    else:  # a step takes two products; full reorthogonalization orthogonalizes after each
-        assert len(orthogonalized) < len(products)
+    for op, k in ((phi, 300), (_engine_kernel("q"), 200)):
+        dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+        products.clear()
+        orthogonalized.clear()
+        d = decompose(op, rank=k, vectors=vectors)
+        assert np.max(np.abs(d.coefficients - dense[:k])) <= 1e-13 * dense[0]
+        assert 0 not in orthogonalized  # the first vector has no basis
+        # Phi's one basis holds q_1 before the first product; the bidiagonalization's
+        # u basis is empty at the first product
+        first = 0 if op.symmetric else 1
+        if vectors:  # threshold 0: each new vector with a basis is orthogonalized
+            assert len(orthogonalized) == len(products) - first
+        else:  # full reorthogonalization would orthogonalize after each product
+            assert len(orthogonalized) < len(products) - first
 
 
 @pytest.mark.parametrize("kernel, k, rank", [
@@ -540,21 +546,79 @@ def test_lanczos_ends_by_breakdown_on_low_rank(monkeypatch, kernel, k, rank):
 @pytest.mark.parametrize("half", [2.5, 5.0, 10.0], ids=["n11", "n21", "n41"])
 def test_lanczos_runs_to_exhaustion_at_rank_n_minus_2(monkeypatch, half):
     # at rank n - 2 the solve neither converges nor breaks down before its last step:
-    # it takes all n steps (2n products) and ends on j + 1 == steps
+    # it takes all n steps and ends on j + 1 == steps, n products for Phi (one basis)
+    # and 2n for the one-sided Q (Golub-Kahan)
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
-    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, half, 0.5))
-    n = op.shape[0]
-    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
-    sw = np.sqrt(quadrature_weights(op.grid1))
+    phi = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, half, 0.5))
+    q = _one_sided_kernel(sys, make_grid(0.0, half, 0.5))
     calls = _count_products(monkeypatch)
-    for vectors in (True, False):
+    for op, per_step in ((phi, 1), (q, 2)):
+        n = op.shape[0]
+        dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+        sw = np.sqrt(quadrature_weights(op.grid1))
+        for vectors in (True, False):
+            calls.clear()
+            d = decompose(op, rank=n - 2, vectors=vectors)
+            assert d.method == "hankel_lanczos" and len(calls) == per_step * n
+            assert np.max(np.abs(d.coefficients - dense[: n - 2])) <= 1e-13 * dense[0]
+            for modes in (d.modes_1, d.modes_2) if vectors else ():
+                q_rows = modes * sw
+                assert np.max(np.abs(np.conj(q_rows) @ q_rows.T - np.eye(n - 2))) <= 1e-12
+
+
+def test_ritz_update_matches_the_dense_svd():
+    # the Ritz check's values and last vector entries, grown by blocks of rows as the solve
+    # grows them, against a dense SVD of each leading block; rows 0-20 decouple at the
+    # 1e-30 entry, so their triplets lock after the first call
+    rng = np.random.default_rng(3)
+    alpha = rng.standard_normal(90) + 1j * rng.standard_normal(90)
+    beta = rng.random(89) + 0.1
+    beta[20] = 1e-30
+    tridiagonal = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    bidiagonal = np.diag(np.abs(alpha)) + np.diag(beta, 1)
+    for c in (tridiagonal, bidiagonal):
+        ritz = np.empty(0), np.empty(0), np.empty(0)
+        for size in (40, 48, 56, 90):
+            ritz = schmidt._ritz_update(c[:size, :size], *ritz)
+            x, s, yh = np.linalg.svd(c[:size, :size])
+            theta, x_last, y_last = ritz
+            assert np.max(np.abs(theta - s)) <= 1e-14 * s[0]
+            assert np.max(np.abs(np.abs(x_last) - np.abs(x[-1]))) <= 1e-12
+            assert np.max(np.abs(np.abs(y_last) - np.abs(yh[:, -1]))) <= 1e-12
+
+
+def test_phi_takes_fewer_products_than_golub_kahan(monkeypatch):
+    # Phi is complex symmetric: its one-basis recurrence calls one product per step, where
+    # Golub-Kahan on the sampled matrix calls two
+    sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
+    grid = make_grid(sys.omega_f / 2.0, 50.0, 0.1)
+    op, sampled = optimal_state_operator(sys, grid), optimal_state_kernel(sys, grid)
+    assert op.shape == (1001, 1001)
+    lanczos, calls = schmidt._lanczos, []
+
+    def counted(product):
+        def call(v):
+            calls.append(product)
+            return product(v)
+        return None if product is None else call
+
+    monkeypatch.setattr(schmidt, "_lanczos", lambda apply, apply_transpose, *args: lanczos(
+        counted(apply), counted(apply_transpose), *args))
+
+    def solve(kernel):
         calls.clear()
-        d = decompose(op, rank=n - 2, vectors=vectors)
-        assert d.method == "hankel_lanczos" and len(calls) == 2 * n
-        assert np.max(np.abs(d.coefficients - dense[: n - 2])) <= 1e-13 * dense[0]
-        for modes in (d.modes_1, d.modes_2) if vectors else ():
-            q = modes * sw
-            assert np.max(np.abs(np.conj(q) @ q.T - np.eye(n - 2))) <= 1e-12
+        d = decompose(kernel, rank=64)
+        return len(calls), d
+
+    (ours, d), (theirs, ref) = solve(op), solve(sampled)
+    assert (d.method, ref.method) == ("hankel_lanczos", "lanczos")
+    assert ours <= 0.6 * theirs
+    dense = np.linalg.svd(op.to_dense().entries, compute_uv=False)
+    assert np.max(np.abs(d.coefficients - dense[:64])) <= 1e-13 * dense[0]
+    sw = np.sqrt(quadrature_weights(grid))
+    for modes in (d.modes_1, d.modes_2):
+        q = modes * sw
+        assert np.max(np.abs(np.conj(q) @ q.T - np.eye(64))) <= 1e-12
 
 
 @pytest.mark.parametrize("vectors", [True, False])
@@ -566,14 +630,30 @@ def test_lanczos_raises_on_a_non_finite_product(monkeypatch, vectors):
     entries[3, 5] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match=message):
         decompose(KernelMatrix(k.grid1, k.grid2, entries), rank=4, vectors=vectors)
-    # only the adjoint product is not finite: A v passes, A^H u does not (beta)
-    apply = schmidt.HankelKernel._apply
-    monkeypatch.setattr(schmidt.HankelKernel, "_apply", lambda self, v, transpose: (
-        np.full_like(v, np.nan) if transpose else apply(self, v, transpose)))
+    # only the adjoint product of the one-sided Q is not finite: A v passes, A^H u does
+    # not (beta)
+    apply, calls = schmidt.HankelKernel._apply, []
+
+    def nan_after(first, transposed):
+        """_apply, which returns NaN for `transposed` products from the first-th call on."""
+        def patched(self, v, transpose):
+            calls.append(transpose)
+            nan = transpose == transposed and len(calls) >= first
+            return np.full_like(v, np.nan) if nan else apply(self, v, transpose)
+        return patched
+
     sys = LevelSystem(delta_detuning=5.0, delta_deviation=-1.5)
-    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 10.0, 0.5))
+    monkeypatch.setattr(schmidt.HankelKernel, "_apply", nan_after(1, True))
     with pytest.raises(np.linalg.LinAlgError, match=message):
+        decompose(_one_sided_kernel(sys, make_grid(0.0, 10.0, 0.5)), rank=4, vectors=vectors)
+    # Phi's recurrence calls only A conj(q): its second product is not finite (beta_2)
+    calls.clear()
+    monkeypatch.setattr(schmidt.HankelKernel, "_apply", nan_after(2, False))
+    op = optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 10.0, 0.5))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Lanczos tridiagonalization broke down at step 2"):
         decompose(op, rank=4, vectors=vectors)
+    assert calls == [False, False]
 
 
 @pytest.mark.parametrize("structured", [False, True], ids=["sampled", "operator"])

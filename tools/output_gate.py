@@ -87,7 +87,8 @@ COMMANDS = {
                         "--sigma", "auto", "--zeta", "auto"],
     "exit2": ["schmidt", "--dev", "-2"],
     "exit3": ["schmidt", "--grid-half-width", "20", "--step", "0.5"],
-    # the truncated solve: the SVD of its bidiagonal B fails at the first Ritz check
+    # the truncated solve: the SVD of its tridiagonal T fails (the rank-one Phi breaks down
+    # after 2 products, before any Ritz check)
     "exit3_truncated": ["schmidt", "--grid-half-width", "20", "--step", "0.5", "--rank", "8"],
     "large_delta_step": ["schmidt", "--delta", "1000", "--step", "1", "--rank", "8"],
     "config_bool": ["shape-pump", "--config", "run.cfg", "--phi", "1"],
