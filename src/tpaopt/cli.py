@@ -18,13 +18,16 @@ byte-identical tables.  Exit codes: 0 success, 2 argument errors (non-finite
 system, grid or shaping values, --points < 1, --modes < 0, grids whose dense
 kernel, and figures and sweeps whose rows, would exceed physical memory, and
 allocations that fail among them), 3 solver failures
-(numpy.linalg.LinAlgError).  Sweep and figure points run one after another,
-in parameter order.
+(numpy.linalg.LinAlgError).  While `main` runs, a library warning (such as
+`schmidt_point`'s on a grid step above min(gamma_e, gamma_f)) prints as one
+line, `warning: <message>`, on stderr, and changes no exit code, stdout or
+file.  Sweep and figure points run one after another, in parameter order.
 
 A Schmidt point is one library call, `schmidt.schmidt_point`, given the grid
-flags and --rank as they are; it returns the row (r1, r1^2, S, E_q and the
-solver that ran), and the --modes pairs schmidt_modes.csv holds when a single
-point writes CSV (sweeps and --format json ask for none).  The pairs come from
+flags and --rank as they are; it returns the row (r1, r1^2, S, E_q, the rank
+solved, which `solver_rank` clips to the node count, and the solver that ran),
+and the --modes pairs schmidt_modes.csv holds when a single point writes CSV
+(sweeps and --format json ask for none).  The pairs come from
 a solve of their own on the point's kernel, so a point reports the same
 numbers whatever its --format, and as a sweep row.  `asymptotic_bounds`
 reads the same --rank on its own grid, so --rank also moves S_inf.  The bounds
@@ -41,6 +44,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
@@ -412,9 +416,9 @@ def build_parser():
     p.add_argument("--grid-center", type=float, default=None,
                    help="grid centre (default: omega_f / 2)")
     p.add_argument("--rank", type=int, default=None,
-                   help="coefficients to compute, also for the large-detuning bounds (default: "
-                   "the full spectrum on small grids, 300 on large ones; 0: the full spectrum "
-                   "at any size)")
+                   help="coefficients to compute, also for the large-detuning bounds; a rank "
+                   "above the node count gives all of them (default: the full spectrum on "
+                   "small grids, 300 on large ones; 0: the full spectrum at any size)")
     p.add_argument("--modes", type=int, default=2,
                    help="mode pairs written to CSV, at most one per coefficient above 1e-12")
     p.add_argument("--dump-kernel", action="store_true",
@@ -470,9 +474,15 @@ def _load_config_tokens(path, subparser):
     return tokens
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A library warning as `main` prints it: one line, naming no file or source line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -494,6 +504,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    finally:  # outside main, warnings keep the caller's format
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -156,15 +156,19 @@ def sample_kernel(f, grid1: FrequencyGrid, grid2: FrequencyGrid | None = None) -
     if grid2 is None:
         grid2 = grid1
     check_dense_fits(grid1.count, grid2.count)
-    x1 = grid1.nodes
-    x2 = grid2.nodes
-    out = np.empty((x1.size, x2.size), dtype=complex)
-    sw1 = np.sqrt(quadrature_weights(grid1))
-    sw2 = np.sqrt(quadrature_weights(grid2))
-    for i0 in range(0, x1.size, ROW_CHUNK):
-        sl = slice(i0, min(i0 + ROW_CHUNK, x1.size))
-        # single fused product keeps symmetric samples exactly symmetric
-        out[sl] = f(x1[sl][:, None], x2[None, :]) * (sw1[sl][:, None] * sw2[None, :])
+    x1, x2 = grid1.nodes, grid2.nodes
+    return _weighted_matrix(grid1, grid2, lambda rows: f(x1[rows, None], x2[None, :]))
+
+
+def _weighted_matrix(grid1: FrequencyGrid, grid2: FrequencyGrid, block) -> KernelMatrix:
+    """The `KernelMatrix` of entries block(rows)[i, j] * sqrt(w_i w_j), block(rows) giving the
+    unweighted rows `rows` (a slice) on all of grid2's nodes, built ROW_CHUNK rows at a time."""
+    sw1, sw2 = np.sqrt(quadrature_weights(grid1)), np.sqrt(quadrature_weights(grid2))
+    out = np.empty((grid1.count, grid2.count), dtype=complex)
+    for i0 in range(0, grid1.count, ROW_CHUNK):
+        rows = slice(i0, i0 + ROW_CHUNK)
+        # single fused weight product keeps symmetric samples exactly symmetric
+        out[rows] = block(rows) * (sw1[rows, None] * sw2[None, :])
     return KernelMatrix(grid1, grid2, out)
 
 

@@ -17,8 +17,8 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import (ROW_CHUNK, FrequencyGrid, KernelMatrix, auto_grid, check_dense_fits,
-                    make_grid, quadrature_weights, sample_kernel)
+from .grids import (FrequencyGrid, KernelMatrix, _weighted_matrix, auto_grid,
+                    check_dense_fits, make_grid, quadrature_weights, sample_kernel)
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
 __all__ = [
@@ -217,16 +217,14 @@ class HankelKernel:
         return float(np.sum(np.abs(self.hankel) ** 2 * anti[: self.hankel.size]))
 
     def to_dense(self) -> KernelMatrix:
-        """The n x n weight-embedded matrix, built in blocks of ROW_CHUNK rows."""
-        n = self.shape[0]
-        h = sliding_window_view(self.hankel, n)  # h[i, j] = hankel[i + j], a view
-        e, sw = self.diag, self._sw
-        out = np.empty(self.shape, dtype=complex)
-        for i0 in range(0, n, ROW_CHUNK):
-            sl = slice(i0, min(i0 + ROW_CHUNK, n))
-            lines = e[sl, None] + e[None, :] if self.symmetric else e[sl, None]
-            out[sl] = lines * h[sl] * (sw[sl, None] * sw[None, :])
-        return KernelMatrix(self.grid1, self.grid2, out)
+        """The n x n weight-embedded matrix, by `grids._weighted_matrix`."""
+        h = sliding_window_view(self.hankel, self.shape[0])  # h[i, j] = hankel[i + j], a view
+        e = self.diag
+
+        def block(rows):
+            return (e[rows, None] + e[None, :] if self.symmetric else e[rows, None]) * h[rows]
+
+        return _weighted_matrix(self.grid1, self.grid2, block)
 
 
 def optimal_state_operator(sys: LevelSystem, grid: FrequencyGrid) -> HankelKernel:
@@ -245,13 +243,14 @@ def optimal_state_operator(sys: LevelSystem, grid: FrequencyGrid) -> HankelKerne
 def solver_rank(n: int, rank: int | None = None) -> int | None:
     """The rank to give `decompose` for an n x n kernel when `rank` coefficients are asked for.
 
-    An explicit rank >= 1 is kept; rank < 1 means the full spectrum (None).
+    An explicit rank >= 1 is clipped to n, so a rank above the node count
+    gives all n coefficients; rank < 1 means the full spectrum (None).
     The default, None, is the full spectrum up to DENSE_MAX_NODES nodes and
     DEFAULT_RANK coefficients beyond.
     """
     if rank is None:
         return None if n <= DENSE_MAX_NODES else DEFAULT_RANK
-    return rank if rank >= 1 else None
+    return min(rank, n) if rank >= 1 else None
 
 
 def choose_solver(n: int, rank: int | None = None, vectors: bool = True) -> str:
@@ -570,8 +569,8 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
         triplet's residual with vectors and on the tighter gap-refined bound
         without (see `_lanczos`).  On the rank-one Phi at Delta = delta = 0 it
         stops after 2 products.
-        Ranks beyond the matrix dimension are clipped with a warning; a rank
-        below 1 is an error.
+        A rank outside 1 .. min(kernel.shape) is an error (`solver_rank`
+        clips an oversized one).
         The dense SVD of a centro-Hermitian `HankelKernel` runs on an
         equivalent real matrix of the same size; its coefficients and modes
         are those of the complex SVD up to roundoff.
@@ -587,20 +586,14 @@ def decompose(kernel: KernelMatrix | HankelKernel, rank: int | None = None,
     Raises
     ------
     ValueError
-        If rank is below 1.
+        If rank is below 1 or above min(kernel.shape).
     numpy.linalg.LinAlgError
         If the dense or iterative SVD fails to converge.
     """
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank must be >= 1 (or None for the full spectrum), got {rank}")
     max_rank = min(kernel.shape)
-    if rank is not None and rank > max_rank:
-        warnings.warn(
-            f"requested rank {rank} exceeds matrix dimension {max_rank}; clipping",
-            RuntimeWarning,
-        )
-        rank = max_rank
-
+    if rank is not None and not 1 <= rank <= max_rank:
+        raise ValueError(f"rank must be >= 1 and <= {max_rank}, the smaller matrix dimension "
+                         f"(or None for the full spectrum), got {rank}")
     method = choose_solver(max_rank, rank, vectors)
     if method == "lanczos":
         structured = isinstance(kernel, HankelKernel)
@@ -696,10 +689,20 @@ def schmidt_point(sys: LevelSystem, rank: int | None = None, modes: int = 0, *,
     coefficients are arbitrary vectors).  So a point reports the same numbers with modes or
     without.  row holds r1, r1_squared, entropy_bits, quantum_enhancement, the rank given to
     the values-only `decompose` and the `solver_stats` fields.
+
+    A grid step above the narrower linewidth min(gamma_e, gamma_f), beyond a
+    relative 1e-9 of roundoff, under-resolves Phi and gives a RuntimeWarning:
+    the default step gamma_e / 5 does so below delta = -1.8, where E_q comes
+    out several percent low (8% at delta = -1.9; see README's Conventions).
     """
     if modes < 0:
         raise ValueError(f"modes must be >= 0, got {modes}")
     grid = auto_grid(sys, half, step, center)
+    width = min(sys.gamma_e, sys.gamma_f)
+    if grid.step > width * (1.0 + 1e-9):
+        warnings.warn(f"the grid step {grid.step:.9g} exceeds min(gamma_e, gamma_f) = "
+                      f"{width:.9g}: Phi is under-resolved, so its Schmidt numbers may be far "
+                      f"off; use a step of at most {width:.9g}", RuntimeWarning, stacklevel=2)
     op, rank = optimal_state_operator(sys, grid), solver_rank(grid.count, rank)
     d = decompose(op, rank=rank, vectors=False)
     m = min(modes, int(np.count_nonzero(d.coefficients > COEFFICIENT_FLOOR)))

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -287,12 +288,62 @@ for argv in (point + ["--format", "json"], point + ["--format", "csv"], ["schmid
     steps.append(loaded())
 print(steps)
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == str([[]] * 8)
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this tpaopt."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_cli(out, *argv):
+    """`python -m tpaopt.cli ARGV --out out` in a fresh interpreter, so that its stderr shows
+    warnings as a user sees them (pytest records them in process)."""
+    return subprocess.run([sys.executable, "-m", "tpaopt.cli", *argv, "--out", str(out)],
+                          env=_fresh_env(), capture_output=True, text=True)
+
+
+UNDER_RESOLVED = "warning: the grid step "
+
+
+def test_oversized_rank_solves_every_coefficient_and_reports_that_rank(tmp_path):
+    proc = _run_cli(tmp_path, "schmidt", "--delta", "5", "--dev", "-1.9", "--rank", "250")
+    assert proc.returncode == 0
+    rep = read_report(str(tmp_path))
+    assert rep["diagnostics"]["rank"] == rep["diagnostics"]["k"] == 201
+    assert len(rep["results"]["r"]) == 201
+    assert "RuntimeWarning" not in proc.stderr and "schmidt.py" not in proc.stderr
+    # delta = -1.9 is under-resolved on the default step: its one line is all of stderr
+    assert [line[:len(UNDER_RESOLVED)] for line in proc.stderr.splitlines()] == [UNDER_RESOLVED]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # a step of 100 gamma_e: r1^2 = 253.6 and S < 0, numbers no state has
+    (["schmidt", "--delta", "1e6", "--step", "100", "--rank", "4"], 1),
+    (["figure", "fig2b", "--points", "3"], 1),  # three rows at delta = -1.9: one line
+    (["schmidt", "--dev", "-0.5"], 0),
+    (["schmidt", "--delta", "5", "--dev", "-1.8"], 0),  # step 0.2 = gamma_f up to roundoff
+], ids=["step_100", "fig2b", "dev_-0.5", "dev_-1.8"])
+def test_under_resolved_grid_warns_in_one_line(tmp_path, argv, lines):
+    proc = _run_cli(tmp_path, *argv)
+    assert proc.returncode == 0 and proc.stdout
+    err = proc.stderr.splitlines()
+    assert len(err) == lines and all(line.startswith(UNDER_RESOLVED) for line in err)
+    assert all("exceeds min(gamma_e, gamma_f)" in line for line in err)
+
+
+def test_main_restores_the_warning_format(tmp_path):
+    before = warnings.formatwarning
+    assert main(["schmidt", "--dev", "-2", "--out", str(tmp_path)]) == 2
+    assert warnings.formatwarning is before
+    with pytest.raises(SystemExit):
+        main(["figure", "fig99", "--out", str(tmp_path)])
+    assert warnings.formatwarning is before
+    assert cli._warning_line(RuntimeWarning("a b"), RuntimeWarning, "x.py", 3) == "warning: a b\n"
 
 
 @pytest.mark.parametrize("argv, grid", [

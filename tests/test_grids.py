@@ -18,7 +18,7 @@ from tpaopt import (
     sample_kernel,
     write_kernel_csv,
 )
-from tpaopt.grids import write_csv
+from tpaopt.grids import ROW_CHUNK, write_csv
 
 
 def test_make_grid_node_counts():
@@ -111,6 +111,16 @@ def test_sample_symmetric_kernel_equals_transpose():
     g = make_grid(0.0, 5.0, 0.1)
     k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g)
     assert np.all(k.entries == k.entries.T)
+
+
+def test_sampled_rectangular_kernel_is_the_entrywise_formula():
+    # more rows than ROW_CHUNK, so the matrix is built in two row blocks
+    g1, g2 = make_grid(0.0, 60.0, 0.2), make_grid(1.0, 2.0, 0.1)
+    assert ROW_CHUNK < g1.count < 2 * ROW_CHUNK and g2.count == 41
+    k = sample_kernel(lambda a, b: np.exp(-(a - b) ** 2 / 7.0) / (a + b + 2j), g1, g2)
+    x, y = g1.nodes[:, None], g2.nodes[None, :]
+    sw = np.outer(np.sqrt(quadrature_weights(g1)), np.sqrt(quadrature_weights(g2)))
+    np.testing.assert_array_equal(k.entries, np.exp(-(x - y) ** 2 / 7.0) / (x + y + 2j) * sw)
 
 
 def test_separable_kernel_is_rank_one():

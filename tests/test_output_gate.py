@@ -44,7 +44,7 @@ def test_kernel_dump_difference_is_relative_to_the_largest_entry(tmp_path):
 def test_compare_reads_the_manifests_of_two_run_directories(tmp_path, capsys):
     entry = {"argv": ["schmidt"], "exit": 0, "stdout": "E_q = 2\n", "files": {"report.json": "1"}}
     runs = {"a": {"point": entry, "exit2": {**entry, "exit": 2, "files": {}}},
-            "b": {"point": {**entry, "stdout": "E_q = 3\n"}}}
+            "b": {"point": {**entry, "stdout": "E_q = 3\n", "stderr": ""}}}  # as none
     for run, manifest in runs.items():
         (tmp_path / run).mkdir()
         (tmp_path / run / "manifest.json").write_text(json.dumps(manifest))

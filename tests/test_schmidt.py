@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,7 @@ from tpaopt import (
     solver_rank,
     solver_stats,
 )
-from tpaopt import schmidt
+from tpaopt import grids, schmidt
 from tpaopt.cli import main
 from tpaopt.schmidt import _one_sided_kernel
 
@@ -78,12 +79,24 @@ def test_rank_below_one_rejected(rank):
         asymmetric_decomposition(sys, make_grid(0.0, 20.0, 0.5), rank=rank)
 
 
-def test_rank_clipping_warns():
-    g = make_grid(0.0, 2.0, 0.5)
-    k = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), g)
-    with pytest.warns(RuntimeWarning):
-        d = decompose(k, rank=99)
-    assert d.coefficients.size == k.grid1.count
+def test_rank_above_dimension_raises_and_solver_rank_clips():
+    # decompose solves the rank it is given or refuses it; the policy owns the clip
+    sys = LevelSystem(delta_detuning=2.0, delta_deviation=-1.0)
+    g = make_grid(0.0, 2.0, 0.5)  # 9 nodes
+    wide = sample_kernel(lambda a, b: 1.0 / (a + b + 2j), make_grid(0.0, 1.0, 0.5), g)  # 5 x 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (wide, optimal_state_kernel(sys, g), optimal_state_operator(sys, g)):
+            n = min(kernel.shape)
+            for rank in (n + 1, 99):
+                with pytest.raises(ValueError, match="rank must be >= 1"):
+                    decompose(kernel, rank=rank)
+            assert solver_rank(n, 99) == n
+            d = decompose(kernel, rank=solver_rank(n, 99))
+            np.testing.assert_array_equal(d.coefficients, decompose(kernel).coefficients)
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            asymmetric_decomposition(sys, g, rank=g.count + 1)
+    assert [solver_rank(9, k) for k in (1, 8, 9, 10, 250)] == [1, 8, 9, 9, 9]
 
 
 def test_modes_orthonormal_under_quadrature():
@@ -314,6 +327,20 @@ def test_structured_kernel_matches_sampled_oracle(one_sided):
         lead = slice(0, 8)  # trailing full-rank modes are not well defined
         assert _max_mode_gap(d_op.modes_1[lead], d_oracle.modes_1[lead]) < 1e-12
         assert _max_mode_gap(d_op.modes_2[lead], d_oracle.modes_2[lead]) < 1e-12
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["phi", "q"])
+def test_to_dense_is_the_entrywise_formula(one_sided):
+    # more than ROW_CHUNK nodes, so the matrix is built in two row blocks
+    sys = LevelSystem(delta_detuning=3.0, delta_deviation=-1.2)
+    op = (_one_sided_kernel(sys, make_grid(0.0, 80.0, 0.25)) if one_sided
+          else optimal_state_operator(sys, make_grid(sys.omega_f / 2.0, 80.0, 0.25)))
+    n = op.shape[0]
+    assert grids.ROW_CHUNK < n < 2 * grids.ROW_CHUNK
+    e, h = op.diag, op.hankel[np.add.outer(np.arange(n), np.arange(n))]
+    sw = np.sqrt(quadrature_weights(op.grid1))
+    lines = e[:, None] if one_sided else e[:, None] + e[None, :]
+    np.testing.assert_array_equal(op.to_dense().entries, lines * h * np.outer(sw, sw))
 
 
 @pytest.mark.parametrize("n", [13, 41, 63, 241])

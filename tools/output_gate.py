@@ -7,16 +7,20 @@ Each command runs in a fresh interpreter (``python -m tpaopt.cli``, the
 package taken from SRC, by default this checkout's ``src``) with
 OPENBLAS_NUM_THREADS=1, inside its own output directory, after the CONFIGS
 file it reads is written there.
-The manifest holds, per command, the exit code, the stdout, the stderr of a
-command that fails (its error message) and the sha256 of every file in that
-directory; ``report.json`` is hashed with its run-dependent ``wall_time_ms``
-and ``timing`` removed.  The demo scripts beside SRC (``../demos``) run the
-same way, and the manifest holds the sha256 of their stdout.  Run it on two
-checkouts and compare the manifests (or the two output directories holding
-them) to show that a change leaves every output byte-identical.  For a
-CSV or ``report.json`` that differs and is on both sides, it names the cell
-or key with the largest absolute difference, relative to the file's largest
-magnitude: roundoff drift shows as about 1e-16, a real change as more.
+The manifest holds, per command, the exit code, the stdout, the stderr (its
+error message, or the one-line warnings of a command that succeeds) and the
+sha256 of every file in that directory; ``report.json`` is hashed with its
+run-dependent ``wall_time_ms`` and ``timing`` removed.  The demo scripts
+beside SRC (``../demos``) run the same way, and the manifest holds the sha256
+of their stdout and the stderr of a demo that fails (Python's own warning
+format names the installed file, so a demo's warnings differ between
+checkouts).  A manifest without stderr (an older run, on a command that
+succeeded) compares as empty stderr.  Run it on two checkouts and compare the
+manifests (or the two output directories holding them) to show that a change
+leaves every output byte-identical.  For a CSV or ``report.json`` that
+differs and is on both sides, it names the cell or key with the largest
+absolute difference, relative to the file's largest magnitude: roundoff
+drift shows as about 1e-16, a real change as more.
 The whole list takes about 50 s on one core of a 2-core x86-64 VM, about
 6 s of it in the demos (5.5 s in ``schmidt_entanglement.py``), about 9 s in
 ``fig2c_full``, the 24 rows of the large-detuning bounds, and under 1 s in
@@ -165,6 +169,8 @@ COMMANDS = {
     "exit2_sigma_auto_delta": ["shape-slm", "--delta", "-1", "--sigma", "auto"],
     # a figure grid of 1e12 x (1e12 - 1) points: refused before any point is built
     "exit2_points_huge": ["figure", "fig8a", "--points", "1000000000000"],
+    # a step of 100 gamma_e misses Phi's lines (r1^2 = 253.6): one warning line on stderr
+    "under_resolved_step": ["schmidt", "--delta", "1e6", "--step", "100", "--rank", "4"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
@@ -218,7 +224,7 @@ def run(out_dir, src):
             stdout = hashlib.sha256(stdout.encode()).hexdigest()
         manifest[name] = {"argv": argv, "exit": proc.returncode, "stdout": stdout,
                           "files": files}
-        if proc.returncode:
+        if proc.returncode or not name.startswith("demo_"):
             manifest[name]["stderr"] = proc.stderr
         print(f"{name}: exit {proc.returncode}, {len(files)} files, "
               f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
@@ -296,9 +302,9 @@ def compare(path_a, path_b):
              for name in sorted(set(a) ^ set(b))]
     for name in sorted(set(a) & set(b)):
         ra, rb = a[name], b[name]
-        for key in ("argv", "exit", "stdout", "stderr"):
-            if ra.get(key) != rb.get(key):
-                diffs.append(f"{name}: {key} {ra.get(key)!r} -> {rb.get(key)!r}")
+        for key in ("argv", "exit", "stdout", "stderr"):  # no stderr: none recorded, or empty
+            if ra.get(key, "") != rb.get(key, ""):
+                diffs.append(f"{name}: {key} {ra.get(key, '')!r} -> {rb.get(key, '')!r}")
         for f in sorted(set(ra["files"]) | set(rb["files"])):
             if ra["files"].get(f) == rb["files"].get(f):
                 continue
