@@ -195,11 +195,13 @@ def _schmidt_single(args, params, row, d):
     if args.format in ("csv", "both"):
         write_csv(os.path.join(args.out, "schmidt_coefficients.csv"), "k,r,r_squared",
                   [(k + 1, r[k], r[k] ** 2) for k in range(len(r))])
+        # one row per (mode k, node), k major: the columns broadcast over a (modes, nodes) grid
+        columns = np.broadcast_arrays(np.arange(1, len(d.modes_1) + 1)[:, None], d.grid1.nodes,
+                                      d.modes_1.real, d.modes_1.imag,
+                                      d.modes_2.real, d.modes_2.imag)
         write_csv(os.path.join(args.out, "schmidt_modes.csv"),
                   "k,omega,mode1_re,mode1_im,mode2_re,mode2_im",
-                  [(k + 1, *x) for k in range(len(d.modes_1))
-                   for x in zip(d.grid1.nodes, d.modes_1[k].real, d.modes_1[k].imag,
-                                d.modes_2[k].real, d.modes_2[k].imag)])
+                  np.stack(columns, axis=-1).reshape(-1, len(columns)))
     if args.dump_kernel:
         sys_ = LevelSystem(delta_detuning=args.delta, delta_deviation=args.dev)
         write_kernel_csv(optimal_state_operator(sys_, d.grid1).to_dense(),  # the matrix solved

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil, inf, isfinite, prod
+from itertools import chain
+from math import ceil, inf, isfinite, log, pi, prod
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
 ROW_CHUNK = 512
 # Every CSV cell: 9 significant digits, so identical inputs give byte-identical tables.
 CSV_FORMAT = "%.9g"
+# CSV rows formatted by one % operation: few enough to keep the text of a block small.
+CSV_BLOCK = 1024
+# The trapezoidal error `_strip_step` aims at, below double precision's unit roundoff 1.1e-16.
+TRAPEZOID_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,13 @@ def make_grid(center: float, half_width: float, step: float) -> FrequencyGrid:
                          f"half_width={half_width}, step={step}")
     n_side = int(ceil(half_width / step - 1e-9))
     return FrequencyGrid(center - n_side * step, step, 2 * n_side + 1)
+
+
+def _strip_step(d: float) -> float:
+    """The trapezoidal step h at which 2 exp(-2 pi d / h), the rule's error for an integrand
+    analytic in the strip |Im w| < d (Trefethen & Weideman, SIAM Rev. 56:385, 2014, section
+    5), is TRAPEZOID_TOL: h = 2 pi d / ln(2 / TRAPEZOID_TOL), about d / 5.97."""
+    return 2.0 * pi * d / log(2.0 / TRAPEZOID_TOL)
 
 
 def quadrature_weights(grid: FrequencyGrid) -> np.ndarray:
@@ -239,8 +251,11 @@ def write_csv(path, header: str, rows) -> None:
         fh.write(header + "\n")
         if len(rows):
             line = ",".join([CSV_FORMAT] * len(rows[0])) + "\n"
-            for row in rows:
-                fh.write(line % tuple(row.tolist() if isinstance(row, np.ndarray) else row))
+            for i0 in range(0, len(rows), CSV_BLOCK):
+                block = rows[i0 : i0 + CSV_BLOCK]
+                cells = (block.ravel().tolist() if isinstance(block, np.ndarray)
+                         else chain.from_iterable(block))
+                fh.write(line * len(block) % tuple(cells))
 
 
 def write_kernel_csv(kernel: KernelMatrix, path) -> None:

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import FrequencyGrid, KernelMatrix, check_fits, make_grid, quadrature_weights
+from .grids import (FrequencyGrid, KernelMatrix, _strip_step, check_fits, make_grid,
+                    quadrature_weights)
 from .response import LevelSystem, lineshape, normalization, response_infinite
 
 __all__ = [
@@ -206,12 +207,16 @@ def slm_grid(sys: LevelSystem, state: CwSpdc, half: float | None = None,
     """Default offset grid for the reduced cw-SPDC problem.
 
     Covers the Gaussian profile and the two single-photon poles, at 0 and
-    omega_f, so at offsets +-omega_f/2, with a margin of 30 gamma_e, at step
-    min(gamma_e, sigma) / 25; half and step, when given, replace these.
+    omega_f, so at offsets +-omega_f/2, with a margin of 30 gamma_e.  The
+    response W(Omega, -Omega) has no real zero, so it and its modulus are
+    analytic in the strip |Im Omega| < d = min(gamma_e, sigma); the step is
+    the one at which the trapezoidal rule's error there, about
+    2 exp(-2 pi d / step), is TRAPEZOID_TOL: 2 pi d / ln(2 / TRAPEZOID_TOL),
+    about d / 5.97.  Half and step, when given, replace these.
     """
     pole = abs(sys.omega_f / 2.0)
     half = max(10.0 * state.sigma, pole + 30.0 * sys.gamma_e) if half is None else half
-    step = min(sys.gamma_e / 25.0, state.sigma / 25.0) if step is None else step
+    step = _strip_step(min(sys.gamma_e, state.sigma)) if step is None else step
     grid = make_grid(0.0, half, step)
     check_fits("the {}-node cw-SPDC offset grid", SHAPING_BYTES_PER_NODE, grid.count)
     return grid

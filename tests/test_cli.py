@@ -348,7 +348,7 @@ def test_main_restores_the_warning_format(tmp_path):
 
 @pytest.mark.parametrize("argv, grid", [
     (["shape-slm", "--delta", "5", "--sigma", "2", "--grid-half-width", "40"],
-     {"min": -40, "max": 40, "step": 0.04, "points": 2001}),
+     {"min": -40.00801773, "max": 40.00801773, "step": 0.16739756, "points": 479}),
     (["shape-pump", "--delta", "3", "--sigma", "0.5", "--zeta", "2", "--step", "0.01",
       "--grid-half-width", "8"],
      {"min": -5, "max": 11, "step": 0.01, "points": 1601}),

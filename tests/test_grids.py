@@ -18,7 +18,7 @@ from tpaopt import (
     sample_kernel,
     write_kernel_csv,
 )
-from tpaopt.grids import ROW_CHUNK, write_csv
+from tpaopt.grids import CSV_BLOCK, ROW_CHUNK, TRAPEZOID_TOL, _strip_step, write_csv
 
 
 def test_make_grid_node_counts():
@@ -73,6 +73,15 @@ def test_auto_grid_covers_both_lines_at_large_detuning():
     # and coincides with the reference grid where that one suffices
     small = LevelSystem(delta_detuning=5.0, delta_deviation=-1.9)
     assert auto_grid(small) == default_grid(small)
+
+
+def test_strip_step_meets_the_trapezoid_tolerance():
+    # h = 2 pi d / ln(2 / TRAPEZOID_TOL): 2 pi / ln(2e16) at d = 1, linear in d
+    assert TRAPEZOID_TOL == 1e-16
+    assert _strip_step(1.0) == pytest.approx(0.16739756, abs=1e-8)
+    assert _strip_step(1.0) == pytest.approx(2.0 * np.pi / np.log(2e16), rel=1e-15)
+    assert _strip_step(0.2) == pytest.approx(0.2 * _strip_step(1.0), rel=1e-15)
+    assert 2.0 * np.exp(-2.0 * np.pi / _strip_step(1.0)) == pytest.approx(TRAPEZOID_TOL)
 
 
 def test_trapezoid_weights():
@@ -227,8 +236,9 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     special = [0.0, -0.0, 1, 12, 123456789012, np.float64(0.1), np.float64(-5e-324), 1e20,
                float("inf"), float("nan")]
     rows = [tuple(special[i : i + 5]) for i in (0, 5)]
+    # int and float cells in one row, over three CSV_BLOCK-row blocks
     rows += [(k + 1, *(rng.standard_normal(4) * 10.0 ** rng.integers(-20, 21, 4)))
-             for k in range(20)]
+             for k in range(2 * CSV_BLOCK + 7)]
     expected = ["k,a,b,c,d"] + [",".join(format(float(v), ".9g") for v in row) for row in rows]
     for table in (rows, np.array(rows, dtype=float)):
         path = tmp_path / "table.csv"

@@ -27,6 +27,7 @@ from tpaopt import (
     stationarity_residual,
 )
 from tpaopt import shaping
+from tpaopt.grids import _strip_step
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,33 @@ def test_pump_minus_grid_pins_its_rule(delta, state, half, step, count):
     grid = pump_minus_grid(LevelSystem(delta_detuning=delta), state)
     assert (grid.min, grid.max, grid.step) == pytest.approx((-half, half, step), rel=1e-12)
     assert grid.count == count
+
+
+@pytest.mark.parametrize("gamma_e, delta, sigma", [
+    (1.0, 5.0, 2.0),   # gamma_e sets the step
+    (0.5, 5.0, 0.2),   # a narrow profile sets it
+    (2.0, 50.0, 50.0),
+])
+def test_slm_grid_default_step_is_the_strip_step(gamma_e, delta, sigma):
+    sys, state = LevelSystem(gamma_e=gamma_e, delta_detuning=delta), CwSpdc(sigma=sigma)
+    grid = shaping.slm_grid(sys, state)
+    assert grid.step == _strip_step(min(gamma_e, sigma))
+    assert grid.count % 2 == 1 and grid.center == 0.0 and grid.min == -grid.max
+    assert grid.max >= max(10.0 * sigma, abs(sys.omega_f / 2.0) + 30.0 * gamma_e)
+    # explicit values win
+    given = shaping.slm_grid(sys, state, half=40.0, step=0.04)
+    assert (given.step, given.count) == (0.04, 2001)
+
+
+@pytest.mark.parametrize("delta, dev, sigma", [
+    (5.0, -1.0, 5.0), (0.5, -1.9, 0.5), (50.0, 0.0, 50.0), (5.0, -1.0, 0.2)])
+def test_slm_default_step_matches_a_four_times_finer_grid(delta, dev, sigma):
+    sys, state = LevelSystem(delta_detuning=delta, delta_deviation=dev), CwSpdc(sigma=sigma)
+    grid = shaping.slm_grid(sys, state)
+    coarse = optimal_slm(sys, state)
+    fine = optimal_slm(sys, state, shaping.slm_grid(sys, state, step=grid.step / 4.0))
+    assert coarse.e_opt == pytest.approx(fine.e_opt, rel=1e-14)
+    assert coarse.p_unshaped == pytest.approx(fine.p_unshaped, rel=1e-14)
 
 
 def test_slm_rejects_off_centre_grid():

@@ -171,6 +171,10 @@ COMMANDS = {
     "exit2_points_huge": ["figure", "fig8a", "--points", "1000000000000"],
     # a step of 100 gamma_e misses Phi's lines (r1^2 = 253.6): one warning line on stderr
     "under_resolved_step": ["schmidt", "--delta", "1e6", "--step", "100", "--rank", "4"],
+    # the SLM strip step d / 5.97 at d = min(gamma_e, sigma): sigma >> gamma_e sets the
+    # largest grid, sigma < gamma_e a step below gamma_e's
+    "shape_slm_sigma_wide": ["shape-slm", "--delta", "50", "--sigma", "auto"],
+    "shape_slm_sigma_narrow": ["shape-slm", "--delta", "5", "--sigma", "0.2"],
 }
 
 DEMOS = ("cw_spdc_modulators.py", "optimal_pair_amplitude.py", "pump_shaping.py",
